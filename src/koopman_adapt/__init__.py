@@ -1,18 +1,12 @@
 """Recursive Koopman-operator identification with an adaptive lifted-space
-MPC + Kalman control loop and a closed-loop simulation harness."""
+MPC + Kalman control loop and a closed-loop simulation harness.
 
-from .config import ExperimentConfig, RunSettings, assemble, dumps, load_config_file, loads
-from .edmd import (
-    KoopmanModel,
-    SnapshotSet,
-    collect_snapshots,
-    fit,
-    merge_snapshots,
-    predict_one,
-    read_trajectory_csv,
-    rollout,
-    write_trajectory_csv,
-)
+The package namespace holds the closed-loop harness (what the CLI drives)
+and the estimator quick start; everything else lives in its submodule.
+"""
+
+from .config import ExperimentConfig, load_config_file
+from .edmd import KoopmanModel, collect_snapshots
 from .errors import KoopmanAdaptError
 from .harness import (
     RunResult,
@@ -27,108 +21,31 @@ from .harness import (
     write_summary_csv,
     write_trace_csv,
 )
-from .matops import pinv_full_row_rank, pinv_svd, symmetrize, trace, woodbury
-from .mpc import CondensedMpc, MpcConfig, build_prediction_matrices, mpc_gain_limit, solve_mpc
-from .observables import (
-    ObservableDictionary,
-    dictionary_from_functions,
-    identity_dictionary,
-    make_dictionary,
-    monomial_dictionary,
-    trig_dictionary,
-)
-from .observer import (
-    KalmanState,
-    ObserverSettings,
-    init_kalman,
-    kf_correct,
-    kf_estimate_state,
-    kf_predict,
-)
-from .plants import (
-    ChangeSchedule,
-    PlantModel,
-    PlantState,
-    apply_schedule,
-    make_linear2nd,
-    make_pendulum,
-    measure,
-    step_plant,
-)
-from .redmd import (
-    RecursiveEstimator,
-    RedmdSettings,
-    StepReport,
-    init_from_batch,
-    variable_forgetting_factor,
-)
-from .references import ReferenceSpec, build_reference
+from .observables import trig_dictionary
+from .redmd import RecursiveEstimator, RedmdSettings, StepReport, init_from_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChangeSchedule",
-    "CondensedMpc",
     "ExperimentConfig",
-    "KalmanState",
     "KoopmanAdaptError",
     "KoopmanModel",
-    "MpcConfig",
-    "ObservableDictionary",
-    "ObserverSettings",
-    "PlantModel",
-    "PlantState",
     "RecursiveEstimator",
     "RedmdSettings",
-    "ReferenceSpec",
     "RunResult",
-    "RunSettings",
-    "SnapshotSet",
     "StepRecord",
     "StepReport",
-    "apply_schedule",
-    "assemble",
-    "build_prediction_matrices",
-    "build_reference",
     "collect_snapshots",
     "compute_metric",
     "default_config",
-    "dictionary_from_functions",
-    "dumps",
-    "fit",
     "format_comparison_table",
     "generate_training_data",
-    "identity_dictionary",
     "init_from_batch",
-    "init_kalman",
-    "kf_correct",
-    "kf_estimate_state",
-    "kf_predict",
     "load_config_file",
-    "loads",
-    "make_dictionary",
-    "make_linear2nd",
-    "make_pendulum",
-    "measure",
-    "merge_snapshots",
-    "monomial_dictionary",
-    "mpc_gain_limit",
-    "pinv_full_row_rank",
-    "pinv_svd",
-    "predict_one",
     "prepare_estimator",
-    "read_trajectory_csv",
-    "rollout",
     "run_closed_loop",
     "run_comparison",
-    "solve_mpc",
-    "step_plant",
-    "symmetrize",
-    "trace",
     "trig_dictionary",
-    "variable_forgetting_factor",
-    "woodbury",
     "write_summary_csv",
     "write_trace_csv",
-    "write_trajectory_csv",
 ]

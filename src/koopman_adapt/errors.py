@@ -59,7 +59,8 @@ class CovarianceNotPD(NumericalError):
 
 
 class NonFiniteState(NumericalError):
-    """Plant integration produced NaN or Inf."""
+    """A state went non-finite: plant integration produced NaN or Inf, or
+    the estimator was fed a sample containing one."""
 
 
 class IllConditionedHessian(NumericalError):

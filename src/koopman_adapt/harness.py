@@ -16,13 +16,12 @@ normalized by the reference energy.
 import copy
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 
-from .config import VARIANTS, ExperimentConfig
+from .config import VARIANTS, ExperimentConfig, assemble, loads
 from .edmd import SnapshotSet, collect_snapshots
 from .errors import EmptyTrace, NumericalError
 from .mpc import CondensedMpc
@@ -239,8 +238,8 @@ def _cell_config(cfg: ExperimentConfig, variant: str, with_changes: bool,
     return replace(cfg, run=run, schedule=schedule)
 
 
-def _run_cell(args) -> CellResult:
-    cfg, estimator, variant, with_changes, speed = args
+def _run_cell(cfg: ExperimentConfig, estimator, variant: str,
+              with_changes: bool, speed: float) -> CellResult:
     cell_cfg = _cell_config(cfg, variant, with_changes, speed)
     result = run_closed_loop(cell_cfg, estimator=estimator)
     if result.aborted:
@@ -254,20 +253,13 @@ def _run_cell(args) -> CellResult:
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     """Run all variants x {no changes, changes} x reference speeds.
 
-    The offline fit is shared across cells (each gets a deep copy). Cells
-    may execute in parallel when KOOPMAN_ADAPT_THREADS > 1; results merge
-    by cell index, so the output is independent of interleaving.
+    The offline fit is shared across cells (each gets a deep copy); cells
+    run sequentially in a fixed order.
     """
     estimator = prepare_estimator(cfg)
-    jobs = [(cfg, estimator, variant, with_changes, speed)
-            for variant, with_changes, speed in _comparison_cells(cfg)]
-    threads = int(os.environ.get("KOOPMAN_ADAPT_THREADS", "0"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(_run_cell, jobs))
-    else:
-        cells = [_run_cell(job) for job in jobs]
-    return ComparisonResult(cells)
+    return ComparisonResult([
+        _run_cell(cfg, estimator, variant, with_changes, speed)
+        for variant, with_changes, speed in _comparison_cells(cfg)])
 
 
 # -- reporting ----------------------------------------------------------------
@@ -339,71 +331,9 @@ def format_comparison_table(comparison: ComparisonResult) -> str:
 
 # -- default scenario -----------------------------------------------------------
 
-DEFAULT_CONFIG_TEXT = """\
-# Default pendulum scenario: cyclic stroke tracking with a mid-run mass
-# doubling and friction increase at t = 4 s.
-
-[plant]
-kind = pendulum
-m = 0.4
-l = 0.5
-g = 9.81
-d = 0.04
-c = 0.002
-noise_y = 0.0005
-noise_x = 0.0005, 0.005
-dt = 0.01
-substeps = 8
-schedule = (4.0, m, 0.8), (4.0, d, 0.12)
-
-[dict]
-family = trig
-output_index = 0
-
-[redmd]
-lambda0 = 1.0
-lambda_min = 0.95
-m_op = 50
-eps_low = 0.0075
-eps_high = 0.012
-n0 = 10
-mu_sigma = 10
-trace_max_factor = 10
-gamma_init = data
-state_scales = 1.0, 5.0
-
-[mpc]
-horizon = 20
-qy = 100.0, 1.0
-ru = 0.01
-terminal_weight = 5.0
-u_min = -10.0
-u_max = 10.0
-max_pg_iters = 200
-pg_tol = 1e-8
-
-[observer]
-q = 0.01
-r = 1e-6
-joseph = true
-relift_after_correct = true
-p0 = 0.01
-
-[run]
-t_sim = 12.0
-seed = 12345
-variant = adaptive-both
-ref_kind = rest-to-rest
-ref_amplitude = 0.6
-ref_speed = 2.0
-ref_hold = 0.05
-train_duration = 3.0
-train_amplitude = 1.5
-speeds = 2.0, 3.0
-"""
-
-
 def default_config() -> ExperimentConfig:
-    """The built-in default scenario (what `default-config` resolves to)."""
-    from .config import assemble, loads
-    return assemble(loads(DEFAULT_CONFIG_TEXT))
+    """The built-in default scenario (what `default-config` resolves to),
+    read from the packaged pendulum_default.cfg."""
+    text = resources.files(__package__).joinpath(
+        "pendulum_default.cfg").read_text()
+    return assemble(loads(text))

@@ -1,5 +1,4 @@
-"""Dense matrix kernels: pseudo-inverses, the matrix-inversion lemma, and
-small hygiene helpers used by the estimator covariance recursion.
+"""Dense matrix kernels: pseudo-inverses and the matrix-inversion lemma.
 
 All operations are pure: inputs are never mutated.
 """
@@ -93,15 +92,3 @@ def woodbury(A, B, C, D) -> np.ndarray:
             f"(D @ A @ B + C) condition estimate {cond:.3e} exceeds "
             f"{COND_LIMIT:.1e}")
     return A - (A @ B) @ np.linalg.solve(inner, DA)
-
-
-def trace(A) -> float:
-    """Sum of diagonal entries of a square matrix."""
-    A = _require_square(A)
-    return float(np.trace(A))
-
-
-def symmetrize(A) -> np.ndarray:
-    """Return (A + A.T) / 2."""
-    A = _require_square(A)
-    return (A + A.T) / 2.0

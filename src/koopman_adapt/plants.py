@@ -6,7 +6,6 @@ Integration is fixed-step RK4 under zero-order-hold input; mid-run changes
 are timed parameter steps applied between samples.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -98,13 +97,6 @@ class ChangeSchedule:
         times = [e[0] for e in self.events]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("schedule events must be time-sorted")
-
-    def next_event_time(self, t: float) -> float:
-        """First event time strictly after t, or inf."""
-        for time, _, _ in self.events:
-            if time > t:
-                return time
-        return math.inf
 
 
 def make_pendulum(m=0.4, l=0.5, g=9.81, d=0.04, c=0.0, **kwargs) -> PlantModel:

@@ -16,7 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .edmd import KoopmanModel, SnapshotSet, _as_input, fit
-from .errors import CovarianceNotPD, DimensionMismatch, RankDeficientRegressor
+from .errors import (
+    CovarianceNotPD,
+    DimensionMismatch,
+    NonFiniteState,
+    RankDeficientRegressor,
+)
 from .matops import COND_LIMIT, pinv_svd
 from .observables import ObservableDictionary
 
@@ -125,7 +130,6 @@ class RecursiveEstimator:
         self.sigma_e = SIGMA_FLOOR
         self.Sigma0 = SIGMA_FLOOR * settings.n0
         self.trace_max = settings.trace_max_factor * float(np.trace(self.Gamma))
-        self.updated_last_step = False
         scales = (np.ones(dictionary.n) if settings.state_scales is None
                   else np.asarray(settings.state_scales, dtype=float))
         if scales.shape != (dictionary.n,) or (scales <= 0).any():
@@ -163,60 +167,10 @@ class RecursiveEstimator:
         """The stacked vector [lift(x); u]."""
         return np.concatenate([self.dictionary.lift(x), _as_input(u, self.p)])
 
-    # -- core recursions ----------------------------------------------------
-
-    def correction_vector(self, phi: np.ndarray) -> np.ndarray:
-        """Row vector phi^T Gamma / (phi^T Gamma phi + lambda), shape (N+p,)."""
-        gp = self.Gamma @ phi
-        denom = float(phi @ gp) + self.lam
-        if not math.isfinite(denom) or denom <= 0.0:
-            raise CovarianceNotPD(
-                f"correction denominator {denom} is not positive; covariance "
-                "recursion has broken down")
-        return gp / denom
-
-    def apply_update(self, phi: np.ndarray, psi_next: np.ndarray,
-                     gamma: np.ndarray | None = None):
-        """Rank-one model update; returns (model snapshot, innovation)."""
-        if gamma is None:
-            gamma = self.correction_vector(phi)
-        innovation = self._update_theta(phi, psi_next, gamma)
-        return self.model, innovation
-
-    def _update_theta(self, phi, psi_next, gamma) -> np.ndarray:
-        innovation = psi_next - self.theta @ phi
-        self.theta += np.outer(innovation, gamma)
-        return innovation
-
-    def update_covariance(self, phi: np.ndarray) -> np.ndarray:
-        """Covariance downdate (Gamma - (Gamma phi) gamma) / lambda, symmetrized."""
-        gp = self.Gamma @ phi
-        denom = float(phi @ gp) + self.lam
-        if not math.isfinite(denom) or denom <= 0.0:
-            raise CovarianceNotPD(
-                f"covariance denominator {denom} is not positive")
-        self._downdate_gamma(gp, denom)
-        return self.Gamma
-
-    def _downdate_gamma(self, gp, denom) -> None:
-        G = (self.Gamma - np.outer(gp, gp) / denom) / self.lam
-        self.Gamma = (G + G.T) / 2.0
-        t = float(np.trace(self.Gamma))
-        if not math.isfinite(t):
-            raise CovarianceNotPD("covariance trace is not finite")
-        if self.settings.check_spd:
-            try:
-                np.linalg.cholesky(self.Gamma)
-            except np.linalg.LinAlgError as exc:
-                raise CovarianceNotPD(
-                    "covariance lost positive definiteness") from exc
-
-    def enforce_trace_bound(self) -> np.ndarray:
-        """Scale Gamma down to the trace bound when it is exceeded."""
-        t = float(np.trace(self.Gamma))
-        if t > self.trace_max:
-            self.Gamma = self.Gamma * (self.trace_max / t)
-        return self.Gamma
+    def _trace_bounded(self, G: np.ndarray) -> np.ndarray:
+        """G scaled down to the trace bound when its trace exceeds it."""
+        t = float(np.trace(G))
+        return G * (self.trace_max / t) if t > self.trace_max else G
 
     # -- gating and forgetting ----------------------------------------------
 
@@ -237,16 +191,7 @@ class RecursiveEstimator:
         err = (Xb[:, 1:] - pred[: self.dictionary.n]) / self._scales[:, None]
         return float(np.abs(err).max())
 
-    def update_lambda(self, phi: np.ndarray, e_post: float,
-                      sigma_boost: float = 1.0) -> float:
-        """Recompute Sigma0 from the windowed error variance and set the
-        next forgetting factor."""
-        gp = self.Gamma @ phi
-        q = float(phi @ gp)
-        phi_gamma = q / (q + self.lam)
-        return self._set_lambda(phi_gamma, e_post, sigma_boost)
-
-    def _set_lambda(self, phi_gamma, e_post, sigma_boost) -> float:
+    def _set_lambda(self, phi_gamma, e_post, sigma_boost) -> None:
         if len(self._err_buf) >= 2:
             self.sigma_e = max(float(np.var(self._err_buf, ddof=1)), SIGMA_FLOOR)
         else:
@@ -254,7 +199,6 @@ class RecursiveEstimator:
         self.Sigma0 = self.sigma_e * self.settings.n0 * sigma_boost
         self.lam = variable_forgetting_factor(
             self.Sigma0, phi_gamma, e_post, self.settings.lambda_min)
-        return self.lam
 
     # -- the per-sample algorithm ---------------------------------------------
 
@@ -265,10 +209,19 @@ class RecursiveEstimator:
         with the initial forgetting factor; afterwards it runs only when the
         windowed prediction error reaches eps_low, with the trace bound
         enforced and the sensitivity boost applied per the thresholds.
+
+        The update is the rank-one recursion with forgetting: gain
+        k = Gamma phi / (phi^T Gamma phi + lambda), Theta += (psi' - Theta phi)
+        k^T, Gamma = (Gamma - Gamma phi k^T) / lambda, symmetrized. It is
+        atomic: a non-finite sample raises NonFiniteState before any state
+        (buffers included) changes, and Theta and Gamma are committed
+        together only once both candidates are finite.
         """
         s = self.settings
         phi = self.regressor(x, u)
         psi_next = self.dictionary.lift(np.asarray(x_next, dtype=float))
+        if not (np.isfinite(phi).all() and np.isfinite(psi_next).all()):
+            raise NonFiniteState("estimator sample contains NaN or Inf")
         self._x_buf.append(np.asarray(x, dtype=float).copy())
         if self.p:
             self._u_buf.append(_as_input(u, self.p).copy())
@@ -282,27 +235,36 @@ class RecursiveEstimator:
         e_post = math.nan
         if do_update:
             sigma_boost = 1.0
+            Gamma = self.Gamma
             if not warm_up:
-                self.enforce_trace_bound()
+                Gamma = self._trace_bounded(Gamma)
                 if window_error >= s.eps_high:
                     sigma_boost = s.mu_sigma
-            gp = self.Gamma @ phi
+            gp = Gamma @ phi
             q = float(phi @ gp)
             denom = q + self.lam
             if not math.isfinite(denom) or denom <= 0.0:
                 raise CovarianceNotPD(
                     f"correction denominator {denom} is not positive")
-            gamma = gp / denom
-            innovation = self._update_theta(phi, psi_next, gamma)
-            self._downdate_gamma(gp, denom)
-            self.enforce_trace_bound()
+            innovation = psi_next - self.theta @ phi
+            theta = self.theta + np.outer(innovation, gp / denom)
+            G = (Gamma - np.outer(gp, gp) / denom) / self.lam
+            G = (G + G.T) / 2.0
+            if not (np.isfinite(theta).all() and np.isfinite(G).all()):
+                raise CovarianceNotPD("rank-one update produced NaN or Inf")
+            if s.check_spd:
+                try:
+                    np.linalg.cholesky(G)
+                except np.linalg.LinAlgError as exc:
+                    raise CovarianceNotPD(
+                        "covariance lost positive definiteness") from exc
+            self.theta, self.Gamma = theta, self._trace_bounded(G)
             # posterior output error: innovation scaled by lambda / denom
             oi = self.dictionary.output_index
             e_post = float(innovation[oi]) * (self.lam / denom)
             self._err_buf.append(e_post)
             if not warm_up and s.adaptive_lambda:
                 self._set_lambda(q / denom, e_post, sigma_boost)
-        self.updated_last_step = do_update
         return StepReport(do_update, self.lam, float(np.trace(self.Gamma)),
                           e_post, window_error)
 

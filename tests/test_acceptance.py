@@ -91,7 +91,7 @@ def test_criterion_3_covariance_recursion_consistency():
         settings = RedmdSettings(lambda0=1.0, adaptive_lambda=False, m_op=2)
         est = RecursiveEstimator(np.zeros((3, 4)), gamma0, d, settings)
         phi = rng.standard_normal(4)
-        est.update_covariance(phi)
+        est.step(phi[:3], phi[3:], np.zeros(3))  # one warm-up update
         direct = np.linalg.inv(np.linalg.inv(gamma0) + np.outer(phi, phi))
         worst = max(worst, np.max(np.abs(est.Gamma - direct)))
     assert worst < 1e-10

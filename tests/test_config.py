@@ -5,7 +5,7 @@ import pytest
 
 from koopman_adapt.config import assemble, dumps, loads
 from koopman_adapt.errors import ConfigError
-from koopman_adapt.harness import DEFAULT_CONFIG_TEXT
+from koopman_adapt.harness import default_config
 
 SAMPLE = """\
 # comment line
@@ -69,17 +69,12 @@ class TestGrammar:
 
 class TestAssemble:
     def test_default_config_assembles(self):
-        cfg = assemble(loads(DEFAULT_CONFIG_TEXT))
+        cfg = default_config()
         assert cfg.plant.kind == "pendulum"
         assert cfg.dictionary.family == "trig"
         assert cfg.dictionary.size == 6
         assert cfg.run.variant == "adaptive-both"
         assert len(cfg.schedule.events) == 2
-
-    def test_shipped_config_file_matches_default(self):
-        import pathlib
-        path = pathlib.Path(__file__).parent.parent / "configs" / "pendulum_default.cfg"
-        assert path.read_text() == DEFAULT_CONFIG_TEXT
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,8 +7,6 @@ from koopman_adapt.errors import NotSquare, SingularGram, SingularInner
 from koopman_adapt.matops import (
     pinv_full_row_rank,
     pinv_svd,
-    symmetrize,
-    trace,
     woodbury,
 )
 
@@ -113,46 +111,11 @@ class TestWoodbury:
         with pytest.raises(SingularInner):
             woodbury(A, B, C, D)
 
+    def test_not_square_rejected(self):
+        with pytest.raises(NotSquare):
+            woodbury(np.zeros((2, 3)), np.zeros((2, 1)), np.eye(1),
+                     np.zeros((1, 2)))
+
     def test_nonconformable_raises(self):
         with pytest.raises(ValueError):
             woodbury(np.eye(3), np.zeros((3, 2)), np.eye(2), np.zeros((3, 3)))
-
-
-class TestTraceAndSymmetrize:
-    def test_trace_identity(self):
-        assert trace(np.eye(3)) == 3.0
-
-    def test_trace_diagonal(self):
-        assert trace(np.diag([1.0, 2.0, 3.0])) == 6.0
-
-    def test_trace_transpose_symmetric(self):
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((5, 5))
-        assert trace(A) == trace(A.T)
-
-    def test_trace_not_square(self):
-        with pytest.raises(NotSquare):
-            trace(np.zeros((2, 3)))
-
-    def test_symmetrize_fixed_point(self):
-        A = np.array([[2.0, 1.0], [1.0, 3.0]])
-        np.testing.assert_array_equal(symmetrize(A), A)
-
-    def test_symmetrize_example(self):
-        A = np.array([[0.0, 2.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(symmetrize(A), [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_symmetrize_defining_property(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((6, 6))
-        S = symmetrize(A)
-        np.testing.assert_array_equal(S - S.T, np.zeros_like(S))
-
-    def test_symmetrize_preserves_trace(self):
-        rng = np.random.default_rng(10)
-        A = rng.standard_normal((4, 4))
-        assert trace(symmetrize(A)) == pytest.approx(trace(A), rel=1e-15)
-
-    def test_symmetrize_not_square(self):
-        with pytest.raises(NotSquare):
-            symmetrize(np.zeros((2, 3)))

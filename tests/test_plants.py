@@ -129,12 +129,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             ChangeSchedule(((2.0, "m", 1.0), (1.0, "m", 2.0)))
 
-    def test_next_event_time(self):
-        schedule = ChangeSchedule(((1.0, "m", 1.0), (4.0, "d", 0.3)))
-        assert schedule.next_event_time(0.0) == 1.0
-        assert schedule.next_event_time(1.0) == 4.0
-        assert schedule.next_event_time(10.0) == np.inf
-
 
 class TestMeasure:
     def test_noise_free_exact(self):

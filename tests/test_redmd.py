@@ -1,12 +1,19 @@
 """Tests for the recursive estimator: update rules, gating, variable
-forgetting, and the constant-trace bound."""
+forgetting, the constant-trace bound, and the atomicity of step().
+
+The update recursion is reachable only through step(); each update-rule test
+drives one step whose gate is known to be open (warm-up, or eps_low = 0)."""
 
 import math
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given
+from hypothesis import strategies as st
 
 from koopman_adapt.edmd import collect_snapshots, fit
+from koopman_adapt.errors import CovarianceNotPD, NonFiniteState
 from koopman_adapt.observables import identity_dictionary
 from koopman_adapt.redmd import (
     RecursiveEstimator,
@@ -40,17 +47,24 @@ def rls_stream(rng, n=2, p=1, steps=120, k_scale=0.6):
 
 
 class TestCorrectionVector:
+    """The gain k = Gamma phi / (phi^T Gamma phi + lambda), read off the
+    model change of one step."""
+
     def test_scalar_hand_case(self):
         est = scalar_estimator(gamma=2.0, lam=1.0)
-        gamma = est.correction_vector(np.array([1.0]))
-        np.testing.assert_allclose(gamma, [2.0 / 3.0])
+        report = est.step(np.array([1.0]), None, np.array([1.0]))
+        # innovation 1, gain 2 / (2 + 1)
+        np.testing.assert_allclose(est.theta, [[2.0 / 3.0]])
+        assert report.e_post == pytest.approx(1.0 / 3.0)
 
     def test_zero_regressor(self):
-        est = scalar_estimator()
-        np.testing.assert_array_equal(est.correction_vector(np.zeros(1)), [0.0])
+        """Zero regressor, zero gain: the model keeps its exact value."""
+        est = scalar_estimator(k=0.4)
+        est.step(np.zeros(1), None, np.array([9.9]))
+        np.testing.assert_array_equal(est.theta, [[0.4]])
 
     def test_matches_posterior_gram_inverse(self):
-        """At lambda=1, gamma equals phi^T Gamma_next with Gamma_next
+        """At lambda=1, the gain equals phi^T Gamma_next with Gamma_next
         recomputed from scratch."""
         rng = np.random.default_rng(31)
         d = identity_dictionary(2)
@@ -60,9 +74,10 @@ class TestCorrectionVector:
         est = RecursiveEstimator(np.zeros((2, 3)), np.linalg.inv(gram), d,
                                  settings)
         phi = rng.standard_normal(3)
-        gamma = est.correction_vector(phi)
+        # zero model, unit first-row innovation: row 0 of Theta is the gain
+        est.step(phi[:2], phi[2:], np.array([1.0, 0.0]))
         gamma_oracle = phi @ np.linalg.inv(gram + np.outer(phi, phi))
-        np.testing.assert_allclose(gamma, gamma_oracle, atol=1e-12)
+        np.testing.assert_allclose(est.theta[0], gamma_oracle, atol=1e-12)
 
 
 class TestApplyUpdate:
@@ -73,27 +88,20 @@ class TestApplyUpdate:
         settings = RedmdSettings(lambda0=0.95, adaptive_lambda=False, m_op=2)
         est = RecursiveEstimator(theta, np.eye(3), d, settings)
         phi = rng.standard_normal(3)
-        psi_next = theta @ phi  # perfect prediction
-        _, innovation = est.apply_update(phi, psi_next)
-        np.testing.assert_array_equal(innovation, np.zeros(2))
+        report = est.step(phi[:2], phi[2:], theta @ phi)  # perfect prediction
+        assert report.updated and report.e_post == 0.0
         np.testing.assert_array_equal(est.theta, theta)
-
-    def test_zero_gamma_leaves_model(self):
-        est = scalar_estimator(k=0.4)
-        before = est.theta.copy()
-        est.apply_update(np.array([1.0]), np.array([9.9]), gamma=np.zeros(1))
-        np.testing.assert_array_equal(est.theta, before)
 
 
 class TestUpdateCovariance:
     def test_zero_phi_identity(self):
         est = scalar_estimator(gamma=2.0, lam=1.0)
-        est.update_covariance(np.zeros(1))
+        est.step(np.zeros(1), None, np.array([1.0]))
         np.testing.assert_array_equal(est.Gamma, [[2.0]])
 
     def test_scalar_woodbury_consistency(self):
         est = scalar_estimator(gamma=2.0, lam=1.0)
-        est.update_covariance(np.array([1.0]))
+        est.step(np.array([1.0]), None, np.zeros(1))
         np.testing.assert_allclose(est.Gamma, [[2.0 / 3.0]])
         np.testing.assert_allclose(est.Gamma, [[1.0 / (0.5 + 1.0)]])
 
@@ -106,7 +114,7 @@ class TestUpdateCovariance:
             settings = RedmdSettings(lambda0=1.0, adaptive_lambda=False, m_op=2)
             est = RecursiveEstimator(np.zeros((3, 4)), gamma0, d, settings)
             phi = rng.standard_normal(4)
-            est.update_covariance(phi)
+            est.step(phi[:3], phi[3:], np.zeros(3))  # one warm-up update
             direct = np.linalg.inv(np.linalg.inv(gamma0) + np.outer(phi, phi))
             assert np.max(np.abs(est.Gamma - direct)) < 1e-10
 
@@ -114,12 +122,14 @@ class TestUpdateCovariance:
         rng = np.random.default_rng(13)
         d = identity_dictionary(2)
         A = rng.standard_normal((3, 3))
-        settings = RedmdSettings(lambda0=0.92, adaptive_lambda=False, m_op=2)
+        settings = RedmdSettings(lambda0=0.92, adaptive_lambda=False, m_op=2,
+                                 eps_low=0.0)
         est = RecursiveEstimator(np.zeros((2, 3)), A @ A.T + np.eye(3), d,
                                  settings)
         for _ in range(50):
-            est.update_covariance(rng.standard_normal(3))
-        assert np.max(np.abs(est.Gamma - est.Gamma.T)) == 0.0
+            phi = rng.standard_normal(3)
+            assert est.step(phi[:2], phi[2:], rng.standard_normal(2)).updated
+            assert np.max(np.abs(est.Gamma - est.Gamma.T)) == 0.0
 
 
 class TestPredictionErrorWindow:
@@ -172,14 +182,13 @@ class TestVariableForgetting:
     def test_hand_case(self):
         assert variable_forgetting_factor(1.0, 0.5, 1.0) == 0.5
 
-    def test_estimator_update_lambda_bounds(self):
+    def test_estimator_lambda_bounds(self):
         rng = np.random.default_rng(8)
         est = scalar_estimator()
         est.settings.adaptive_lambda = True
         for _ in range(30):
-            est._err_buf.append(rng.standard_normal() * 0.3)
-            lam = est.update_lambda(rng.standard_normal(1),
-                                    rng.standard_normal() * 0.5)
+            x, x_next = rng.standard_normal(1), rng.standard_normal(1) * 0.5
+            lam = est.step(x, None, x_next).lam
             assert est.settings.lambda_min <= lam <= 1.0
 
     def test_sigma0_positive(self):
@@ -188,13 +197,16 @@ class TestVariableForgetting:
 
 
 class TestTraceBound:
+    """Each update scales Gamma back to trace_max when it exceeds it; a
+    zero-regressor step isolates the scaling from the downdate."""
+
     def test_scaling_to_bound(self):
         d = identity_dictionary(1)
         settings = RedmdSettings(trace_max_factor=1.0, m_op=2,
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.zeros((1, 1)), np.eye(1), d, settings)
         est.Gamma = np.array([[2.0]])  # trace 2, bound 1
-        est.enforce_trace_bound()
+        est.step(np.zeros(1), None, np.zeros(1))
         np.testing.assert_allclose(est.Gamma, [[1.0]])
 
     def test_under_bound_unchanged(self):
@@ -203,7 +215,7 @@ class TestTraceBound:
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.zeros((1, 1)), np.eye(1), d, settings)
         before = est.Gamma.copy()
-        est.enforce_trace_bound()
+        est.step(np.zeros(1), None, np.zeros(1))
         np.testing.assert_array_equal(est.Gamma, before)
 
     def test_scaling_preserves_directions(self):
@@ -215,10 +227,24 @@ class TestTraceBound:
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.zeros((2, 2)), gamma0, d, settings)
         est.Gamma = gamma0 * 100.0
-        est.enforce_trace_bound()
+        est.step(np.zeros(2), None, np.zeros(2))
         ratio = est.Gamma / gamma0
         np.testing.assert_allclose(ratio, ratio[0, 0])
         assert np.all(np.linalg.eigvalsh(est.Gamma) > 0)
+
+    def test_bound_applied_before_gain(self):
+        """After warm-up, the gain is computed from the bounded Gamma:
+        2 -> 1 gives gain 1/2, not 2/3."""
+        d = identity_dictionary(1)
+        settings = RedmdSettings(trace_max_factor=1.0, m_op=2, eps_low=0.0,
+                                 adaptive_lambda=False)
+        est = RecursiveEstimator(np.zeros((1, 1)), np.eye(1), d, settings)
+        est.step(np.zeros(1), None, np.zeros(1))  # warm-up fills the buffer
+        est.Gamma = np.array([[2.0]])
+        report = est.step(np.array([1.0]), None, np.array([1.0]))
+        assert report.updated
+        np.testing.assert_allclose(est.theta, [[0.5]])
+        np.testing.assert_allclose(est.Gamma, [[0.5]])
 
 
 class TestStep:
@@ -352,3 +378,91 @@ class TestInvariants:
         for x, u, x_next in rls_stream(rng, steps=200):
             est.step(x, u, x_next)
             assert np.max(np.abs(est.Gamma - est.Gamma.T)) == 0.0
+
+
+def _state(est):
+    """Everything step() may mutate, copied."""
+    return (est.theta.copy(), est.Gamma.copy(), est.lam, est.sigma_e,
+            est.Sigma0, [a.copy() for a in est._x_buf],
+            [a.copy() for a in est._u_buf], list(est._err_buf))
+
+
+def _assert_same_state(a, b):
+    for va, vb in zip(a, b):
+        np.testing.assert_array_equal(va, vb)
+
+
+class TestAtomicStep:
+    """A rejected sample leaves the estimator exactly as it was."""
+
+    @pytest.fixture
+    def warm_estimator(self):
+        rng = np.random.default_rng(41)
+        d = identity_dictionary(2)
+        settings = RedmdSettings(m_op=4, eps_low=0.0, lambda0=0.97,
+                                 adaptive_lambda=True)
+        est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3), d, settings)
+        for x, u, x_next in rls_stream(rng, steps=12):
+            est.step(x, u, x_next)
+        return est
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "u", "x_next"])
+    def test_nonfinite_sample_rejected_without_mutation(self, warm_estimator,
+                                                        where, bad):
+        sample = {"x": np.array([0.3, -0.2]), "u": np.array([0.5]),
+                  "x_next": np.array([0.1, 0.4])}
+        sample[where][-1] = bad
+        before = _state(warm_estimator)
+        with pytest.raises(NonFiniteState):
+            warm_estimator.step(sample["x"], sample["u"], sample["x_next"])
+        _assert_same_state(_state(warm_estimator), before)
+        # the estimator carries on as if the sample never arrived
+        assert warm_estimator.step(np.array([0.3, -0.2]), np.array([0.5]),
+                                   np.array([0.1, 0.4])).updated
+
+    @pytest.mark.parametrize("k, x, x_next", [
+        (0.0, 1e200, 0.0),       # phi^T Gamma phi overflows the denominator
+        (-1e308, 1.0, 1e308),    # the innovation overflows the model
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_update_rejected_without_mutation(self, k, x, x_next):
+        """A finite sample whose update overflows raises CovarianceNotPD
+        with Theta and Gamma untouched."""
+        est = scalar_estimator(gamma=1.0, k=k)
+        theta, gamma = est.theta.copy(), est.Gamma.copy()
+        with pytest.raises(CovarianceNotPD):
+            est.step(np.array([x]), None, np.array([x_next]))
+        np.testing.assert_array_equal(est.theta, theta)
+        np.testing.assert_array_equal(est.Gamma, gamma)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lambda_min=st.floats(0.5, 1.0),
+       m_op=st.integers(2, 8),
+       eps_low=st.floats(0.0, 0.3),
+       trace_max_factor=st.floats(0.01, 20.0),
+       noise=st.floats(0.0, 0.3))
+def test_step_invariants_over_random_streams(seed, lambda_min, m_op, eps_low,
+                                             trace_max_factor, noise):
+    """lambda in [lambda_min, 1], tr Gamma within the bound, Gamma exactly
+    symmetric and PD after every step; a closed gate leaves Theta and Gamma
+    bitwise unchanged."""
+    rng = np.random.default_rng(seed)
+    s = RedmdSettings(lambda_min=lambda_min, m_op=m_op, eps_low=eps_low,
+                      eps_high=max(eps_low, 0.05), n0=10.0,
+                      trace_max_factor=trace_max_factor, adaptive_lambda=True)
+    est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
+                             identity_dictionary(2), s)
+    stream = rls_stream(rng, steps=30) + rls_stream(rng, steps=30)
+    for x, u, x_next in stream:
+        x_next = x_next + noise * rng.standard_normal(2)
+        theta, gamma = est.theta.copy(), est.Gamma.copy()
+        report = est.step(x, u, x_next)
+        assert lambda_min <= report.lam <= 1.0
+        assert report.trace_gamma <= est.trace_max * (1.0 + 1e-12)
+        assert (est.Gamma == est.Gamma.T).all()
+        np.linalg.cholesky(est.Gamma)  # raises if not PD
+        if not report.updated:
+            assert (est.theta == theta).all() and (est.Gamma == gamma).all()
