@@ -42,10 +42,6 @@ class SingularGram(NumericalError):
     """A @ A.T is too ill-conditioned for the full-row-rank pseudo-inverse."""
 
 
-class SingularInner(NumericalError):
-    """The inner matrix of the inversion lemma is numerically singular."""
-
-
 class RankDeficientRegressor(NumericalError):
     """The stacked regressor lacks full row rank (insufficient excitation)."""
 

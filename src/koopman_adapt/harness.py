@@ -141,11 +141,15 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None,
     prev_u = None
     aborted = False
     reason = ""
+    # event times not yet reached; the plant is rebuilt once per distinct time
+    pending = [e[0] for e in reversed(cfg.schedule.events)]
     try:
         for k in range(steps):
             t = k * plant.dt
-            if cfg.schedule.events:
+            if pending and pending[-1] <= t:
                 plant = apply_schedule(plant, cfg.schedule, t)
+                while pending and pending[-1] <= t:
+                    pending.pop()
             x_true = state.x
             x_meas, y_meas = measure(plant, state, rng,
                                      dictionary.output_index)

@@ -1,11 +1,11 @@
-"""Dense matrix kernels: pseudo-inverses and the matrix-inversion lemma.
+"""Dense matrix kernels: pseudo-inverses.
 
 All operations are pure: inputs are never mutated.
 """
 
 import numpy as np
 
-from .errors import NotSquare, SingularGram, SingularInner
+from .errors import SingularGram
 
 # Conditioning threshold beyond which the full-row-rank route is rejected.
 COND_LIMIT = 1e12
@@ -18,13 +18,6 @@ def _as_matrix(A, name: str = "A") -> np.ndarray:
                          f"and column, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
-    return A
-
-
-def _require_square(A, name: str = "A") -> np.ndarray:
-    A = _as_matrix(A, name)
-    if A.shape[0] != A.shape[1]:
-        raise NotSquare(f"{name} must be square, got shape {A.shape}")
     return A
 
 
@@ -67,28 +60,3 @@ def pinv_svd(A, tol: float | None = None) -> np.ndarray:
     s_inv[keep] = 1.0 / s[keep]
     return (vt.T * s_inv) @ u.T
 
-
-def woodbury(A, B, C, D) -> np.ndarray:
-    """Matrix-inversion lemma: (inv(A) + B @ inv(C) @ D)^-1.
-
-    Computed as ``A - A @ B @ inv(D @ A @ B + C) @ D @ A``, which requires
-    only the inner (small) inverse. A and C must be square and non-singular
-    and the dimensions conformable.
-    """
-    A = _require_square(A, "A")
-    C = _require_square(C, "C")
-    B = _as_matrix(B, "B")
-    D = _as_matrix(D, "D")
-    n, m = A.shape[0], C.shape[0]
-    if B.shape != (n, m) or D.shape != (m, n):
-        raise ValueError(
-            f"conformability: need B {n}x{m} and D {m}x{n}, "
-            f"got B {B.shape} and D {D.shape}")
-    DA = D @ A
-    inner = DA @ B + C
-    cond = np.linalg.cond(inner)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularInner(
-            f"(D @ A @ B + C) condition estimate {cond:.3e} exceeds "
-            f"{COND_LIMIT:.1e}")
-    return A - (A @ B) @ np.linalg.solve(inner, DA)

@@ -1,18 +1,59 @@
 """Named verification oracles, runnable from the CLI and the test suite.
 
 Each oracle checks a recursion against an independent brute-force
-computation and returns its worst-case error.
+computation and returns its worst-case error. The matrix-inversion lemma,
+which the estimator's covariance recursion is a rank-one case of, lives
+here as a verification helper: the library itself never calls it.
 """
 
 import numpy as np
 
 from .edmd import collect_snapshots, fit
+from .errors import NotSquare, NumericalError
+from .matops import COND_LIMIT, _as_matrix
 from .observables import (
     identity_dictionary,
     monomial_dictionary,
     trig_dictionary,
 )
 from .redmd import RedmdSettings, init_from_batch
+
+
+class SingularInner(NumericalError):
+    """The inner matrix of the inversion lemma is numerically singular."""
+
+
+def _require_square(A, name: str = "A") -> np.ndarray:
+    A = _as_matrix(A, name)
+    if A.shape[0] != A.shape[1]:
+        raise NotSquare(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+def woodbury(A, B, C, D) -> np.ndarray:
+    """Matrix-inversion lemma: (inv(A) + B @ inv(C) @ D)^-1.
+
+    Computed as ``A - A @ B @ inv(D @ A @ B + C) @ D @ A``, which requires
+    only the inner (small) inverse. A and C must be square and non-singular
+    and the dimensions conformable.
+    """
+    A = _require_square(A, "A")
+    C = _require_square(C, "C")
+    B = _as_matrix(B, "B")
+    D = _as_matrix(D, "D")
+    n, m = A.shape[0], C.shape[0]
+    if B.shape != (n, m) or D.shape != (m, n):
+        raise ValueError(
+            f"conformability: need B {n}x{m} and D {m}x{n}, "
+            f"got B {B.shape} and D {D.shape}")
+    DA = D @ A
+    inner = DA @ B + C
+    cond = np.linalg.cond(inner)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularInner(
+            f"(D @ A @ B + C) condition estimate {cond:.3e} exceeds "
+            f"{COND_LIMIT:.1e}")
+    return A - (A @ B) @ np.linalg.solve(inner, DA)
 
 
 def _random_system(rng):

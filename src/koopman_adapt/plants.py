@@ -6,6 +6,7 @@ Integration is fixed-step RK4 under zero-order-hold input; mid-run changes
 are timed parameter steps applied between samples.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -111,18 +112,50 @@ def make_linear2nd(A, B, **kwargs) -> PlantModel:
 
 
 def derivative(plant: PlantModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Continuous-time dynamics f(x) + B u."""
-    if plant.kind == "pendulum":
-        p = plant.params
-        theta, omega = x
-        ml2 = p["m"] * p["l"] * p["l"]
-        torque = (u[0] - p["d"] * omega
-                  - p["c"] * np.tanh(omega / EPS_COULOMB)
-                  - p["m"] * p["g"] * p["l"] * np.sin(theta))
-        return np.array([omega, torque / ml2])
+    """Continuous-time dynamics A x + B u of the linear plant (the pendulum's
+    right-hand side lives in _pendulum_rk4)."""
     A = np.asarray(plant.params["A"], dtype=float)
     B = np.asarray(plant.params["B"], dtype=float)
     return A @ x + B @ u
+
+
+def _pendulum_rk4(params, theta: float, omega: float, u: float, h: float,
+                  substeps: int) -> tuple[float, float]:
+    """RK4 substeps of the pendulum on Python floats.
+
+    Torque = u - d omega - c tanh(omega / EPS_COULOMB) - m g l sin(theta),
+    divided by m l^2; stage states x + (h/2) k, combination
+    x + (h/6) (k1 + 2 k2 + 2 k3 + k4), all evaluated left to right as the
+    array form would be. np.tanh is kept because math.tanh differs from it
+    in the last bit.
+    """
+    m, l, g, d, c = (float(params[k]) for k in _PENDULUM_PARAMS)
+    ml2 = m * l * l
+    mgl = m * g * l
+    tanh, sin = np.tanh, math.sin
+
+    def accel(th, om):
+        return ((u - d * om) - c * float(tanh(om / EPS_COULOMB))
+                - mgl * sin(th)) / ml2
+
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for _ in range(substeps):
+        a1 = accel(theta, omega)
+        om2 = omega + hh * a1
+        a2 = accel(theta + hh * omega, om2)
+        om3 = omega + hh * a2
+        a3 = accel(theta + hh * om2, om3)
+        om4 = omega + h * a3
+        a4 = accel(theta + h * om3, om4)
+        theta = theta + h6 * (((omega + 2.0 * om2) + 2.0 * om3) + om4)
+        omega = omega + h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+    return theta, omega
+
+
+def _blow_up(plant: PlantModel, state: PlantState) -> NonFiniteState:
+    return NonFiniteState(
+        f"plant state became non-finite at t={state.t + plant.dt:.6g}")
 
 
 def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
@@ -133,17 +166,25 @@ def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
             f"expected input of shape ({plant.p},), got {u.shape}")
     x = np.asarray(state.x, dtype=float)
     h = plant.dt / plant.substeps
-    # blow-up surfaces as NonFiniteState below, not as overflow warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(plant.substeps):
-            k1 = derivative(plant, x, u)
-            k2 = derivative(plant, x + 0.5 * h * k1, u)
-            k3 = derivative(plant, x + 0.5 * h * k2, u)
-            k4 = derivative(plant, x + h * k3, u)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if plant.kind == "pendulum":
+        theta, omega = x.tolist()
+        try:
+            x = np.array(_pendulum_rk4(plant.params, theta, omega,
+                                       float(u[0]), h, plant.substeps))
+        except (ValueError, ZeroDivisionError) as exc:
+            # math.sin(inf) and a zero m l^2 raise where arrays give inf/NaN
+            raise _blow_up(plant, state) from exc
+    else:
+        # blow-up surfaces as NonFiniteState below, not as overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(plant.substeps):
+                k1 = derivative(plant, x, u)
+                k2 = derivative(plant, x + 0.5 * h * k1, u)
+                k3 = derivative(plant, x + 0.5 * h * k2, u)
+                k4 = derivative(plant, x + h * k3, u)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(x).all():
-        raise NonFiniteState(
-            f"plant state became non-finite at t={state.t + plant.dt:.6g}")
+        raise _blow_up(plant, state)
     return PlantState(x, state.t + plant.dt)
 
 

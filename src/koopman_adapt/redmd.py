@@ -135,9 +135,17 @@ class RecursiveEstimator:
         if scales.shape != (dictionary.n,) or (scales <= 0).any():
             raise ValueError("state_scales must be positive, one per state")
         self._scales = scales
-        self._x_buf: deque = deque(maxlen=settings.m_op)
-        self._u_buf: deque = deque(maxlen=settings.m_op)
-        self._err_buf: deque = deque(maxlen=settings.m_op)
+        # The gate window, oldest sample first: the last m_op states and
+        # inputs, and the lifts of all but the newest state. The first full
+        # step fills the lifts by the full recompute; later steps shift in
+        # the lift that the previous step's regressor already holds.
+        m = settings.m_op
+        self._count = 0
+        self._x_win = np.zeros((dictionary.n, m))
+        self._u_win = np.zeros((q - N, m))
+        self._psi_win = np.zeros((N, m - 1))
+        self._psi_newest = np.zeros(N)
+        self._err_buf: deque = deque(maxlen=m)
 
     # -- views ------------------------------------------------------------
 
@@ -175,20 +183,27 @@ class RecursiveEstimator:
     # -- gating and forgetting ----------------------------------------------
 
     def prediction_error_window(self) -> float:
-        """Max scaled one-step prediction error over the sample buffer.
+        """Max scaled one-step prediction error over the sample window.
 
-        Returns +inf while the buffer holds fewer than m_op samples
-        (warm-up sentinel). Each prediction lifts the measured state.
+        Returns +inf while the window holds fewer than m_op samples
+        (warm-up sentinel). Each prediction lifts the measured state: this
+        is the full recompute, which also refills the lifted window that
+        step() then extends one sample at a time.
         """
-        if len(self._x_buf) < self.settings.m_op:
+        if self._count < self.settings.m_op:
             return math.inf
-        Xb = np.stack(self._x_buf, axis=1)
-        Psi = self.dictionary.lift_batch(Xb[:, :-1])
-        pred = self.K @ Psi
+        self._psi_win[:] = self.dictionary.lift_batch(self._x_win[:, :-1])
+        return self._window_error()
+
+    def _window_error(self) -> float:
+        """The window error from the lifted window, with the full
+        recompute's operations on arrays of the same shapes and layouts, so
+        both give the same bits."""
+        pred = self.K @ self._psi_win
         if self.p:
-            Ub = np.stack(self._u_buf, axis=1)
-            pred = pred + self.B @ Ub[:, :-1]
-        err = (Xb[:, 1:] - pred[: self.dictionary.n]) / self._scales[:, None]
+            pred = pred + self.B @ self._u_win[:, :-1]
+        err = ((self._x_win[:, 1:] - pred[: self.dictionary.n])
+               / self._scales[:, None])
         return float(np.abs(err).max())
 
     def _set_lambda(self, phi_gamma, e_post, sigma_boost) -> None:
@@ -205,7 +220,7 @@ class RecursiveEstimator:
     def step(self, x, u, x_next) -> StepReport:
         """Consume one transition (x, u, x_next) and run the gated update.
 
-        During warm-up (buffer not yet full) the update runs unconditionally
+        During warm-up (window not yet full) the update runs unconditionally
         with the initial forgetting factor; afterwards it runs only when the
         windowed prediction error reaches eps_low, with the trace bound
         enforced and the sensitivity boost applied per the thresholds.
@@ -214,24 +229,30 @@ class RecursiveEstimator:
         k = Gamma phi / (phi^T Gamma phi + lambda), Theta += (psi' - Theta phi)
         k^T, Gamma = (Gamma - Gamma phi k^T) / lambda, symmetrized. It is
         atomic: a non-finite sample raises NonFiniteState before any state
-        (buffers included) changes, and Theta and Gamma are committed
+        (the window included) changes, and Theta and Gamma are committed
         together only once both candidates are finite.
         """
         s = self.settings
+        N = self.size
         phi = self.regressor(x, u)
         psi_next = self.dictionary.lift(np.asarray(x_next, dtype=float))
         if not (np.isfinite(phi).all() and np.isfinite(psi_next).all()):
             raise NonFiniteState("estimator sample contains NaN or Inf")
-        self._x_buf.append(np.asarray(x, dtype=float).copy())
-        if self.p:
-            self._u_buf.append(_as_input(u, self.p).copy())
-        warm_up = len(self._x_buf) < s.m_op
+        for win, column in ((self._x_win, x), (self._u_win, phi[N:])):
+            win[:, :-1] = win[:, 1:]
+            win[:, -1] = column
+        self._count += 1
+        warm_up = self._count < s.m_op
         if warm_up:
             window_error = math.inf
-            do_update = True
-        else:
+        elif self._count == s.m_op:
             window_error = self.prediction_error_window()
-            do_update = window_error >= s.eps_low
+        else:
+            self._psi_win[:, :-1] = self._psi_win[:, 1:]
+            self._psi_win[:, -1] = self._psi_newest
+            window_error = self._window_error()
+        self._psi_newest[:] = phi[:N]
+        do_update = warm_up or window_error >= s.eps_low
         e_post = math.nan
         if do_update:
             sigma_boost = 1.0

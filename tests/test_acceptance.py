@@ -14,7 +14,7 @@ import pytest
 from koopman_adapt.cli import cli_main
 from koopman_adapt.edmd import KoopmanModel, collect_snapshots
 from koopman_adapt.harness import default_config, generate_training_data
-from koopman_adapt.matops import pinv_full_row_rank, woodbury
+from koopman_adapt.matops import pinv_full_row_rank
 from koopman_adapt.mpc import CondensedMpc, MpcConfig, mpc_gain_limit, solve_mpc
 from koopman_adapt.observables import identity_dictionary, trig_dictionary
 from koopman_adapt.observer import (
@@ -23,7 +23,7 @@ from koopman_adapt.observer import (
     kf_predict,
     riccati_prior_fixed_point,
 )
-from koopman_adapt.oracles import recursive_batch_max_error
+from koopman_adapt.oracles import recursive_batch_max_error, woodbury
 from koopman_adapt.plants import PlantState, make_linear2nd, measure, step_plant
 from koopman_adapt.redmd import (
     RecursiveEstimator,

@@ -27,6 +27,7 @@ from koopman_adapt.observer import ObserverSettings
 from koopman_adapt.plants import (
     ChangeSchedule,
     PlantState,
+    apply_schedule,
     make_linear2nd,
     measure,
     step_plant,
@@ -124,6 +125,35 @@ class TestRunBookkeeping:
         assert result.aborted
         assert result.reason.startswith("NonFiniteState")
         assert len(result.records) == 4
+
+
+    def test_schedule_applied_once_per_event_time(
+            self, tiny_cfg, tiny_estimator, monkeypatch):
+        """The plant is rebuilt at the first sample reaching each distinct
+        event time, and every sample sees the plant that applying the
+        schedule at its own time would give."""
+        schedule = ChangeSchedule(((0.0025, "d", 0.2), (0.0025, "m", 0.5),
+                                   (0.0055, "d", 0.3), (1.0, "m", 2.0)))
+        cfg = replace(tiny_cfg, schedule=schedule)
+        dt = cfg.plant.dt
+        applied, stepped = [], []
+
+        def spy_schedule(plant, schedule, t):
+            applied.append(t)
+            return apply_schedule(plant, schedule, t)
+
+        def spy_step(plant, state, u):
+            stepped.append(dict(plant.params))
+            return step_plant(plant, state, u)
+
+        monkeypatch.setattr(harness, "apply_schedule", spy_schedule)
+        monkeypatch.setattr(harness, "step_plant", spy_step)
+        result = run_closed_loop(cfg, estimator=tiny_estimator)
+        assert not result.aborted
+        assert applied == [3 * dt, 6 * dt]
+        assert stepped == [
+            dict(apply_schedule(cfg.plant, schedule, k * dt).params)
+            for k in range(len(stepped))]
 
 
 class TestModelMatchedClosedLoop:

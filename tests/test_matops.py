@@ -1,14 +1,12 @@
-"""Tests for the dense matrix kernels."""
+"""Tests for the dense matrix kernels, and for the matrix-inversion lemma
+that the oracles keep as a verification helper."""
 
 import numpy as np
 import pytest
 
-from koopman_adapt.errors import NotSquare, SingularGram, SingularInner
-from koopman_adapt.matops import (
-    pinv_full_row_rank,
-    pinv_svd,
-    woodbury,
-)
+from koopman_adapt.errors import NotSquare, SingularGram
+from koopman_adapt.matops import pinv_full_row_rank, pinv_svd
+from koopman_adapt.oracles import SingularInner, woodbury
 
 
 def penrose_residuals(A, Ap):

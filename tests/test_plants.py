@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from koopman_adapt.errors import NonFiniteState, UnknownParameter
 from koopman_adapt.plants import (
+    EPS_COULOMB,
     ChangeSchedule,
     PlantState,
     apply_schedule,
@@ -21,6 +22,28 @@ def pendulum_energy(plant, x):
     theta, omega = x
     return (0.5 * p["m"] * p["l"] ** 2 * omega ** 2
             + p["m"] * p["g"] * p["l"] * (1.0 - np.cos(theta)))
+
+
+def reference_pendulum_rk4(plant, x, u):
+    """The array-form pendulum RK4 the scalar integrator must reproduce."""
+    p = plant.params
+
+    def f(x):
+        theta, omega = x
+        ml2 = p["m"] * p["l"] * p["l"]
+        torque = (u[0] - p["d"] * omega
+                  - p["c"] * np.tanh(omega / EPS_COULOMB)
+                  - p["m"] * p["g"] * p["l"] * np.sin(theta))
+        return np.array([omega, torque / ml2])
+
+    h = plant.dt / plant.substeps
+    for _ in range(plant.substeps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
 
 
 class TestStepPlant:
@@ -81,6 +104,35 @@ class TestStepPlant:
         state = PlantState(np.array([1e307, 1e307]))
         with pytest.raises(NonFiniteState):
             step_plant(plant, state, [0.0])
+
+    @pytest.mark.parametrize("substeps", [1, 3, 8])
+    def test_pendulum_matches_array_rk4_bitwise(self, substeps):
+        rng = np.random.default_rng(substeps)
+        for trial in range(200):
+            plant = make_pendulum(
+                m=rng.uniform(0.1, 2.0), l=rng.uniform(0.2, 1.5),
+                g=rng.uniform(1.0, 20.0), d=rng.uniform(0.0, 0.5),
+                c=0.0 if trial % 4 == 0 else rng.uniform(0.0, 0.05),
+                dt=rng.uniform(1e-3, 0.05), substeps=substeps)
+            x = rng.standard_normal(2) * np.array([3.0, 10.0])
+            if trial % 5 == 0:
+                x[1] *= 1e-4  # inside the smoothed-friction band
+            u = rng.standard_normal(1) * 5.0
+            got = step_plant(plant, PlantState(x), u).x
+            np.testing.assert_array_equal(
+                got, reference_pendulum_rk4(plant, x, u))
+
+    @pytest.mark.parametrize("params, x, u", [
+        ({}, [0.1, 0.0], [np.inf]),
+        ({}, [1e308, 1e308], [0.0]),
+        ({}, [np.nan, 0.0], [0.0]),
+        ({"m": 1e-200, "l": 1e-100}, [0.1, 0.0], [0.0]),  # m l^2 underflows
+    ], ids=["u_inf", "state_overflow", "state_nan", "inertia_underflow"])
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_pendulum_nonfinite_raises(self, params, x, u):
+        plant = make_pendulum(c=0.002, dt=0.01, substeps=8, **params)
+        with pytest.raises(NonFiniteState, match="non-finite at t=0.01"):
+            step_plant(plant, PlantState(np.array(x)), u)
 
     def test_determinism_bitwise(self):
         plant = make_pendulum(dt=0.01, substeps=3)

@@ -4,6 +4,7 @@ forgetting, the constant-trace bound, and the atomicity of step().
 The update recursion is reachable only through step(); each update-rule test
 drives one step whose gate is known to be open (warm-up, or eps_low = 0)."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from koopman_adapt.edmd import collect_snapshots, fit
 from koopman_adapt.errors import CovarianceNotPD, NonFiniteState
-from koopman_adapt.observables import identity_dictionary
+from koopman_adapt.observables import identity_dictionary, make_dictionary
 from koopman_adapt.redmd import (
     RecursiveEstimator,
     RedmdSettings,
@@ -133,42 +134,50 @@ class TestUpdateCovariance:
 
 
 class TestPredictionErrorWindow:
+    """The window is filled through step(); a zero covariance freezes the
+    model, so the window error is read against a known Theta."""
+
     def test_exact_model_zero_error(self):
         rng = np.random.default_rng(3)
         d = identity_dictionary(1)
         settings = RedmdSettings(m_op=5, adaptive_lambda=False)
-        est = RecursiveEstimator(np.array([[0.9, 0.2]]), np.eye(2), d, settings)
+        est = RecursiveEstimator(np.array([[0.9, 0.2]]), np.zeros((2, 2)), d,
+                                 settings)
         x = np.array([1.0])
         for _ in range(5):
             u = rng.standard_normal(1)
             x_new = 0.9 * x + 0.2 * u
-            est._x_buf.append(x.copy())
-            est._u_buf.append(u.copy())
+            report = est.step(x, u, x_new)
             x = x_new
+        assert report.window_error == 0.0
         assert est.prediction_error_window() == 0.0
 
     def test_warmup_sentinel(self):
         est = scalar_estimator()
-        est._x_buf.append(np.array([1.0]))
+        report = est.step(np.array([1.0]), None, np.array([1.0]))
+        assert report.window_error == math.inf
         assert est.prediction_error_window() == math.inf
 
     def test_two_step_hand_case(self):
         """Model K=0.9 on data from K=0.8 starting at x0=1, m_op=2."""
         d = identity_dictionary(1)
         settings = RedmdSettings(m_op=2, adaptive_lambda=False)
-        est = RecursiveEstimator(np.array([[0.9]]), np.eye(1), d, settings)
-        est._x_buf.append(np.array([1.0]))
-        est._x_buf.append(np.array([0.8]))
+        est = RecursiveEstimator(np.array([[0.9]]), np.zeros((1, 1)), d,
+                                 settings)
+        est.step(np.array([1.0]), None, np.array([0.8]))
+        report = est.step(np.array([0.8]), None, np.array([0.64]))
+        assert report.window_error == pytest.approx(0.1)
         assert est.prediction_error_window() == pytest.approx(0.1)
 
     def test_state_scales_normalize(self):
         d = identity_dictionary(2)
         settings = RedmdSettings(m_op=2, state_scales=(1.0, 10.0),
                                  adaptive_lambda=False)
-        est = RecursiveEstimator(np.eye(2), np.eye(2), d, settings)
-        est._x_buf.append(np.array([0.0, 0.0]))
-        est._x_buf.append(np.array([0.05, 0.5]))
+        est = RecursiveEstimator(np.eye(2), np.zeros((2, 2)), d, settings)
+        est.step(np.array([0.0, 0.0]), None, np.array([0.05, 0.5]))
+        report = est.step(np.array([0.05, 0.5]), None, np.zeros(2))
         # raw errors (0.05, 0.5); scaled (0.05, 0.05)
+        assert report.window_error == pytest.approx(0.05)
         assert est.prediction_error_window() == pytest.approx(0.05)
 
 
@@ -383,8 +392,9 @@ class TestInvariants:
 def _state(est):
     """Everything step() may mutate, copied."""
     return (est.theta.copy(), est.Gamma.copy(), est.lam, est.sigma_e,
-            est.Sigma0, [a.copy() for a in est._x_buf],
-            [a.copy() for a in est._u_buf], list(est._err_buf))
+            est.Sigma0, est._count, est._x_win.copy(), est._u_win.copy(),
+            est._psi_win.copy(), est._psi_newest.copy(),
+            list(est._err_buf))
 
 
 def _assert_same_state(a, b):
@@ -466,3 +476,56 @@ def test_step_invariants_over_random_streams(seed, lambda_min, m_op, eps_low,
         np.linalg.cholesky(est.Gamma)  # raises if not PD
         if not report.updated:
             assert (est.theta == theta).all() and (est.Gamma == gamma).all()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       p=st.integers(0, 2),
+       family=st.sampled_from(["identity", "trig", "monomial"]),
+       degree=st.integers(2, 3), m_op=st.integers(2, 12),
+       eps_low=st.floats(0.0, 0.3),
+       trace_max_factor=st.sampled_from([1.0, 1.5, 10.0, np.inf]))
+def test_incremental_window_equals_full_recompute(seed, n, p, family, degree,
+                                                  m_op, eps_low,
+                                                  trace_max_factor):
+    """The window error step() reports equals, bit for bit, a full recompute
+    on a copy holding the Theta the gate saw: through warm-up, the first
+    full step, gate openings, closed-gate runs and trace-bound hits, with
+    zero to two inputs and lifted sizes from 1 to 19."""
+    rng = np.random.default_rng(seed)
+    d = make_dictionary(family, n, degree)
+    s = RedmdSettings(lambda_min=0.9, m_op=m_op, eps_low=eps_low,
+                      eps_high=max(eps_low, 0.05), n0=10.0,
+                      trace_max_factor=trace_max_factor,
+                      state_scales=np.linspace(1.0, 3.0, n))
+    q = d.size + p
+    est = RecursiveEstimator(np.zeros((d.size, q)), np.eye(q), d, s)
+    # the second system is a parameter change that reopens the gate
+    stream = (rls_stream(rng, n=n, p=max(p, 1), steps=40)
+              + rls_stream(rng, n=n, p=max(p, 1), steps=40))
+    for x, u, x_next in stream:
+        theta = est.theta
+        report = est.step(x, u[:p] if p else None, x_next)
+        ref = copy.deepcopy(est)
+        ref.theta = theta
+        assert report.window_error == ref.prediction_error_window()
+        if est._count >= m_op:
+            # the lifted window step() keeps equals a fresh lift of the states
+            np.testing.assert_array_equal(est._psi_win, ref._psi_win)
+
+
+@pytest.mark.parametrize("eps_low", [0.0, np.inf])
+def test_full_window_recompute_once(monkeypatch, eps_low):
+    """The full window recompute (which re-lifts every state) runs once, at
+    the first full step; later steps, gate open or closed, lift only the
+    newest sample."""
+    calls = []
+    full = RecursiveEstimator.prediction_error_window
+    monkeypatch.setattr(RecursiveEstimator, "prediction_error_window",
+                        lambda self: calls.append(1) or full(self))
+    s = RedmdSettings(m_op=5, eps_low=eps_low, eps_high=np.inf)
+    est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
+                             identity_dictionary(2), s)
+    for x, u, x_next in rls_stream(np.random.default_rng(8), steps=30):
+        est.step(x, u, x_next)
+    assert len(calls) == 1
