@@ -283,9 +283,16 @@ def assemble(sections: dict) -> ExperimentConfig:
     if mpc.Qy.shape != (plant.n, plant.n):
         raise ConfigError(
             f"mpc.qy needs {plant.n} diagonal entries, got {mpc.Qy.shape[0]}")
+    if (np.diag(mpc.Qy) < 0).any():
+        raise ConfigError("mpc.qy entries must be >= 0")
     if mpc.Ru.shape != (plant.p, plant.p):
         raise ConfigError(
             f"mpc.ru needs {plant.p} diagonal entries, got {mpc.Ru.shape[0]}")
+    for key in ("u_min", "u_max"):
+        bound = getattr(mpc, key)
+        if bound is not None and bound.shape != (plant.p,):
+            raise ConfigError(
+                f"mpc.{key} needs {plant.p} entries, got {bound.size}")
 
     obs_sec = dict(sections.get("observer", {}))
     for key in ("q", "r", "p0"):

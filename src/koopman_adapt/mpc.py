@@ -4,7 +4,8 @@ The finite-horizon problem is condensed into a dense quadratic in the
 stacked input sequence: cost on the projected (state-space) predictions
 against the reference window plus an input effort term. Unconstrained
 problems are solved exactly via the normal equations; box-constrained ones
-by projected gradient with a fixed 1/L step.
+by projected gradient with a fixed 1/L step. This is the dense Koopman-MPC
+form of Korda & Mezic (Automatica 2018).
 """
 
 from dataclasses import dataclass
@@ -49,9 +50,13 @@ class MpcConfig:
             v = getattr(self, name)
             if v is not None:
                 setattr(self, name, np.atleast_1d(np.asarray(v, dtype=float)))
-        if (self.u_min is not None and self.u_max is not None
-                and (self.u_min > self.u_max).any()):
-            raise ValueError("u_min must be <= u_max elementwise")
+        if self.u_min is not None and self.u_max is not None:
+            if self.u_min.shape != self.u_max.shape:
+                raise ValueError(
+                    f"u_min and u_max differ in shape: {self.u_min.shape} "
+                    f"vs {self.u_max.shape}")
+            if (self.u_min > self.u_max).any():
+                raise ValueError("u_min must be <= u_max elementwise")
 
     @property
     def constrained(self) -> bool:
@@ -62,8 +67,9 @@ def build_prediction_matrices(model: KoopmanModel, horizon: int):
     """Stacked maps (S_psi, S_u) with lifted predictions
     Psi_{1..H} = S_psi @ psi0 + S_u @ vec(u_0..u_{H-1}).
 
-    S_psi stacks the powers K^i; S_u is lower block-triangular Toeplitz
-    with blocks K^{i-1-j} B.
+    S_psi stacks the powers K^i; S_u is lower block-triangular Toeplitz:
+    block (i, j), j <= i, is the impulse response K^{i-j} B, each computed
+    once and placed through the lag i - j.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -72,12 +78,11 @@ def build_prediction_matrices(model: KoopmanModel, horizon: int):
     for _ in range(horizon):
         powers.append(model.K @ powers[-1])
     S_psi = np.vstack(powers[1:])
-    S_u = np.zeros((horizon * N, horizon * p))
-    for i in range(1, horizon + 1):
-        for j in range(i):
-            S_u[(i - 1) * N: i * N, j * p: (j + 1) * p] = (
-                powers[i - 1 - j] @ model.B)
-    return S_psi, S_u
+    impulse = np.stack([P @ model.B for P in powers[:-1]])  # K^i B, i < H
+    row, col = np.tril_indices(horizon)
+    S_u = np.zeros((horizon, N, horizon, p))
+    S_u[row, :, col, :] = impulse[row - col]
+    return S_psi, S_u.reshape(horizon * N, horizon * p)
 
 
 class CondensedMpc:
@@ -98,6 +103,11 @@ class CondensedMpc:
         if cfg.Ru.shape != (p, p):
             raise DimensionMismatch(
                 f"Ru must be ({p}, {p}), got {cfg.Ru.shape}")
+        for name in ("u_min", "u_max"):
+            bound = getattr(cfg, name)
+            if bound is not None and bound.shape != (p,):
+                raise DimensionMismatch(
+                    f"{name} must be ({p},), got {bound.shape}")
         self.model = model
         self.cfg = cfg
         S_psi, S_u = build_prediction_matrices(model, H)
@@ -106,22 +116,27 @@ class CondensedMpc:
         rows = (np.arange(H)[:, None] * N + np.arange(n)[None, :]).ravel()
         self.F = S_psi[rows]          # (H n, N)
         self.G = S_u[rows]            # (H n, H p)
-        weights = [cfg.Qy] * (H - 1) + [cfg.terminal_weight * cfg.Qy]
-        Qbar = _block_diag(weights)
-        Rbar = _block_diag([cfg.Ru] * H)
-        self.GtQ = self.G.T @ Qbar
-        self.hessian = 2.0 * (self.GtQ @ self.G + Rbar)
-        cond = np.linalg.cond(self.hessian)
-        if not np.isfinite(cond) or cond > HESSIAN_COND_LIMIT:
+        weights = np.ones(H)
+        weights[-1] = cfg.terminal_weight
+        self.GtQ = self.G.T @ np.kron(np.diag(weights), cfg.Qy)
+        self.hessian = 2.0 * (self.GtQ @ self.G + np.kron(np.eye(H), cfg.Ru))
+        if not np.isfinite(self.hessian).all():
+            raise IllConditionedHessian(
+                "condensed Hessian has non-finite entries; the model "
+                "overflows over the horizon")
+        eig = np.linalg.eigvalsh(self.hessian)  # ascending
+        if eig[0] <= 0:
+            raise IllConditionedHessian(
+                f"condensed Hessian is not positive definite (smallest "
+                f"eigenvalue {eig[0]:.3e}); revisit weights or horizon")
+        cond = eig[-1] / eig[0]
+        if cond > HESSIAN_COND_LIMIT:
             raise IllConditionedHessian(
                 f"condensed Hessian condition {cond:.3e} exceeds "
                 f"{HESSIAN_COND_LIMIT:.1e}; revisit weights or horizon")
-        self._lipschitz = None
-
-    def _step_size(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = 1.01 * _spectral_norm(self.hessian)
-        return 1.0 / self._lipschitz
+        self._step = 1.0 / (1.01 * eig[-1])  # 1/L for projected gradient
+        self._lo = -np.inf if cfg.u_min is None else np.tile(cfg.u_min, H)
+        self._hi = np.inf if cfg.u_max is None else np.tile(cfg.u_max, H)
 
     def solve(self, psi0, w_window, return_info: bool = False):
         """Minimize the condensed objective for the current lifted state
@@ -151,16 +166,11 @@ class CondensedMpc:
             else (plan[:, 0].copy(), plan)
 
     def _project(self, U):
-        cfg = self.cfg
-        p, H = self.model.p, cfg.horizon
-        plan = U.reshape(H, p)
-        lo = -np.inf if cfg.u_min is None else cfg.u_min
-        hi = np.inf if cfg.u_max is None else cfg.u_max
-        return np.clip(plan, lo, hi).ravel()
+        return np.clip(U, self._lo, self._hi)
 
     def _projected_gradient(self, U, grad0):
         cfg = self.cfg
-        step = self._step_size()
+        step = self._step
         objectives = []
         iters = 0
         for iters in range(1, cfg.max_pg_iters + 1):
@@ -175,55 +185,11 @@ class CondensedMpc:
         return U, {"pg_iterations": iters, "pg_objectives": objectives}
 
 
-def solve_mpc(model: KoopmanModel, cfg: MpcConfig, psi0, w_window):
-    """One-shot receding-horizon solve; returns (u0, U_plan)."""
-    return CondensedMpc(model, cfg).solve(psi0, w_window)
-
-
 def mpc_gain_limit(model: KoopmanModel, cfg: MpcConfig) -> np.ndarray:
     """The implicit linear feedback u0 = -G @ psi realized by the
-    unconstrained controller at zero reference, column by column."""
+    unconstrained controller at zero reference."""
     if cfg.constrained:
         raise ValueError("gain extraction requires an unconstrained config")
     solver = CondensedMpc(model, cfg)
-    N = model.size
-    n = model.dictionary.n
-    w_zero = np.zeros((n, cfg.horizon))
-    G = np.empty((model.p, N))
-    for i in range(N):
-        e = np.zeros(N)
-        e[i] = 1.0
-        u0, _ = solver.solve(e, w_zero)
-        G[:, i] = -u0
-    return G
-
-
-def _block_diag(blocks) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r: r + b.shape[0], c: c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
-def _spectral_norm(A, tol: float = 1e-12, max_iter: int = 500) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(A.shape[0])
-    v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        lam_new = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+    gains = np.linalg.solve(solver.hessian, 2.0 * (solver.GtQ @ solver.F))
+    return gains[:model.p]

@@ -7,7 +7,7 @@ are timed parameter steps applied between samples.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,9 +26,10 @@ class PlantModel:
     """A plant kind plus its named parameters and sensor/integration setup.
 
     noise_x is the per-state measurement noise std (used by the
-    identification path); noise_y the scalar output noise std (observer
-    path). dt is the controller sample time, integrated in `substeps` RK4
-    steps.
+    identification path), a scalar or one value per state; noise_y the
+    scalar output noise std (observer path). dt is the controller sample
+    time, integrated in `substeps` RK4 steps. noise_x_vector holds noise_x
+    as a read-only length-n vector, validated once here.
     """
 
     kind: str
@@ -37,6 +38,7 @@ class PlantModel:
     noise_x: Sequence[float] | float = 0.0
     dt: float = 1e-3
     substeps: int = 1
+    noise_x_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("pendulum", "linear2nd"):
@@ -61,6 +63,14 @@ class PlantModel:
                 raise DimensionMismatch(
                     f"linear2nd needs square A and conformable B, got "
                     f"{A.shape} and {B.shape}")
+        v = np.array(self.noise_x, dtype=float)
+        if v.ndim == 0:
+            v = np.full(self.n, float(v))
+        if v.shape != (self.n,) or (v < 0).any():
+            raise ValueError(
+                f"noise_x must be a nonnegative scalar or length-{self.n} list")
+        v.flags.writeable = False
+        object.__setattr__(self, "noise_x_vector", v)
 
     @property
     def n(self) -> int:
@@ -71,15 +81,6 @@ class PlantModel:
     def p(self) -> int:
         return 1 if self.kind == "pendulum" else \
             np.asarray(self.params["B"]).shape[1]
-
-    def noise_x_vector(self) -> np.ndarray:
-        v = np.asarray(self.noise_x, dtype=float)
-        if v.ndim == 0:
-            v = np.full(self.n, float(v))
-        if v.shape != (self.n,) or (v < 0).any():
-            raise ValueError(
-                f"noise_x must be a nonnegative scalar or length-{self.n} list")
-        return v
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,6 @@ def measure(plant: PlantModel, state: PlantState, rng: np.random.Generator,
     if not 0 <= output_coord < plant.n:
         raise ValueError(f"output_coord {output_coord} out of range")
     x = np.asarray(state.x, dtype=float)
-    x_meas = x + plant.noise_x_vector() * rng.standard_normal(plant.n)
+    x_meas = x + plant.noise_x_vector * rng.standard_normal(plant.n)
     y_meas = float(x[output_coord]) + plant.noise_y * rng.standard_normal()
     return x_meas, y_meas

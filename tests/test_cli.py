@@ -50,6 +50,13 @@ class TestExitCodes:
         path.write_text("[run]\nvariant = bogus\n")
         assert cli_main(["simulate", str(path)]) == 1
 
+    def test_negative_noise_x_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_TEXT.replace("noise_x = 0.0",
+                                          "noise_x = -0.0005, 0.005"))
+        assert cli_main(["simulate", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_trace(self, tiny_config_path, tmp_path, capsys):

@@ -105,6 +105,24 @@ class TestAssemble:
         np.testing.assert_array_equal(cfg.mpc.Qy, np.diag([10.0, 2.0]))
         np.testing.assert_array_equal(cfg.mpc.Ru, [[0.5]])
 
+    @pytest.mark.parametrize("bounds", [
+        "u_max = 10.0, 10.0",
+        "u_min = -10.0, -10.0",
+        "u_min = -1.0, -2.0\nu_max = 3.0",
+    ])
+    def test_mpc_bounds_need_one_entry_per_input(self, bounds):
+        with pytest.raises(ConfigError, match="u_m"):
+            assemble(loads(f"[mpc]\n{bounds}\n"))
+
+    def test_negative_tracking_weight_rejected(self):
+        with pytest.raises(ConfigError, match="qy"):
+            assemble(loads("[mpc]\nqy = -100.0, 1.0\n"))
+
+    @pytest.mark.parametrize("noise_x", ["-0.0005, 0.005", "0.1, 0.2, 0.3"])
+    def test_bad_noise_x_rejected(self, noise_x):
+        with pytest.raises(ConfigError, match="noise_x"):
+            assemble(loads(f"[plant]\nnoise_x = {noise_x}\n"))
+
     def test_gamma_init_float_passthrough(self):
         cfg = assemble(loads("[redmd]\ngamma_init = 100\n"))
         assert cfg.redmd.gamma_init == 100.0

@@ -1,18 +1,23 @@
 """Tests for the condensed receding-horizon controller."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from koopman_adapt.edmd import KoopmanModel
-from koopman_adapt.errors import IllConditionedHessian
+from koopman_adapt.errors import DimensionMismatch, IllConditionedHessian
 from koopman_adapt.mpc import (
     CondensedMpc,
     MpcConfig,
     build_prediction_matrices,
     mpc_gain_limit,
-    solve_mpc,
 )
-from koopman_adapt.observables import identity_dictionary
+from koopman_adapt.observables import (
+    dictionary_from_functions,
+    identity_dictionary,
+)
 
 
 def scalar_model(k=0.5, b=1.0):
@@ -69,6 +74,82 @@ def lstsq_mpc_oracle(model, cfg, psi0, w_window):
     return U.reshape(H, p).T
 
 
+def double_loop_prediction_matrices(model, horizon):
+    """Reference assembly of (S_psi, S_u): one product K^{i-1-j} B per
+    block, filled by a double loop over block rows and columns."""
+    N, p = model.size, model.p
+    powers = [np.eye(N)]
+    for _ in range(horizon):
+        powers.append(model.K @ powers[-1])
+    S_u = np.zeros((horizon * N, horizon * p))
+    for i in range(1, horizon + 1):
+        for j in range(i):
+            S_u[(i - 1) * N: i * N, j * p: (j + 1) * p] = (
+                powers[i - 1 - j] @ model.B)
+    return np.vstack(powers[1:]), S_u
+
+
+def block_diag(blocks):
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols))
+    r = c = 0
+    for b in blocks:
+        out[r: r + b.shape[0], c: c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
+def block_diag_condensation(model, cfg):
+    """Reference (F, G, GtQ, hessian) with the weights assembled block by
+    block on the diagonal."""
+    H, N, n = cfg.horizon, model.size, model.dictionary.n
+    S_psi, S_u = double_loop_prediction_matrices(model, H)
+    rows = (np.arange(H)[:, None] * N + np.arange(n)[None, :]).ravel()
+    F, G = S_psi[rows], S_u[rows]
+    Qbar = block_diag([cfg.Qy] * (H - 1) + [cfg.terminal_weight * cfg.Qy])
+    GtQ = G.T @ Qbar
+    return F, G, GtQ, 2.0 * (GtQ @ G + block_diag([cfg.Ru] * H))
+
+
+def column_loop_gain(model, cfg):
+    """Reference feedback gain: one unconstrained solve per unit state."""
+    solver = CondensedMpc(model, cfg)
+    N = model.size
+    w_zero = np.zeros((model.dictionary.n, cfg.horizon))
+    gain = np.empty((model.p, N))
+    for i in range(N):
+        u0, _ = solver.solve(np.eye(N)[i], w_zero)
+        gain[:, i] = -u0
+    return gain
+
+
+def random_problem(seed, n, extra, p, horizon):
+    """A lifted model of size N = n + extra, a general (non-diagonal) Qy
+    and Ru, and a terminal weight."""
+    rng = np.random.default_rng(seed)
+    funcs = [lambda x, i=i: x[i] for i in range(n)]
+    funcs += [lambda x, k=k: np.tanh((k + 1) * x[0]) for k in range(extra)]
+    d = dictionary_from_functions(n, funcs)
+    N = d.size
+    K = rng.standard_normal((N, N))
+    K *= rng.uniform(0.3, 1.1) / max(np.abs(np.linalg.eigvals(K)).max(),
+                                     1e-9)
+    model = KoopmanModel(K, rng.standard_normal((N, p)), d)
+    A = rng.standard_normal((n, n))
+    R = rng.standard_normal((p, p))
+    cfg = MpcConfig(horizon=horizon, Qy=A @ A.T + 0.1 * np.eye(n),
+                    Ru=R @ R.T + 0.05 * np.eye(p),
+                    terminal_weight=rng.uniform(0.5, 6.0))
+    return model, cfg
+
+
+problems = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+                extra=st.integers(0, 4), p=st.integers(1, 3),
+                horizon=st.integers(1, 25))
+
+
 def dare_gain(a, b, q, r, tol=1e-14):
     """Scalar discrete Riccati fixed point and its LQR gain."""
     p_cur = q
@@ -101,6 +182,24 @@ class TestPredictionMatrices:
         np.testing.assert_allclose(
             S_u, [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.25, 0.5, 1.0]])
 
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @given(**problems)
+    def test_condensation_equals_block_assembly(self, seed, n, extra, p,
+                                                horizon):
+        """The lag-indexed S_u and the Kronecker weights give the same bits
+        as the double loop and the block-by-block diagonal assembly."""
+        model, cfg = random_problem(seed, n, extra, p, horizon)
+        S_psi, S_u = build_prediction_matrices(model, horizon)
+        S_psi_ref, S_u_ref = double_loop_prediction_matrices(model, horizon)
+        np.testing.assert_array_equal(S_psi, S_psi_ref)
+        np.testing.assert_array_equal(S_u, S_u_ref)
+        solver = CondensedMpc(model, cfg)
+        F, G, GtQ, hessian = block_diag_condensation(model, cfg)
+        np.testing.assert_array_equal(solver.F, F)
+        np.testing.assert_array_equal(solver.G, G)
+        np.testing.assert_array_equal(solver.GtQ, GtQ)
+        np.testing.assert_array_equal(solver.hessian, hessian)
+
     def test_matches_simulation(self):
         model = random_model(seed=4)
         S_psi, S_u = build_prediction_matrices(model, 6)
@@ -115,7 +214,8 @@ class TestSolve:
     def test_zero_reference_zero_state(self):
         model = random_model(seed=2)
         cfg = MpcConfig(horizon=5, Qy=np.eye(3), Ru=0.1 * np.eye(2))
-        u0, plan = solve_mpc(model, cfg, np.zeros(3), np.zeros((3, 5)))
+        u0, plan = CondensedMpc(model, cfg).solve(np.zeros(3),
+                                                  np.zeros((3, 5)))
         np.testing.assert_allclose(plan, np.zeros((2, 5)), atol=1e-14)
 
     def test_matches_lstsq_oracle(self):
@@ -126,7 +226,7 @@ class TestSolve:
         for _ in range(5):
             psi0 = rng.standard_normal(3)
             w = rng.standard_normal((3, 7))
-            _, plan = solve_mpc(model, cfg, psi0, w)
+            _, plan = CondensedMpc(model, cfg).solve(psi0, w)
             oracle = lstsq_mpc_oracle(model, cfg, psi0, w)
             assert np.max(np.abs(plan - oracle)) < 1e-8
 
@@ -135,11 +235,11 @@ class TestSolve:
         model = scalar_model(k=0.0, b=1.0)
         cfg_free = MpcConfig(horizon=1, Qy=np.eye(1), Ru=1e-8 * np.eye(1))
         w = np.array([[5.0]])
-        u_free, _ = solve_mpc(model, cfg_free, np.zeros(1), w)
+        u_free, _ = CondensedMpc(model, cfg_free).solve(np.zeros(1), w)
         assert u_free[0] == pytest.approx(5.0, rel=1e-6)
         cfg_box = MpcConfig(horizon=1, Qy=np.eye(1), Ru=1e-8 * np.eye(1),
                             u_min=[-1.0], u_max=[1.0])
-        u_box, _ = solve_mpc(model, cfg_box, np.zeros(1), w)
+        u_box, _ = CondensedMpc(model, cfg_box).solve(np.zeros(1), w)
         assert u_box[0] == 1.0
         # grid-search oracle over the admissible interval
         grid = np.linspace(-1.0, 1.0, 2001)
@@ -154,7 +254,7 @@ class TestSolve:
         for _ in range(5):
             psi0 = 3 * rng.standard_normal(3)
             w = rng.standard_normal((3, 8))
-            _, plan = solve_mpc(model, cfg, psi0, w)
+            _, plan = CondensedMpc(model, cfg).solve(psi0, w)
             assert (plan >= cfg.u_min[:, None]).all()
             assert (plan <= cfg.u_max[:, None]).all()
 
@@ -181,6 +281,39 @@ class TestSolve:
             CondensedMpc(model, cfg)
 
 
+    def test_indefinite_hessian_raises(self):
+        """A negative tracking weight gives a non-convex problem."""
+        cfg = MpcConfig(horizon=3, Qy=-np.eye(1), Ru=0.01 * np.eye(1))
+        with pytest.raises(IllConditionedHessian, match="positive definite"):
+            CondensedMpc(scalar_model(), cfg)
+
+    @pytest.mark.parametrize("K, B", [(1e200, 1.0), (1e120, 1e100),
+                                      (0.5, 1e200)])
+    def test_overflowing_model_raises(self, K, B):
+        """An overflow over the horizon is a numerical error, not a
+        LinAlgError from inside the conditioning check."""
+        model = scalar_model(k=K, b=B)
+        cfg = MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1))
+        with pytest.raises(IllConditionedHessian):
+            CondensedMpc(model, cfg)
+
+    @pytest.mark.parametrize("bounds", [
+        {"u_max": [10.0, 10.0]},
+        {"u_min": [-10.0, -10.0]},
+        {"u_min": [-1.0, -2.0], "u_max": [1.0, 2.0]},
+    ])
+    def test_bounds_need_one_entry_per_input(self, bounds):
+        model = scalar_model()
+        cfg = MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1), **bounds)
+        with pytest.raises(DimensionMismatch):
+            CondensedMpc(model, cfg)
+
+    def test_bounds_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1),
+                      u_min=[1.0, 2.0], u_max=[3.0])
+
+
 class TestGainLimit:
     def test_expensive_input_gain_near_zero(self):
         model = scalar_model(k=0.9, b=1.0)
@@ -194,6 +327,17 @@ class TestGainLimit:
         G = mpc_gain_limit(model, cfg)
         g_star = dare_gain(0.9, 1.0, 1.0, 1.0)
         assert abs(G[0, 0] - g_star) / abs(g_star) < 1e-3
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @given(**problems)
+    def test_equals_column_by_column_solves(self, seed, n, extra, p,
+                                            horizon):
+        model, cfg = random_problem(seed, n, extra, p, horizon)
+        gain = mpc_gain_limit(model, cfg)
+        ref = column_loop_gain(model, cfg)
+        assert gain.shape == ref.shape
+        np.testing.assert_allclose(gain, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
 
     def test_solution_linear_in_state(self):
         rng = np.random.default_rng(9)
