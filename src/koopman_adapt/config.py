@@ -6,10 +6,10 @@ Grammar (one nesting level, INI-style):
     [section]
     key = value        # trailing comments allowed
 
-Values are parsed as, in order: booleans ``true``/``false``, integers,
-floats, quoted or bare strings. Comma-separated values form a list of
-scalars; parenthesized groups form a list of tuples, which is how plant
-change schedules are written::
+A key appears at most once in a section. Values are parsed as, in order:
+booleans ``true``/``false``, integers, floats, quoted or bare strings.
+Comma-separated values form a list of scalars; parenthesized groups form a
+list of tuples, which is how plant change schedules are written::
 
     schedule = (4.0, m, 0.8), (4.0, d, 0.12)
 
@@ -115,6 +115,9 @@ def loads(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in sections[current]:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} repeated in [{current}]")
         sections[current][key] = _parse_value(value)
     return sections
 

@@ -2,13 +2,18 @@
 
 The finite-horizon problem is condensed into a dense quadratic in the
 stacked input sequence: cost on the projected (state-space) predictions
-against the reference window plus an input effort term. Unconstrained
-problems are solved exactly via the normal equations; box-constrained ones
-by projected gradient with a fixed 1/L step. This is the dense Koopman-MPC
-form of Korda & Mezic (Automatica 2018).
+against the reference window plus an input effort term. The unconstrained
+minimizer is affine in the stacked tracking offset, so its law is solved
+once per model and each solve is one matrix-vector product. When that plan
+leaves the input box, a primal active-set method solves the box QP exactly
+(Nocedal & Wright, Numerical Optimization, sec. 16.5), warm-started at the
+clipped plan. This is the dense Koopman-MPC form of Korda & Mezic
+(Automatica 2018).
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +30,9 @@ class MpcConfig:
     Qy weights the projected state tracking error (n x n), Ru the input
     effort (p x p, positive definite). The terminal tracking block is scaled
     by terminal_weight. u_min/u_max are per-channel bounds; None leaves the
-    problem unconstrained.
+    problem unconstrained. When the bounds bind, the box QP stops once its
+    KKT conditions hold to within pg_tol, or after max_pg_iters active-set
+    iterations.
     """
 
     horizon: int
@@ -57,6 +64,14 @@ class MpcConfig:
                     f"vs {self.u_max.shape}")
             if (self.u_min > self.u_max).any():
                 raise ValueError("u_min must be <= u_max elementwise")
+        if isinstance(self.max_pg_iters, bool) \
+                or not isinstance(self.max_pg_iters, Integral) \
+                or self.max_pg_iters < 1:
+            raise ValueError(f"max_pg_iters must be an integer >= 1, got "
+                             f"{self.max_pg_iters!r}")
+        if not (math.isfinite(self.pg_tol) and self.pg_tol > 0):
+            raise ValueError(f"pg_tol must be finite and > 0, got "
+                             f"{self.pg_tol!r}")
 
     @property
     def constrained(self) -> bool:
@@ -88,9 +103,10 @@ def build_prediction_matrices(model: KoopmanModel, horizon: int):
 class CondensedMpc:
     """Condensed tracking QP for one model; reusable across solves.
 
-    Building the condensation costs O(H^2 (N+p)^2); each solve is then a
-    dense (H p) back-substitution, so the harness constructs one of these
-    per model update rather than per sample.
+    Building the condensation and the unconstrained law costs
+    O(H^2 (N+p)^2 + (H p)^3); an unconstrained solve is then one
+    (H p) x (H n) matrix-vector product, so the harness constructs one of
+    these per model update rather than per sample.
     """
 
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
@@ -134,13 +150,20 @@ class CondensedMpc:
             raise IllConditionedHessian(
                 f"condensed Hessian condition {cond:.3e} exceeds "
                 f"{HESSIAN_COND_LIMIT:.1e}; revisit weights or horizon")
-        self._step = 1.0 / (1.01 * eig[-1])  # 1/L for projected gradient
-        self._lo = -np.inf if cfg.u_min is None else np.tile(cfg.u_min, H)
-        self._hi = np.inf if cfg.u_max is None else np.tile(cfg.u_max, H)
+        # U = -law @ f0 minimizes the condensed objective without bounds
+        self._law = np.linalg.solve(self.hessian, 2.0 * self.GtQ)
+        unbounded = np.full(p, np.inf)
+        self._lo = np.tile(-unbounded if cfg.u_min is None else cfg.u_min, H)
+        self._hi = np.tile(unbounded if cfg.u_max is None else cfg.u_max, H)
 
     def solve(self, psi0, w_window, return_info: bool = False):
         """Minimize the condensed objective for the current lifted state
-        against an (n, H) reference window; returns (u0, U_plan)."""
+        against an (n, H) reference window; returns (u0, U_plan).
+
+        With return_info, also a dict: "pg_iterations" (active-set
+        iterations, 0 when the unconstrained plan is feasible),
+        "pg_objectives" (the objective at each iterate, non-increasing) and
+        "converged" (the KKT conditions held to within pg_tol)."""
         cfg = self.cfg
         n = self.model.dictionary.n
         p = self.model.p
@@ -154,35 +177,71 @@ class CondensedMpc:
             raise DimensionMismatch(
                 f"reference window must be ({n}, {H}), got {w_window.shape}")
         f0 = self.F @ psi0 - w_window.T.ravel()
-        grad0 = 2.0 * (self.GtQ @ f0)
-        U = np.linalg.solve(self.hessian, -grad0)
-        info = {"pg_iterations": 0, "pg_objectives": []}
-        if cfg.constrained:
-            U = self._project(U)
-            U, pg_info = self._projected_gradient(U, grad0)
-            info.update(pg_info)
+        U = -(self._law @ f0)
+        info = {"pg_iterations": 0, "pg_objectives": [], "converged": True}
+        if cfg.constrained and ((U < self._lo) | (U > self._hi)).any():
+            U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0))
         plan = U.reshape(H, p).T
         return (plan[:, 0].copy(), plan, info) if return_info \
             else (plan[:, 0].copy(), plan)
 
-    def _project(self, U):
-        return np.clip(U, self._lo, self._hi)
+    def _box_qp(self, U, grad0):
+        """Primal active-set method for min 1/2 U'HU + grad0'U on the box,
+        from the unconstrained minimizer U.
 
-    def _projected_gradient(self, U, grad0):
-        cfg = self.cfg
-        step = self._step
-        objectives = []
-        iters = 0
-        for iters in range(1, cfg.max_pg_iters + 1):
-            grad = self.hessian @ U + grad0
-            objectives.append(0.5 * float(U @ self.hessian @ U) + float(grad0 @ U))
-            U_next = self._project(U - step * grad)
-            if np.max(np.abs(U_next - U)) <= cfg.pg_tol:
-                U = U_next
+        The working set starts as the entries U violates, fixed at their
+        bounds. Each iteration minimizes over the free entries with the
+        working set held, steps towards that minimizer as far as the box
+        allows and adds the first bound it meets; at the minimizer it checks
+        the KKT conditions and releases the bound with the most negative
+        multiplier. Every iterate is feasible and the objective never rises.
+        """
+        hess, lo, hi = self.hessian, self._lo, self._hi
+        tol = self.cfg.pg_tol
+        at_lo, at_hi = U < lo, U > hi
+        U = np.clip(U, lo, hi)
+
+        def objective(U):
+            return 0.5 * float(U @ hess @ U) + float(grad0 @ U)
+
+        objectives = [objective(U)]
+        converged = False
+        for iters in range(1, self.cfg.max_pg_iters + 1):
+            free = ~(at_lo | at_hi)
+            idx = np.flatnonzero(free)
+            if idx.size:
+                rhs = grad0[idx] + hess[idx] @ np.where(free, 0.0, U)
+                step = np.linalg.solve(hess[np.ix_(idx, idx)], -rhs) - U[idx]
+                # ratio test: the fraction of the step each free entry can
+                # take before it reaches a bound
+                room = np.full(idx.size, np.inf)
+                down, up = step < 0, step > 0
+                room[down] = (lo[idx[down]] - U[idx[down]]) / step[down]
+                room[up] = (hi[idx[up]] - U[idx[up]]) / step[up]
+                j = int(np.argmin(room))
+                blocked = room[j] < 1.0
+                U[idx] += min(room[j], 1.0) * step
+                if blocked:  # the first bound met joins the working set
+                    at_lo[idx[j]], at_hi[idx[j]] = down[j], up[j]
+                # working-set entries sit exactly on their bounds
+                U = np.where(at_lo, lo, np.where(at_hi, hi,
+                                                 np.clip(U, lo, hi)))
+                objectives.append(objective(U))
+                if blocked:
+                    continue
+            grad = hess @ U + grad0
+            # bound multipliers, >= 0 at the optimum
+            mult = np.where(at_lo, grad, -grad)
+            mult[free] = np.inf
+            worst = int(np.argmin(mult))
+            if np.abs(grad[free]).max(initial=0.0) <= tol \
+                    and mult[worst] >= -tol:
+                converged = True
                 break
-            U = U_next
-        objectives.append(0.5 * float(U @ self.hessian @ U) + float(grad0 @ U))
-        return U, {"pg_iterations": iters, "pg_objectives": objectives}
+            if mult[worst] < -tol:
+                at_lo[worst] = at_hi[worst] = False
+        return U, {"pg_iterations": iters, "pg_objectives": objectives,
+                   "converged": converged}
 
 
 def mpc_gain_limit(model: KoopmanModel, cfg: MpcConfig) -> np.ndarray:
@@ -191,5 +250,4 @@ def mpc_gain_limit(model: KoopmanModel, cfg: MpcConfig) -> np.ndarray:
     if cfg.constrained:
         raise ValueError("gain extraction requires an unconstrained config")
     solver = CondensedMpc(model, cfg)
-    gains = np.linalg.solve(solver.hessian, 2.0 * (solver.GtQ @ solver.F))
-    return gains[:model.p]
+    return (solver._law @ solver.F)[:model.p]

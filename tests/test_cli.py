@@ -58,6 +58,17 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("setting", ["max_pg_iters = 2.5",
+                                         "pg_tol = nan"])
+    def test_bad_solver_setting_is_a_config_error(self, tmp_path, capsys,
+                                                  setting):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_TEXT.replace("horizon = 5",
+                                          f"horizon = 5\n{setting}"))
+        assert cli_main(["simulate", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_writes_trace(self, tiny_config_path, tmp_path, capsys):
         out = str(tmp_path / "trace.csv")

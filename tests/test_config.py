@@ -62,6 +62,14 @@ class TestGrammar:
         with pytest.raises(ConfigError):
             loads("[plant]\nschedule = (4.0, m, 0.8\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("[mpc]\nhorizon = 5\nhorizon = 7\n", 3),
+        ("[mpc]\nhorizon = 5\n[run]\nseed = 1\n[mpc]\nhorizon = 7\n", 6),
+    ], ids=["same-block", "reopened-section"])
+    def test_repeated_key_rejected(self, text, line):
+        with pytest.raises(ConfigError, match=f"line {line}: .*horizon"):
+            loads(text)
+
     def test_quoted_strings(self):
         cfg = loads('[dict]\nfamily = "trig"\n')
         assert cfg["dict"]["family"] == "trig"
@@ -113,6 +121,15 @@ class TestAssemble:
     def test_mpc_bounds_need_one_entry_per_input(self, bounds):
         with pytest.raises(ConfigError, match="u_m"):
             assemble(loads(f"[mpc]\n{bounds}\n"))
+
+    @pytest.mark.parametrize("setting", [
+        "max_pg_iters = 2.5", "max_pg_iters = 0", "max_pg_iters = -3",
+        "max_pg_iters = true", "pg_tol = -1", "pg_tol = 0", "pg_tol = nan",
+        "pg_tol = inf",
+    ])
+    def test_bad_solver_settings_rejected(self, setting):
+        with pytest.raises(ConfigError, match=setting.split()[0]):
+            assemble(loads(f"[mpc]\n{setting}\n"))
 
     def test_negative_tracking_weight_rejected(self):
         with pytest.raises(ConfigError, match="qy"):

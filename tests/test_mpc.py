@@ -1,11 +1,16 @@
 """Tests for the condensed receding-horizon controller."""
 
+import dataclasses
+
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
+from koopman_adapt import harness, mpc
+from koopman_adapt.config import assemble, loads
 from koopman_adapt.edmd import KoopmanModel
 from koopman_adapt.errors import DimensionMismatch, IllConditionedHessian
 from koopman_adapt.mpc import (
@@ -150,6 +155,21 @@ problems = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
                 horizon=st.integers(1, 25))
 
 
+def bvls_plan(solver, psi0, w_window):
+    """Reference box-constrained plan: with hessian = L L^T, the condensed
+    objective is 1/2 |L^T U + L^-1 g|^2 plus a constant, solved by scipy's
+    bounded-variable least squares."""
+    f0 = solver.F @ psi0 - w_window.T.ravel()
+    grad0 = 2.0 * (solver.GtQ @ f0)
+    L = np.linalg.cholesky(solver.hessian)
+    H, p = solver.cfg.horizon, solver.model.p
+    lo = np.tile(solver.cfg.u_min, H)
+    hi = np.tile(solver.cfg.u_max, H)
+    U = lsq_linear(L.T, -np.linalg.solve(L, grad0), bounds=(lo, hi),
+                   method="bvls", tol=1e-15).x
+    return U.reshape(H, p).T, grad0, lo, hi
+
+
 def dare_gain(a, b, q, r, tol=1e-14):
     """Scalar discrete Riccati fixed point and its LQR gain."""
     p_cur = q
@@ -259,6 +279,8 @@ class TestSolve:
             assert (plan <= cfg.u_max[:, None]).all()
 
     def test_projected_gradient_monotone(self):
+        """The box QP's objective never rises from the clipped warm start
+        to the converged plan."""
         rng = np.random.default_rng(7)
         model = random_model(seed=8)
         cfg = MpcConfig(horizon=6, Qy=np.eye(3), Ru=0.05 * np.eye(2),
@@ -271,6 +293,7 @@ class TestSolve:
         objs = info["pg_objectives"]
         assert len(objs) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+        assert info["converged"]
 
     def test_ill_conditioned_hessian_raises(self):
         d = identity_dictionary(1)
@@ -312,6 +335,84 @@ class TestSolve:
         with pytest.raises(ValueError):
             MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1),
                       u_min=[1.0, 2.0], u_max=[3.0])
+
+
+class TestBoxQp:
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @given(**problems, lo_frac=st.floats(0.05, 0.9),
+           hi_frac=st.floats(0.05, 0.9))
+    def test_binding_plan_matches_bvls(self, seed, n, extra, p, horizon,
+                                       lo_frac, hi_frac):
+        """Bounds that cut every channel's unconstrained plan: the plan is
+        feasible, satisfies the KKT conditions and equals BVLS."""
+        model, cfg = random_problem(seed, n, extra, p, horizon)
+        rng = np.random.default_rng([seed, 1])  # not the model's stream
+        psi0 = rng.standard_normal(model.size)
+        w = rng.standard_normal((n, horizon))
+        _, free_plan = CondensedMpc(model, cfg).solve(psi0, w)
+        reach = np.abs(free_plan).max(axis=1)
+        hypothesis.assume(reach.min() > 1e-6)
+        cfg = dataclasses.replace(cfg, u_min=-lo_frac * reach,
+                                  u_max=hi_frac * reach)
+        solver = CondensedMpc(model, cfg)
+        _, plan, info = solver.solve(psi0, w, return_info=True)
+        ref, grad0, lo, hi = bvls_plan(solver, psi0, w)
+        U = plan.T.ravel()
+        assert info["converged"] and info["pg_iterations"] >= 1
+        assert (lo <= U).all() and (U <= hi).all()
+        grad = solver.hessian @ U + grad0
+        tol = 1e-7 * max(1.0, np.abs(grad0).max())
+        free = (lo < U) & (U < hi)
+        assert np.abs(grad[free]).max(initial=0.0) <= tol
+        assert (grad[U == lo] >= -tol).all()
+        assert (grad[U == hi] <= tol).all()
+        np.testing.assert_allclose(plan, ref, rtol=0,
+                                   atol=1e-9 * max(1.0, reach.max()))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @given(**problems)
+    def test_interior_plan_is_the_unconstrained_plan(self, seed, n, extra,
+                                                     p, horizon):
+        """Bounds the unconstrained plan stays inside change nothing: same
+        bits, no active-set iteration."""
+        model, cfg = random_problem(seed, n, extra, p, horizon)
+        rng = np.random.default_rng([seed, 1])  # not the model's stream
+        psi0 = rng.standard_normal(model.size)
+        w = rng.standard_normal((n, horizon))
+        u0, free_plan = CondensedMpc(model, cfg).solve(psi0, w)
+        reach = np.abs(free_plan).max(axis=1) + 1.0
+        cfg = dataclasses.replace(cfg, u_min=-reach, u_max=reach)
+        u0_box, plan, info = CondensedMpc(model, cfg).solve(
+            psi0, w, return_info=True)
+        np.testing.assert_array_equal(plan, free_plan)
+        np.testing.assert_array_equal(u0_box, u0)
+        assert info["pg_iterations"] == 0 and info["converged"]
+
+    def test_saturating_workload_never_caps(self, perfbench, monkeypatch):
+        """The benchmark's saturating scenario at seed 12345: some solves
+        bind, none reaches max_pg_iters, and every binding plan equals
+        BVLS."""
+        workloads = perfbench("workloads")
+        cfg = assemble(loads(workloads.config_text("saturating", 12345)))
+        solves = []
+        solve = mpc.CondensedMpc.solve
+
+        def recording_solve(self, psi0, w_window, return_info=False):
+            u0, plan, info = solve(self, psi0, w_window, return_info=True)
+            if info["pg_iterations"]:
+                solves.append((self, psi0.copy(), w_window.copy(), plan,
+                               info))
+            return (u0, plan, info) if return_info else (u0, plan)
+
+        monkeypatch.setattr(mpc.CondensedMpc, "solve", recording_solve)
+        result = harness.run_closed_loop(cfg)
+        assert not result.aborted, result.reason
+        assert solves, "the input bounds never bound"
+        for solver, psi0, w, plan, info in solves:
+            assert info["pg_iterations"] < cfg.mpc.max_pg_iters
+            assert info["converged"]
+            ref, *_ = bvls_plan(solver, psi0, w)
+            np.testing.assert_allclose(plan, ref, rtol=0, atol=1e-9)
 
 
 class TestGainLimit:
