@@ -1,7 +1,6 @@
 """Command-line harness.
 
 Subcommands:
-    fit <config>       offline EDMD init; writes the model to an .npz file
     simulate <config>  one closed-loop run; writes the trace CSV
     compare <config>   four-variant sweep; writes the summary CSV and
                        prints the comparison table
@@ -15,15 +14,12 @@ the built-in scenario. Exit codes: 0 success, 1 configuration error,
 import argparse
 import sys
 
-import numpy as np
-
 from .config import ExperimentConfig, load_config_file
 from .errors import ConfigError, KoopmanAdaptError, NumericalError
 from .harness import (
     compute_metric,
     default_config,
     format_comparison_table,
-    prepare_estimator,
     reference_energy,
     run_closed_loop,
     run_comparison,
@@ -41,20 +37,6 @@ def _resolve_config(spec: str) -> ExperimentConfig:
     if spec == "default-config":
         return default_config()
     return load_config_file(spec)
-
-
-def _cmd_fit(args) -> int:
-    cfg = _resolve_config(args.config)
-    est = prepare_estimator(cfg)
-    model = est.model
-    d = cfg.dictionary
-    np.savez(args.out, K=model.K, B=model.B, dt=model.dt,
-             gamma=est.Gamma, family=d.family, n=d.n,
-             output_index=d.output_index,
-             observable_names=np.array(d.names))
-    print(f"fitted lifted model ({d.size} observables, {model.p} inputs) "
-          f"-> {args.out}")
-    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
@@ -105,13 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koopman-adapt",
         description="Recursive Koopman identification with an adaptive "
-                    "MPC + Kalman loop: fit, simulate, compare, verify.")
+                    "MPC + Kalman loop: simulate, compare, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="offline EDMD initialization")
-    p_fit.add_argument("config")
-    p_fit.add_argument("--out", default="model.npz")
-    p_fit.set_defaults(func=_cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="single closed-loop run")
     p_sim.add_argument("config")

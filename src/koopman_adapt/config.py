@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .mpc import MpcConfig
 from .observables import ObservableDictionary, make_dictionary
 from .observer import ObserverSettings
-from .plants import ChangeSchedule, PlantModel, make_pendulum
+from .plants import ChangeSchedule, PlantModel, apply_schedule, make_pendulum
 from .redmd import RedmdSettings
 from .references import ReferenceSpec
 
@@ -165,13 +165,15 @@ class RunSettings:
     speeds: tuple = (1.0, 2.0)
 
     def __post_init__(self):
-        if self.t_sim <= 0:
-            raise ConfigError(f"t_sim must be > 0, got {self.t_sim}")
+        if not 0 < self.t_sim < math.inf:
+            raise ConfigError(f"t_sim must be finite and > 0, got {self.t_sim}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.train_duration <= 0:
-            raise ConfigError("train_duration must be > 0")
+        if not 0 < self.train_duration < math.inf:
+            raise ConfigError("train_duration must be finite and > 0")
+        if not all(map(math.isfinite, (self.train_amplitude, *self.speeds))):
+            raise ConfigError("train_amplitude and speeds must be finite")
 
 
 @dataclass
@@ -203,6 +205,13 @@ _SECTION_KEYS = {
 }
 
 
+# Keys whose values must be integers (a bool is not one); a float such as
+# 2.5 would otherwise be truncated or fail deep inside a run.
+_INT_KEYS = {("plant", "substeps"), ("dict", "degree"),
+             ("dict", "output_index"), ("redmd", "m_op"), ("mpc", "horizon"),
+             ("run", "seed")}
+
+
 def _check_keys(sections: dict) -> None:
     for name, body in sections.items():
         if name not in _SECTION_KEYS:
@@ -211,6 +220,11 @@ def _check_keys(sections: dict) -> None:
         if unknown:
             raise ConfigError(
                 f"unknown key(s) in [{name}]: {sorted(unknown)}")
+        for key, value in body.items():
+            if (name, key) in _INT_KEYS and (isinstance(value, bool)
+                                             or not isinstance(value, int)):
+                raise ConfigError(
+                    f"[{name}] {key} must be an integer, got {value!r}")
 
 
 def _as_list(v) -> list:
@@ -236,6 +250,8 @@ def assemble(sections: dict) -> ExperimentConfig:
     try:
         plant = make_pendulum(**plant_sec)
         schedule = ChangeSchedule(tuple(events))
+        for time, _, _ in events:  # every parameter set the run will reach
+            apply_schedule(plant, schedule, time)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid [plant] section: {exc}") from exc
 
@@ -286,8 +302,8 @@ def assemble(sections: dict) -> ExperimentConfig:
     if mpc.Qy.shape != (plant.n, plant.n):
         raise ConfigError(
             f"mpc.qy needs {plant.n} diagonal entries, got {mpc.Qy.shape[0]}")
-    if (np.diag(mpc.Qy) < 0).any():
-        raise ConfigError("mpc.qy entries must be >= 0")
+    if not ((0 <= np.diag(mpc.Qy)) & (np.diag(mpc.Qy) < np.inf)).all():
+        raise ConfigError("mpc.qy entries must be finite and >= 0")
     if mpc.Ru.shape != (plant.p, plant.p):
         raise ConfigError(
             f"mpc.ru needs {plant.p} diagonal entries, got {mpc.Ru.shape[0]}")
@@ -307,29 +323,27 @@ def assemble(sections: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid [observer] section: {exc}") from exc
 
     run_sec = dict(sections.get("run", {}))
-    ref = ReferenceSpec(
-        kind=run_sec.pop("ref_kind", "rest-to-rest"),
-        amplitude=float(run_sec.pop("ref_amplitude", 0.5)),
-        speed=float(run_sec.pop("ref_speed", 1.0)),
-        hold=float(run_sec.pop("ref_hold", 0.25)),
-        freq=float(run_sec.pop("ref_freq", 0.5)),
-    )
-    speeds = tuple(float(v) for v in _as_list(run_sec.pop("speeds", [1.0, 2.0])))
     try:
+        ref = ReferenceSpec(
+            kind=run_sec.pop("ref_kind", "rest-to-rest"),
+            amplitude=float(run_sec.pop("ref_amplitude", 0.5)),
+            speed=float(run_sec.pop("ref_speed", 1.0)),
+            hold=float(run_sec.pop("ref_hold", 0.25)),
+            freq=float(run_sec.pop("ref_freq", 0.5)),
+        )
+        speeds = tuple(float(v)
+                       for v in _as_list(run_sec.pop("speeds", [1.0, 2.0])))
         run = RunSettings(
             t_sim=float(run_sec.pop("t_sim", 8.0)),
-            seed=int(run_sec.pop("seed", 12345)),
+            seed=run_sec.pop("seed", 12345),
             variant=run_sec.pop("variant", "adaptive-both"),
             reference=ref,
             train_duration=float(run_sec.pop("train_duration", 20.0)),
             train_amplitude=float(run_sec.pop("train_amplitude", 1.5)),
             speeds=speeds,
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid [run] section: {exc}") from exc
-
-    if not math.isfinite(run.t_sim):
-        raise ConfigError("t_sim must be finite")
     return ExperimentConfig(plant, schedule, dictionary, redmd, mpc,
                             observer, run)
 

@@ -1,13 +1,12 @@
-"""Offline EDMD-with-control: snapshot handling, the batch least-squares fit
-of the lifted transition and input matrices, and open-loop prediction.
+"""Offline EDMD-with-control: snapshot handling and the batch least-squares
+fit of the lifted transition and input matrices.
 
 The batch fit doubles as the brute-force oracle against which the recursive
 estimator is verified.
 """
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,20 +88,6 @@ def collect_snapshots(trajectory: Sequence, dt: float = 1.0) -> SnapshotSet:
     return SnapshotSet(X, Xp, U, dt)
 
 
-def merge_snapshots(sets: Iterable[SnapshotSet]) -> SnapshotSet:
-    """Horizontally stack snapshot sets (no cross-trajectory pairs)."""
-    sets = list(sets)
-    if not sets:
-        raise TooFewSamples("no snapshot sets to merge")
-    first = sets[0]
-    return SnapshotSet(
-        np.hstack([s.X for s in sets]),
-        np.hstack([s.Xp for s in sets]),
-        np.hstack([s.U for s in sets]),
-        first.dt,
-    )
-
-
 @dataclass(frozen=True)
 class KoopmanModel:
     """The lifted linear predictor: psi_next = K @ psi + B @ u."""
@@ -130,11 +115,6 @@ class KoopmanModel:
     @property
     def p(self) -> int:
         return self.B.shape[1]
-
-    def advance(self, psi: np.ndarray, u=None) -> np.ndarray:
-        """One lifted-space step K @ psi + B @ u."""
-        u = _as_input(u, self.p)
-        return self.K @ psi + self.B @ u
 
 
 def fit(snapshots: SnapshotSet, dictionary: ObservableDictionary,
@@ -174,83 +154,3 @@ def fit(snapshots: SnapshotSet, dictionary: ObservableDictionary,
     return KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary,
                         snapshots.dt)
 
-
-def predict_one(model: KoopmanModel, x, u=None) -> np.ndarray:
-    """Predicted lifted successor of a state: K @ lift(x) + B @ u."""
-    return model.advance(model.dictionary.lift(x), u)
-
-
-def rollout(model: KoopmanModel, x0, U, mode: str = "lifted") -> np.ndarray:
-    """Open-loop prediction of H states from x0 under inputs U (p, H).
-
-    ``lifted`` iterates entirely in lifted space and projects each step;
-    ``relift`` projects to state space and re-lifts between steps.
-    """
-    if mode not in ("lifted", "relift"):
-        raise ValueError(f"mode must be 'lifted' or 'relift', got {mode!r}")
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != model.p:
-        raise DimensionMismatch(
-            f"inputs must be ({model.p}, H), got {U.shape}")
-    H = U.shape[1]
-    if H < 1:
-        raise ValueError("horizon must be >= 1")
-    d = model.dictionary
-    out = np.empty((d.n, H))
-    if mode == "lifted":
-        psi = d.lift(np.asarray(x0, dtype=float))
-        for k in range(H):
-            psi = model.advance(psi, U[:, k])
-            out[:, k] = psi[: d.n]
-    else:
-        x = np.asarray(x0, dtype=float)
-        for k in range(H):
-            x = model.advance(d.lift(x), U[:, k])[: d.n]
-            out[:, k] = x
-    return out
-
-
-def write_trajectory_csv(path, t, X, U) -> None:
-    """Write one trajectory as CSV with columns t, x1..xn, u1..up."""
-    t = np.asarray(t, dtype=float)
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    n, m = X.shape
-    if t.shape != (m,) or U.shape[1] != m:
-        raise DimensionMismatch("t, X, U must share the sample count")
-    header = (["t"] + [f"x{i + 1}" for i in range(n)]
-              + [f"u{j + 1}" for j in range(U.shape[0])])
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(m):
-            row = [t[k], *X[:, k], *U[:, k]]
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def read_trajectory_csv(path):
-    """Read a trajectory CSV back into (t, X, U) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows or header[0] != "t":
-        raise ValueError(f"{path} is not a trajectory CSV (expected 't' column)")
-    n = sum(1 for name in header if name.startswith("x"))
-    p = sum(1 for name in header if name.startswith("u"))
-    data = np.asarray(rows, dtype=float).T
-    t = data[0]
-    X = data[1:1 + n]
-    U = data[1 + n:1 + n + p]
-    return t, X, U
-
-
-def snapshots_from_trajectory_csv(path, dictionary_n: int | None = None) -> SnapshotSet:
-    """Load a trajectory CSV and convert it to a SnapshotSet."""
-    t, X, U = read_trajectory_csv(path)
-    if dictionary_n is not None and X.shape[0] != dictionary_n:
-        raise DimensionMismatch(
-            f"trajectory has {X.shape[0]} states, expected {dictionary_n}")
-    dt = float(t[1] - t[0]) if t.size > 1 else 1.0
-    pairs = [(X[:, k], U[:, k]) for k in range(X.shape[1])]
-    return collect_snapshots(pairs, dt)

@@ -64,10 +64,6 @@ class RunResult:
     controller_model: object = None
     observer_model: object = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.aborted
-
 
 def generate_training_data(cfg: ExperimentConfig) -> SnapshotSet:
     """Sum-of-sinusoids excitation run on the nominal plant.
@@ -167,7 +163,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None,
             else:
                 lam, trace_gamma = est.lam, float(np.trace(est.Gamma))
                 updated, e_post, window_error = False, math.nan, math.inf
-            kf = kf_correct(kf, dictionary, y_meas)
+            kf_correct(kf, dictionary, y_meas)
             x_hat = kf_estimate_state(kf, dictionary)
             u0, _ = solver.solve(kf.psi, w_full[:, k + 1: k + 1 + H])
             w_k = w_full[:, k]
@@ -177,7 +173,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None,
                 t, x_true.copy(), x_meas, x_hat, u0.copy(), w_k.copy(),
                 lam, trace_gamma, updated, e_post, window_error, e_cum))
             state = step_plant(plant, state, u0)
-            kf = kf_predict(kf, obs_model, u0)
+            kf_predict(kf, obs_model, u0)
             prev_meas, prev_u = x_meas, u0
     except NumericalError as exc:
         aborted = True

@@ -49,14 +49,18 @@ class MpcConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         self.Qy = np.atleast_2d(np.asarray(self.Qy, dtype=float))
         self.Ru = np.atleast_2d(np.asarray(self.Ru, dtype=float))
-        if self.terminal_weight <= 0:
-            raise ValueError("terminal_weight must be positive")
-        if np.linalg.eigvalsh(self.Ru).min() <= 0:
-            raise ValueError("Ru must be positive definite")
+        if not 0 < self.terminal_weight < math.inf:
+            raise ValueError("terminal_weight must be finite and positive")
+        if not (np.isfinite(self.Ru).all()
+                and np.linalg.eigvalsh(self.Ru).min() > 0):
+            raise ValueError("Ru must be finite and positive definite")
         for name in ("u_min", "u_max"):
             v = getattr(self, name)
             if v is not None:
-                setattr(self, name, np.atleast_1d(np.asarray(v, dtype=float)))
+                v = np.atleast_1d(np.asarray(v, dtype=float))
+                if np.isnan(v).any():
+                    raise ValueError(f"{name} must not be NaN")
+                setattr(self, name, v)
         if self.u_min is not None and self.u_max is not None:
             if self.u_min.shape != self.u_max.shape:
                 raise ValueError(

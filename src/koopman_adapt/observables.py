@@ -2,8 +2,7 @@
 the projections back to state and output space.
 
 Every dictionary starts with the identity coordinate maps, so recovering the
-state from a lifted vector is exact truncation and the state projection
-matrix is ``[I | 0]``. Observable functions must accept both a single state
+state from a lifted vector is exact truncation (the projection ``[I | 0]``). Observable functions must accept both a single state
 ``(n,)`` and a batch ``(n, M)`` and broadcast over the trailing axis; all
 built-in families do.
 """
@@ -91,20 +90,6 @@ class ObservableDictionary:
             raise DimensionMismatch(
                 f"expected lifted vector of shape ({self.size},), got {psi.shape}")
         return psi[: self.n].copy()
-
-    def project_output(self, psi) -> float:
-        """The designated scalar output component of a lifted vector."""
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape != (self.size,):
-            raise DimensionMismatch(
-                f"expected lifted vector of shape ({self.size},), got {psi.shape}")
-        return float(psi[self.output_index])
-
-    def state_projection(self) -> np.ndarray:
-        """The (n, N) matrix extracting the state from lifted coordinates."""
-        P = np.zeros((self.n, self.size))
-        P[:, : self.n] = np.eye(self.n)
-        return P
 
     def output_projection(self) -> np.ndarray:
         """The (N,) one-hot row extracting the output from lifted coordinates."""

@@ -3,10 +3,13 @@
 The filter is linear in the lifted coordinates: prediction uses whatever
 model snapshot it is handed (swapping in a freshly adapted model changes
 subsequent predictions only), and correction extracts the scalar output
-through the dictionary's output projection.
+through the dictionary's output projection. Predict and correct update
+one mutable filter state: they rebind its ``psi`` and ``P`` to new arrays
+and never write into the old ones.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +31,17 @@ class ObserverSettings:
     p0: float = 1.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError(f"measurement variance r must be > 0, got {self.r}")
-        if self.q < 0 or self.p0 < 0:
-            raise ValueError("q and p0 must be >= 0")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"measurement variance r must be finite and > 0, "
+                             f"got {self.r}")
+        if not (0 <= self.q < math.inf and 0 <= self.p0 < math.inf):
+            raise ValueError("q and p0 must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class KalmanState:
-    """Lifted state estimate, its covariance, and the noise model."""
+    """Lifted state estimate, its covariance, and the noise model. Shapes
+    are checked once, here; R is checked in ObserverSettings."""
 
     psi: np.ndarray
     P: np.ndarray
@@ -51,8 +56,6 @@ class KalmanState:
             raise DimensionMismatch(
                 f"P and Q must be ({N}, {N}), got {self.P.shape} and "
                 f"{self.Q.shape}")
-        if self.R <= 0:
-            raise ValueError(f"R must be > 0, got {self.R}")
 
 
 def init_kalman(dictionary: ObservableDictionary, x0,
@@ -84,21 +87,21 @@ def init_kalman(dictionary: ObservableDictionary, x0,
     )
 
 
-def kf_predict(kf: KalmanState, model: KoopmanModel, u=None) -> KalmanState:
-    """Time update through the lifted model: psi <- K psi + B u,
+def kf_predict(kf: KalmanState, model: KoopmanModel, u=None) -> None:
+    """Time update through the lifted model, in place: psi <- K psi + B u,
     P <- K P K^T + Q."""
     if model.size != kf.psi.shape[0]:
         raise DimensionMismatch(
             f"model size {model.size} != filter size {kf.psi.shape[0]}")
     u = _as_input(u, model.p)
-    psi = model.K @ kf.psi + model.B @ u
     P = model.K @ kf.P @ model.K.T + kf.Q
-    return replace(kf, psi=psi, P=(P + P.T) / 2.0)
+    kf.psi = model.K @ kf.psi + model.B @ u
+    kf.P = (P + P.T) / 2.0
 
 
 def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
-               y_meas: float) -> KalmanState:
-    """Measurement update with the scalar output y.
+               y_meas: float) -> None:
+    """Measurement update with the scalar output y, in place.
 
     The measurement map is the output projection row, so the innovation
     covariance is the scalar P[i, i] + R and the gain a single column.
@@ -115,35 +118,13 @@ def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
         P = ILC @ kf.P @ ILC.T + kf.R * np.outer(L, L)
     else:
         P = kf.P - np.outer(L, kf.P[i, :])
-    P = (P + P.T) / 2.0
     if kf.relift_after_correct:
         psi = dictionary.lift(psi[: dictionary.n])
-    return replace(kf, psi=psi, P=P)
+    kf.psi = psi
+    kf.P = (P + P.T) / 2.0
 
 
 def kf_estimate_state(kf: KalmanState,
                       dictionary: ObservableDictionary) -> np.ndarray:
     """State estimate: the first n lifted coordinates."""
     return dictionary.project_state(kf.psi)
-
-
-def riccati_prior_fixed_point(model: KoopmanModel, output_row: np.ndarray,
-                              Q: np.ndarray, R: float, tol: float = 1e-14,
-                              max_iter: int = 100000) -> np.ndarray:
-    """Fixed point of the prior-covariance Riccati recursion
-    P <- K (P - P c (c^T P c + R)^-1 c^T P) K^T + Q, by direct iteration.
-
-    Serves as the steady-state oracle for the predict/correct cycle.
-    """
-    c = np.asarray(output_row, dtype=float)
-    P = Q.copy()
-    for _ in range(max_iter):
-        Pc = P @ c
-        s = float(c @ Pc) + R
-        P_post = P - np.outer(Pc, Pc) / s
-        P_new = model.K @ P_post @ model.K.T + Q
-        P_new = (P_new + P_new.T) / 2.0
-        if np.max(np.abs(P_new - P)) < tol:
-            return P_new
-        P = P_new
-    return P

@@ -1,14 +1,14 @@
 """Named verification oracles, runnable from the CLI and the test suite.
 
 Each oracle checks a recursion against an independent brute-force
-computation and returns its worst-case error. The matrix-inversion lemma,
-which the estimator's covariance recursion is a rank-one case of, lives
-here as a verification helper: the library itself never calls it.
+computation and returns its worst-case error. Two helpers the library never
+calls live here too: the matrix-inversion lemma (the estimator's covariance
+recursion is a rank-one case of it) and the filter's Riccati fixed point.
 """
 
 import numpy as np
 
-from .edmd import collect_snapshots, fit
+from .edmd import KoopmanModel, collect_snapshots, fit
 from .errors import NotSquare, NumericalError
 from .matops import COND_LIMIT, _as_matrix
 from .observables import (
@@ -54,6 +54,28 @@ def woodbury(A, B, C, D) -> np.ndarray:
             f"(D @ A @ B + C) condition estimate {cond:.3e} exceeds "
             f"{COND_LIMIT:.1e}")
     return A - (A @ B) @ np.linalg.solve(inner, DA)
+
+
+def riccati_prior_fixed_point(model: KoopmanModel, output_row: np.ndarray,
+                              Q: np.ndarray, R: float, tol: float = 1e-14,
+                              max_iter: int = 100000) -> np.ndarray:
+    """Fixed point of the prior-covariance Riccati recursion
+    P <- K (P - P c (c^T P c + R)^-1 c^T P) K^T + Q, by direct iteration.
+
+    Serves as the steady-state oracle for the predict/correct cycle.
+    """
+    c = np.asarray(output_row, dtype=float)
+    P = Q.copy()
+    for _ in range(max_iter):
+        Pc = P @ c
+        s = float(c @ Pc) + R
+        P_post = P - np.outer(Pc, Pc) / s
+        P_new = model.K @ P_post @ model.K.T + Q
+        P_new = (P_new + P_new.T) / 2.0
+        if np.max(np.abs(P_new - P)) < tol:
+            return P_new
+        P = P_new
+    return P
 
 
 def _random_system(rng):

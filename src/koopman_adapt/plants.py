@@ -43,15 +43,17 @@ class PlantModel:
     def __post_init__(self):
         if self.kind not in ("pendulum", "linear2nd"):
             raise ValueError(f"unknown plant kind {self.kind!r}")
-        if self.dt <= 0 or self.substeps < 1:
-            raise ValueError("need dt > 0 and substeps >= 1")
-        if self.noise_y < 0:
-            raise ValueError("noise_y must be >= 0")
+        if not 0 < self.dt < math.inf or self.substeps < 1:
+            raise ValueError("need a finite dt > 0 and substeps >= 1")
+        if not 0 <= self.noise_y < math.inf:
+            raise ValueError("noise_y must be finite and >= 0")
         if self.kind == "pendulum":
             p = self.params
             missing = [k for k in _PENDULUM_PARAMS if k not in p]
             if missing:
                 raise ValueError(f"pendulum params missing {missing}")
+            if not all(math.isfinite(p[k]) for k in _PENDULUM_PARAMS):
+                raise ValueError("pendulum params must be finite")
             if p["m"] <= 0 or p["l"] <= 0 or p["g"] <= 0:
                 raise ValueError("m, l, g must be positive")
             if p["d"] < 0 or p["c"] < 0:
@@ -66,9 +68,9 @@ class PlantModel:
         v = np.array(self.noise_x, dtype=float)
         if v.ndim == 0:
             v = np.full(self.n, float(v))
-        if v.shape != (self.n,) or (v < 0).any():
-            raise ValueError(
-                f"noise_x must be a nonnegative scalar or length-{self.n} list")
+        if v.shape != (self.n,) or not ((0 <= v) & (v < np.inf)).all():
+            raise ValueError(f"noise_x must be a finite nonnegative scalar "
+                             f"or length-{self.n} list")
         v.flags.writeable = False
         object.__setattr__(self, "noise_x_vector", v)
 
@@ -97,6 +99,8 @@ class ChangeSchedule:
 
     def __post_init__(self):
         times = [e[0] for e in self.events]
+        if not all(map(math.isfinite, times)):
+            raise ValueError("schedule event times must be finite")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("schedule events must be time-sorted")
 
@@ -110,14 +114,6 @@ def make_linear2nd(A, B, **kwargs) -> PlantModel:
     return PlantModel("linear2nd",
                       {"A": np.asarray(A, dtype=float),
                        "B": np.asarray(B, dtype=float)}, **kwargs)
-
-
-def derivative(plant: PlantModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Continuous-time dynamics A x + B u of the linear plant (the pendulum's
-    right-hand side lives in _pendulum_rk4)."""
-    A = np.asarray(plant.params["A"], dtype=float)
-    B = np.asarray(plant.params["B"], dtype=float)
-    return A @ x + B @ u
 
 
 def _pendulum_rk4(params, theta: float, omega: float, u: float, h: float,
@@ -176,13 +172,15 @@ def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
             # math.sin(inf) and a zero m l^2 raise where arrays give inf/NaN
             raise _blow_up(plant, state) from exc
     else:
-        # blow-up surfaces as NonFiniteState below, not as overflow warnings
+        # dx/dt = A x + B u; blow-up surfaces as NonFiniteState below, not
+        # as overflow warnings
+        A, B = plant.params["A"], plant.params["B"]
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(plant.substeps):
-                k1 = derivative(plant, x, u)
-                k2 = derivative(plant, x + 0.5 * h * k1, u)
-                k3 = derivative(plant, x + 0.5 * h * k2, u)
-                k4 = derivative(plant, x + h * k3, u)
+                k1 = A @ x + B @ u
+                k2 = A @ (x + 0.5 * h * k1) + B @ u
+                k3 = A @ (x + 0.5 * h * k2) + B @ u
+                k4 = A @ (x + h * k3) + B @ u
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(x).all():
         raise _blow_up(plant, state)

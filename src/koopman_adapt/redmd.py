@@ -67,13 +67,14 @@ class RedmdSettings:
             raise ValueError(f"lambda0 must be in (0, 1], got {self.lambda0}")
         if self.m_op < 2:
             raise ValueError(f"m_op must be >= 2, got {self.m_op}")
-        if self.eps_low < 0 or self.eps_high < self.eps_low:
+        if not 0 <= self.eps_low <= self.eps_high:
             raise ValueError("need 0 <= eps_low <= eps_high")
-        if self.n0 <= 0 or self.mu_sigma <= 1.0:
-            raise ValueError("need n0 > 0 and mu_sigma > 1")
-        if self.trace_max_factor <= 0:
+        if not (0 < self.n0 < math.inf and 1.0 < self.mu_sigma < math.inf):
+            raise ValueError("need finite n0 > 0 and mu_sigma > 1")
+        if not self.trace_max_factor > 0:
             raise ValueError("trace_max_factor must be positive (inf disables)")
-        if isinstance(self.gamma_init, str) and self.gamma_init != "data":
+        if self.gamma_init != "data" and (isinstance(self.gamma_init, str)
+                                          or not 0 < self.gamma_init < math.inf):
             raise ValueError(
                 f"gamma_init must be 'data' or a positive float, got "
                 f"{self.gamma_init!r}")
@@ -314,10 +315,7 @@ def init_from_batch(snapshots: SnapshotSet, dictionary: ObservableDictionary,
                              snapshots.dt)
     theta0 = np.hstack([model.K, model.B])
     if diagonal_init:
-        delta = float(settings.gamma_init)
-        if delta <= 0:
-            raise ValueError(f"gamma_init must be positive, got {delta}")
-        gamma0 = delta * np.eye(G.shape[0])
+        gamma0 = float(settings.gamma_init) * np.eye(G.shape[0])
     else:
         gram = G @ G.T
         cond = np.linalg.cond(gram)

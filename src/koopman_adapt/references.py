@@ -7,6 +7,7 @@ requested peak velocity. References carry position and velocity rows so the
 controller tracks the full planar state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class ReferenceSpec:
     def __post_init__(self):
         if self.kind not in ("rest-to-rest", "sinusoid", "hold"):
             raise ValueError(f"unknown reference kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.amplitude, self.speed,
+                                       self.hold, self.freq))):
+            raise ValueError("amplitude, speed, hold and freq must be finite")
         if self.kind == "rest-to-rest" and (self.speed <= 0 or self.amplitude == 0):
             raise ValueError("rest-to-rest needs speed > 0 and amplitude != 0")
         if self.kind == "sinusoid" and self.freq <= 0:

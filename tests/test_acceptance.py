@@ -17,13 +17,12 @@ from koopman_adapt.harness import default_config, generate_training_data
 from koopman_adapt.matops import pinv_full_row_rank
 from koopman_adapt.mpc import CondensedMpc, MpcConfig, mpc_gain_limit
 from koopman_adapt.observables import identity_dictionary, trig_dictionary
-from koopman_adapt.observer import (
-    KalmanState,
-    kf_correct,
-    kf_predict,
+from koopman_adapt.observer import KalmanState, kf_correct, kf_predict
+from koopman_adapt.oracles import (
+    recursive_batch_max_error,
     riccati_prior_fixed_point,
+    woodbury,
 )
-from koopman_adapt.oracles import recursive_batch_max_error, woodbury
 from koopman_adapt.plants import PlantState, make_linear2nd, measure, step_plant
 from koopman_adapt.redmd import (
     RecursiveEstimator,
@@ -212,9 +211,9 @@ def test_criterion_8_kalman_steady_state():
     kf = KalmanState(np.zeros(4), np.eye(4), Q, R, joseph=True)
     min_eig = math.inf
     for _ in range(4000):
-        kf = kf_correct(kf, d, rng.standard_normal() * 0.1)
+        kf_correct(kf, d, rng.standard_normal() * 0.1)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(kf.P).min()))
-        kf = kf_predict(kf, model, rng.standard_normal(1))
+        kf_predict(kf, model, rng.standard_normal(1))
     P_star = riccati_prior_fixed_point(model, d.output_projection(), Q, R)
     gap = np.max(np.abs(kf.P - P_star))
     assert gap < 1e-6

@@ -1,6 +1,5 @@
 """Tests for the command-line harness (exit codes, outputs)."""
 
-import numpy as np
 import pytest
 
 from koopman_adapt.cli import cli_main
@@ -59,12 +58,25 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("setting", ["max_pg_iters = 2.5",
-                                         "pg_tol = nan"])
+                                         "pg_tol = nan",
+                                         "terminal_weight = nan"])
     def test_bad_solver_setting_is_a_config_error(self, tmp_path, capsys,
                                                   setting):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_TEXT.replace("horizon = 5",
                                           f"horizon = 5\n{setting}"))
+        assert cli_main(["simulate", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("horizon = 5", "horizon = 2.5"), ("substeps = 1", "substeps = 2.5"),
+        ("m_op = 5", "m_op = 2.5"), ("seed = 3", "seed = 1.5"),
+        ("dt = 0.001", "dt = nan"),
+    ])
+    def test_non_integer_or_non_finite_is_a_config_error(
+            self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_TEXT.replace(old, new))
         assert cli_main(["simulate", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
@@ -77,16 +89,6 @@ class TestSimulate:
         lines = open(out).read().splitlines()
         assert len(lines) == 51
         assert lines[0].startswith("t,x1")
-
-
-class TestFit:
-    def test_writes_model_npz(self, tiny_config_path, tmp_path):
-        out = str(tmp_path / "model.npz")
-        assert cli_main(["fit", tiny_config_path, "--out", out]) == 0
-        data = np.load(out)
-        assert data["K"].shape == (6, 6)
-        assert data["B"].shape == (6, 1)
-        assert data["family"] == "trig"
 
 
 class TestCompare:

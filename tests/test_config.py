@@ -131,6 +131,36 @@ class TestAssemble:
         with pytest.raises(ConfigError, match=setting.split()[0]):
             assemble(loads(f"[mpc]\n{setting}\n"))
 
+    @pytest.mark.parametrize("section, setting", [
+        ("mpc", "horizon = 2.5"), ("mpc", "horizon = true"),
+        ("plant", "substeps = 2.5"), ("redmd", "m_op = 2.5"),
+        ("run", "seed = 1.5"), ("dict", "degree = 2.5"),
+        ("dict", "output_index = 0.5"),
+    ])
+    def test_non_integer_rejected(self, section, setting):
+        with pytest.raises(ConfigError, match=setting.split()[0]):
+            assemble(loads(f"[{section}]\n{setting}\n"))
+
+    @pytest.mark.parametrize("section, setting", [
+        ("mpc", "terminal_weight = nan"), ("mpc", "terminal_weight = inf"),
+        ("mpc", "u_min = nan"), ("mpc", "u_max = nan"),
+        ("observer", "q = nan"), ("observer", "r = nan"),
+        ("observer", "r = inf"), ("observer", "p0 = nan"),
+        ("plant", "m = nan"), ("plant", "l = nan"), ("plant", "g = nan"),
+        ("plant", "d = nan"), ("plant", "c = nan"), ("plant", "dt = nan"),
+        ("plant", "noise_y = nan"), ("plant", "noise_x = nan"),
+        ("plant", "schedule = (4.0, m, nan)"),
+        ("plant", "schedule = (4.0, m, -1.0)"),
+        ("run", "train_duration = nan"), ("run", "ref_amplitude = nan"),
+        ("run", "speeds = 1.0, nan"), ("redmd", "eps_low = nan"),
+        ("redmd", "n0 = nan"), ("redmd", "trace_max_factor = nan"),
+        ("redmd", "gamma_init = -1.0"), ("mpc", "qy = nan, 1.0"),
+        ("mpc", "ru = nan"), ("plant", "schedule = (nan, m, 0.8)"),
+    ])
+    def test_non_finite_rejected(self, section, setting):
+        with pytest.raises(ConfigError):
+            assemble(loads(f"[{section}]\n{setting}\n"))
+
     def test_negative_tracking_weight_rejected(self):
         with pytest.raises(ConfigError, match="qy"):
             assemble(loads("[mpc]\nqy = -100.0, 1.0\n"))

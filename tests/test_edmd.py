@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from koopman_adapt.edmd import (
-    KoopmanModel,
-    collect_snapshots,
-    fit,
-    merge_snapshots,
-    predict_one,
-    read_trajectory_csv,
-    rollout,
-    snapshots_from_trajectory_csv,
-    write_trajectory_csv,
-)
+from koopman_adapt.edmd import SnapshotSet, collect_snapshots, fit
 from koopman_adapt.errors import (
     RankDeficientRegressor,
     TooFewSamples,
@@ -51,7 +41,11 @@ def invariant_subspace_data(a=0.9, b=0.5, c=0.4, n_traj=6, steps=15, seed=0):
             x = np.array([a * x[0], b * x[1] + c * x[0] ** 2])
             pairs.append((x.copy(), None))
         sets.append(collect_snapshots(pairs))
-    return merge_snapshots(sets), K_true
+    # side by side, so no pair crosses from one trajectory into the next
+    merged = SnapshotSet(np.hstack([s.X for s in sets]),
+                         np.hstack([s.Xp for s in sets]),
+                         np.hstack([s.U for s in sets]))
+    return merged, K_true
 
 
 class TestCollectSnapshots:
@@ -73,14 +67,6 @@ class TestCollectSnapshots:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             collect_snapshots([(np.array([1.0]), None)])
-
-    def test_merge_has_no_cross_boundary_pair(self):
-        a = collect_snapshots([(np.array([1.0]), None), (np.array([2.0]), None)])
-        b = collect_snapshots([(np.array([9.0]), None), (np.array([8.0]), None)])
-        merged = merge_snapshots([a, b])
-        assert merged.num_pairs == 2
-        np.testing.assert_array_equal(merged.X, [[1.0, 9.0]])
-        np.testing.assert_array_equal(merged.Xp, [[2.0, 8.0]])
 
 
 class TestFit:
@@ -153,90 +139,16 @@ class TestFit:
             assert perturbed >= base - 1e-12
 
 
-class TestPrediction:
-    def test_identity_dynamics(self):
-        d = identity_dictionary(2)
-        model = KoopmanModel(np.eye(2), np.zeros((2, 1)), d)
-        x = np.array([0.3, -0.4])
-        np.testing.assert_array_equal(predict_one(model, x, [0.0]), x)
-
-    def test_zero_dynamics(self):
-        d = identity_dictionary(2)
-        model = KoopmanModel(np.zeros((2, 2)), np.zeros((2, 1)), d)
-        np.testing.assert_array_equal(
-            predict_one(model, np.ones(2), [1.0]), np.zeros(2))
-
-    def test_scalar_decay(self):
-        d = identity_dictionary(1)
-        model = KoopmanModel(np.array([[0.9]]), np.zeros((1, 0)), d)
-        np.testing.assert_allclose(predict_one(model, [2.0]), [1.8])
-
-
 class TestRollout:
-    def test_h1_modes_agree(self, invariant_subspace_dict):
-        snapshots, _ = invariant_subspace_data()
-        model = fit(snapshots, invariant_subspace_dict)
-        x0 = np.array([0.5, -0.2])
-        U = np.zeros((0, 1))
-        a = rollout(model, x0, U, mode="lifted")
-        b = rollout(model, x0, U, mode="relift")
-        np.testing.assert_allclose(a, b, atol=1e-12)
-        np.testing.assert_allclose(
-            a[:, 0], predict_one(model, x0)[:2], atol=1e-12)
-
-    def test_identity_dictionary_modes_coincide(self):
-        d = identity_dictionary(2)
-        rng = np.random.default_rng(12)
-        K = 0.5 * rng.standard_normal((2, 2))
-        B = rng.standard_normal((2, 1))
-        model = KoopmanModel(K, B, d)
-        U = rng.standard_normal((1, 10))
-        x0 = rng.standard_normal(2)
-        np.testing.assert_array_equal(
-            rollout(model, x0, U, "lifted"), rollout(model, x0, U, "relift"))
-
     def test_lifted_rollout_matches_generator(self, invariant_subspace_dict):
+        """Powers of the fitted K carry the lift of x0 along the true
+        trajectory: the dictionary spans an invariant subspace."""
         snapshots, _ = invariant_subspace_data()
         model = fit(snapshots, invariant_subspace_dict)
         a, b, c = 0.9, 0.5, 0.4
         x = np.array([0.7, -0.3])
-        truth = []
-        xx = x.copy()
+        psi = invariant_subspace_dict.lift(x)
         for _ in range(20):
-            xx = np.array([a * xx[0], b * xx[1] + c * xx[0] ** 2])
-            truth.append(xx.copy())
-        pred = rollout(model, x, np.zeros((0, 20)), mode="lifted")
-        np.testing.assert_allclose(pred, np.column_stack(truth), atol=1e-8)
-
-    def test_stable_rollout_bounded(self):
-        d = identity_dictionary(2)
-        model = KoopmanModel(np.array([[0.9, 0.1], [0.0, 0.8]]),
-                             np.zeros((2, 1)), d)
-        pred = rollout(model, np.array([1.0, 1.0]), np.zeros((1, 500)))
-        assert np.isfinite(pred).all()
-        assert np.abs(pred).max() <= 2.0
-
-
-class TestTrajectoryCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        t = np.arange(5) * 0.01
-        X = rng.standard_normal((2, 5))
-        U = rng.standard_normal((1, 5))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, t, X, U)
-        t2, X2, U2 = read_trajectory_csv(path)
-        np.testing.assert_array_equal(t2, t)
-        np.testing.assert_array_equal(X2, X)
-        np.testing.assert_array_equal(U2, U)
-
-    def test_snapshots_from_csv(self, tmp_path):
-        t = np.arange(4) * 0.5
-        X = np.array([[1.0, 2.0, 3.0, 4.0]])
-        U = np.array([[0.1, 0.2, 0.3, 0.4]])
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, t, X, U)
-        s = snapshots_from_trajectory_csv(path)
-        assert s.num_pairs == 3
-        assert s.dt == 0.5
-        np.testing.assert_array_equal(s.U, [[0.1, 0.2, 0.3]])
+            x = np.array([a * x[0], b * x[1] + c * x[0] ** 2])
+            psi = model.K @ psi
+            np.testing.assert_allclose(psi[:2], x, atol=1e-8)
