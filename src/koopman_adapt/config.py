@@ -6,19 +6,20 @@ Grammar (one nesting level, INI-style):
     [section]
     key = value        # trailing comments allowed
 
-A key appears at most once in a section. Values are parsed as, in order:
-booleans ``true``/``false``, integers, floats, quoted or bare strings.
-Comma-separated values form a list of scalars; parenthesized groups form a
-list of tuples, which is how plant change schedules are written::
+Every key has one kind, declared in ``_KEYS``, and its value is parsed by
+that kind alone: an integer, a float, a flag (``true`` or ``false``), a
+string (optionally quoted), a comma list of floats, ``data`` or a float,
+or the plant change schedule as (time, name, value) groups::
 
     schedule = (4.0, m, 0.8), (4.0, d, 0.12)
 
-``dumps``/``loads`` round-trip bit-exactly (floats are written with 17
-significant digits).
+An unknown section or key, a key repeated within a section, or a value its
+key's kind refuses is a ConfigError naming the line and the key.
 """
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,120 +34,106 @@ from .references import ReferenceSpec
 VARIANTS = ("static-static", "adaptive-ctrl", "adaptive-obs", "adaptive-both")
 
 
-# -- raw grammar -------------------------------------------------------------
+# -- grammar -----------------------------------------------------------------
 
-def _parse_scalar(token: str):
-    token = token.strip()
-    if token.lower() == "true":
-        return True
-    if token.lower() == "false":
-        return False
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
-        return token[1:-1]
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    return token
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError(f"unbalanced ')' in value {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ConfigError(f"unbalanced '(' in value {text!r}")
-    parts.append("".join(cur))
-    return parts
+def _string(text: str) -> str:
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        text = text[1:-1]
+    if not text:
+        raise ValueError("empty string")
+    return text
 
 
-def _parse_value(text: str):
-    text = text.strip()
-    parts = [p.strip() for p in _split_top_level(text)]
-    parts = [p for p in parts if p]
-    if not parts:
-        raise ConfigError(f"empty value in {text!r}")
-    parsed = []
-    for part in parts:
-        if part.startswith("(") and part.endswith(")"):
-            inner = [s.strip() for s in part[1:-1].split(",")]
-            parsed.append(tuple(_parse_scalar(s) for s in inner if s))
-        else:
-            parsed.append(_parse_scalar(part))
-    if len(parsed) == 1 and not isinstance(parsed[0], tuple):
-        return parsed[0]
-    return parsed
+def _floats(text: str) -> list:
+    """One float or a comma list of floats, as a list."""
+    return [float(v) for v in text.split(",")]
+
+
+def _float_or_floats(text: str):
+    """A single float stays a scalar (noise_x broadcasts it per state)."""
+    values = _floats(text)
+    return values[0] if len(values) == 1 else values
+
+
+def _events(text: str) -> list:
+    """Comma-separated (time, name, value) groups."""
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ValueError("expected (time, name, value) groups")
+    events = []
+    for group in re.split(r"\)\s*,\s*\(", text[1:-1]):
+        parts = group.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"expected (time, name, value), got ({group})")
+        events.append((float(parts[0]), _string(parts[1].strip()),
+                       float(parts[2])))
+    return events
+
+
+def _data_or_float(text: str):
+    return "data" if _string(text) == "data" else float(text)
+
+
+# Each key's kind: the parser of its value text.
+_KEYS = {
+    "plant": {"kind": _string, "m": float, "l": float, "g": float,
+              "d": float, "c": float, "noise_y": float,
+              "noise_x": _float_or_floats, "dt": float, "substeps": int,
+              "schedule": _events},
+    "dict": {"family": _string, "degree": int, "output_index": int},
+    "redmd": {"lambda0": float, "lambda_min": float, "m_op": int,
+              "eps_low": float, "eps_high": float, "n0": float,
+              "mu_sigma": float, "trace_max_factor": float,
+              "gamma_init": _data_or_float, "state_scales": _floats,
+              "adaptive_lambda": _flag},
+    "mpc": {"horizon": int, "qy": _floats, "ru": _floats,
+            "terminal_weight": float, "u_min": _floats, "u_max": _floats,
+            "max_pg_iters": int, "pg_tol": float},
+    "observer": {"q": float, "r": float, "joseph": _flag,
+                 "relift_after_correct": _flag, "p0": float},
+    "run": {"t_sim": float, "seed": int, "variant": _string,
+            "ref_kind": _string, "ref_amplitude": float, "ref_speed": float,
+            "ref_hold": float, "ref_freq": float, "train_duration": float,
+            "train_amplitude": float, "speeds": _floats},
+}
 
 
 def loads(text: str) -> dict:
-    """Parse config text into {section: {key: value}}."""
+    """Parse config text into {section: {key: value}}, each value parsed
+    by its key's kind."""
     sections: dict = {}
-    current = None
+    name = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ConfigError(f"line {lineno}: empty section name")
-            sections.setdefault(current, {})
+            name = line[1:-1].strip()
+            if name not in _KEYS:
+                raise ConfigError(f"line {lineno}: unknown section [{name}]")
+            sections.setdefault(name, {})
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if current is None:
+        if name is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in sections[current]:
+        where = f"line {lineno}: [{name}] {key}"
+        if key not in _KEYS[name]:
+            raise ConfigError(f"{where}: unknown key")
+        if key in sections[name]:
+            raise ConfigError(f"{where}: key repeated in the section")
+        try:
+            sections[name][key] = _KEYS[name][key](value)
+        except ValueError as exc:
             raise ConfigError(
-                f"line {lineno}: key {key!r} repeated in [{current}]")
-        sections[current][key] = _parse_value(value)
+                f"{where}: invalid value {value!r}: {exc}") from exc
     return sections
-
-
-def _format_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _format_value(v) -> str:
-    if isinstance(v, tuple):
-        return "(" + ", ".join(_format_scalar(s) for s in v) + ")"
-    if isinstance(v, list):
-        return ", ".join(_format_value(s) for s in v)
-    return _format_scalar(v)
-
-
-def dumps(sections: dict) -> str:
-    """Format {section: {key: value}} back to config text."""
-    lines = []
-    for name, body in sections.items():
-        lines.append(f"[{name}]")
-        for key, value in body.items():
-            lines.append(f"{key} = {_format_value(value)}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -165,6 +152,7 @@ class RunSettings:
     speeds: tuple = (1.0, 2.0)
 
     def __post_init__(self):
+        self.speeds = tuple(self.speeds)
         if not 0 < self.t_sim < math.inf:
             raise ConfigError(f"t_sim must be finite and > 0, got {self.t_sim}")
         if self.variant not in VARIANTS:
@@ -189,116 +177,45 @@ class ExperimentConfig:
     run: RunSettings
 
 
-_SECTION_KEYS = {
-    "plant": {"kind", "m", "l", "g", "d", "c", "noise_y", "noise_x", "dt",
-              "substeps", "schedule"},
-    "dict": {"family", "degree", "output_index"},
-    "redmd": {"lambda0", "lambda_min", "m_op", "eps_low", "eps_high", "n0",
-              "mu_sigma", "trace_max_factor", "gamma_init", "state_scales",
-              "adaptive_lambda"},
-    "mpc": {"horizon", "qy", "ru", "terminal_weight", "u_min", "u_max",
-            "max_pg_iters", "pg_tol"},
-    "observer": {"q", "r", "joseph", "relift_after_correct", "p0"},
-    "run": {"t_sim", "seed", "variant", "ref_kind", "ref_amplitude",
-            "ref_speed", "ref_hold", "ref_freq", "train_duration",
-            "train_amplitude", "speeds"},
-}
-
-
-# Keys whose values must be integers (a bool is not one); a float such as
-# 2.5 would otherwise be truncated or fail deep inside a run.
-_INT_KEYS = {("plant", "substeps"), ("dict", "degree"),
-             ("dict", "output_index"), ("redmd", "m_op"), ("mpc", "horizon"),
-             ("run", "seed")}
-
-
-def _check_keys(sections: dict) -> None:
-    for name, body in sections.items():
-        if name not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{name}]")
-        unknown = set(body) - _SECTION_KEYS[name]
-        if unknown:
-            raise ConfigError(
-                f"unknown key(s) in [{name}]: {sorted(unknown)}")
-        for key, value in body.items():
-            if (name, key) in _INT_KEYS and (isinstance(value, bool)
-                                             or not isinstance(value, int)):
-                raise ConfigError(
-                    f"[{name}] {key} must be an integer, got {value!r}")
-
-
-def _as_list(v) -> list:
-    return v if isinstance(v, list) else [v]
+def _build(section: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), with a rejected value reported as a
+    ConfigError on the section."""
+    try:
+        return factory(*args, **kwargs)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"invalid [{section}] section: {exc}") from exc
 
 
 def assemble(sections: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed sections, with defaults for
     everything except what the sections override."""
-    _check_keys(sections)
     plant_sec = dict(sections.get("plant", {}))
     kind = plant_sec.pop("kind", "pendulum")
     if kind != "pendulum":
         raise ConfigError(
             f"config files support only the pendulum plant, got {kind!r}")
-    schedule_raw = plant_sec.pop("schedule", [])
-    events = []
-    for ev in _as_list(schedule_raw) if schedule_raw else []:
-        if not (isinstance(ev, tuple) and len(ev) == 3):
-            raise ConfigError(
-                f"schedule events must be (time, name, value), got {ev!r}")
-        events.append((float(ev[0]), str(ev[1]), float(ev[2])))
-    try:
-        plant = make_pendulum(**plant_sec)
-        schedule = ChangeSchedule(tuple(events))
-        for time, _, _ in events:  # every parameter set the run will reach
-            apply_schedule(plant, schedule, time)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid [plant] section: {exc}") from exc
+    events = tuple(plant_sec.pop("schedule", ()))
+    plant = _build("plant", make_pendulum, **plant_sec)
+    schedule = _build("plant", ChangeSchedule, events)
+    for time, _, _ in events:  # every parameter set the run will reach
+        _build("plant", apply_schedule, plant, schedule, time)
 
-    dict_sec = sections.get("dict", {})
-    try:
-        dictionary = make_dictionary(
-            dict_sec.get("family", "trig"), plant.n,
-            degree=dict_sec.get("degree", 2),
-            output_index=dict_sec.get("output_index", 0))
-    except ValueError as exc:
-        raise ConfigError(f"invalid [dict] section: {exc}") from exc
+    dictionary = _build("dict", make_dictionary, n=plant.n,
+                        **{"family": "trig", **sections.get("dict", {})})
     if dictionary.output_index >= plant.n:
         raise ConfigError(
             "dict.output_index must address a state coordinate "
             f"(< {plant.n}) so the plant output is measurable")
 
-    redmd_sec = dict(sections.get("redmd", {}))
-    if "state_scales" in redmd_sec:
-        redmd_sec["state_scales"] = tuple(
-            float(v) for v in _as_list(redmd_sec["state_scales"]))
-    if "gamma_init" in redmd_sec and not isinstance(redmd_sec["gamma_init"], str):
-        redmd_sec["gamma_init"] = float(redmd_sec["gamma_init"])
-    for key in ("lambda0", "lambda_min", "eps_low", "eps_high", "n0",
-                "mu_sigma", "trace_max_factor"):
-        if key in redmd_sec:
-            redmd_sec[key] = float(redmd_sec[key])
-    try:
-        redmd = RedmdSettings(**redmd_sec)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid [redmd] section: {exc}") from exc
+    redmd = _build("redmd", RedmdSettings, **sections.get("redmd", {}))
+    if redmd.state_scales is not None and len(redmd.state_scales) != plant.n:
+        raise ConfigError(f"redmd.state_scales needs {plant.n} entries, got "
+                          f"{len(redmd.state_scales)}")
 
     mpc_sec = dict(sections.get("mpc", {}))
-    try:
-        qy = np.diag([float(v) for v in _as_list(mpc_sec.pop("qy", [100.0, 1.0]))])
-        ru = np.diag([float(v) for v in _as_list(mpc_sec.pop("ru", [0.01]))])
-        bounds = {}
-        for key in ("u_min", "u_max"):
-            if key in mpc_sec:
-                bounds[key] = np.asarray(
-                    [float(v) for v in _as_list(mpc_sec.pop(key))])
-        mpc = MpcConfig(horizon=mpc_sec.pop("horizon", 15), Qy=qy, Ru=ru,
-                        terminal_weight=float(mpc_sec.pop("terminal_weight", 1.0)),
-                        max_pg_iters=mpc_sec.pop("max_pg_iters", 200),
-                        pg_tol=float(mpc_sec.pop("pg_tol", 1e-8)),
-                        **bounds)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid [mpc] section: {exc}") from exc
+    mpc = _build("mpc", MpcConfig, horizon=mpc_sec.pop("horizon", 15),
+                 Qy=np.diag(mpc_sec.pop("qy", [100.0, 1.0])),
+                 Ru=np.diag(mpc_sec.pop("ru", [0.01])), **mpc_sec)
     if mpc.Qy.shape != (plant.n, plant.n):
         raise ConfigError(
             f"mpc.qy needs {plant.n} diagonal entries, got {mpc.Qy.shape[0]}")
@@ -313,37 +230,16 @@ def assemble(sections: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"mpc.{key} needs {plant.p} entries, got {bound.size}")
 
-    obs_sec = dict(sections.get("observer", {}))
-    for key in ("q", "r", "p0"):
-        if key in obs_sec:
-            obs_sec[key] = float(obs_sec[key])
-    try:
-        observer = ObserverSettings(**obs_sec)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid [observer] section: {exc}") from exc
+    observer = _build("observer", ObserverSettings,
+                      **sections.get("observer", {}))
 
     run_sec = dict(sections.get("run", {}))
-    try:
-        ref = ReferenceSpec(
-            kind=run_sec.pop("ref_kind", "rest-to-rest"),
-            amplitude=float(run_sec.pop("ref_amplitude", 0.5)),
-            speed=float(run_sec.pop("ref_speed", 1.0)),
-            hold=float(run_sec.pop("ref_hold", 0.25)),
-            freq=float(run_sec.pop("ref_freq", 0.5)),
-        )
-        speeds = tuple(float(v)
-                       for v in _as_list(run_sec.pop("speeds", [1.0, 2.0])))
-        run = RunSettings(
-            t_sim=float(run_sec.pop("t_sim", 8.0)),
-            seed=run_sec.pop("seed", 12345),
-            variant=run_sec.pop("variant", "adaptive-both"),
-            reference=ref,
-            train_duration=float(run_sec.pop("train_duration", 20.0)),
-            train_amplitude=float(run_sec.pop("train_amplitude", 1.5)),
-            speeds=speeds,
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid [run] section: {exc}") from exc
+    ref_keys = [key for key in run_sec if key.startswith("ref_")]
+    reference = _build("run", ReferenceSpec,
+                       **{key[4:]: run_sec.pop(key) for key in ref_keys})
+    run = _build("run", RunSettings, reference=reference, **run_sec)
+    for speed in run.speeds:  # the reference of every comparison cell
+        _build("run", replace, reference, speed=speed)
     return ExperimentConfig(plant, schedule, dictionary, redmd, mpc,
                             observer, run)
 

@@ -246,12 +246,3 @@ class CondensedMpc:
                 at_lo[worst] = at_hi[worst] = False
         return U, {"pg_iterations": iters, "pg_objectives": objectives,
                    "converged": converged}
-
-
-def mpc_gain_limit(model: KoopmanModel, cfg: MpcConfig) -> np.ndarray:
-    """The implicit linear feedback u0 = -G @ psi realized by the
-    unconstrained controller at zero reference."""
-    if cfg.constrained:
-        raise ValueError("gain extraction requires an unconstrained config")
-    solver = CondensedMpc(model, cfg)
-    return (solver._law @ solver.F)[:model.p]

@@ -1,9 +1,10 @@
 """Named verification oracles, runnable from the CLI and the test suite.
 
 Each oracle checks a recursion against an independent brute-force
-computation and returns its worst-case error. Two helpers the library never
-calls live here too: the matrix-inversion lemma (the estimator's covariance
-recursion is a rank-one case of it) and the filter's Riccati fixed point.
+computation and returns its worst-case error. Three helpers the library
+never calls live here too: the matrix-inversion lemma (the estimator's
+covariance recursion is a rank-one case of it), the filter's Riccati fixed
+point, and the linear feedback gain the unconstrained controller realizes.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from .edmd import KoopmanModel, collect_snapshots, fit
 from .errors import NotSquare, NumericalError
 from .matops import COND_LIMIT, _as_matrix
+from .mpc import CondensedMpc, MpcConfig
 from .observables import (
     identity_dictionary,
     monomial_dictionary,
@@ -76,6 +78,15 @@ def riccati_prior_fixed_point(model: KoopmanModel, output_row: np.ndarray,
             return P_new
         P = P_new
     return P
+
+
+def mpc_gain_limit(model: KoopmanModel, cfg: MpcConfig) -> np.ndarray:
+    """The implicit linear feedback u0 = -G @ psi realized by the
+    unconstrained controller at zero reference."""
+    if cfg.constrained:
+        raise ValueError("gain extraction requires an unconstrained config")
+    solver = CondensedMpc(model, cfg)
+    return (solver._law @ solver.F)[:model.p]
 
 
 def _random_system(rng):

@@ -78,6 +78,11 @@ class RedmdSettings:
             raise ValueError(
                 f"gamma_init must be 'data' or a positive float, got "
                 f"{self.gamma_init!r}")
+        if self.state_scales is not None:
+            self.state_scales = tuple(map(float, self.state_scales))
+            if not all(0 < v < math.inf for v in self.state_scales):
+                raise ValueError(f"state_scales must be finite and > 0, got "
+                                 f"{self.state_scales}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,10 @@ class RecursiveEstimator:
         self.trace_max = settings.trace_max_factor * float(np.trace(self.Gamma))
         scales = (np.ones(dictionary.n) if settings.state_scales is None
                   else np.asarray(settings.state_scales, dtype=float))
-        if scales.shape != (dictionary.n,) or (scales <= 0).any():
-            raise ValueError("state_scales must be positive, one per state")
+        if scales.shape != (dictionary.n,):
+            raise DimensionMismatch(
+                f"state_scales needs one entry per state ({dictionary.n}), "
+                f"got {scales.shape}")
         self._scales = scales
         # The gate window, oldest sample first: the last m_op states and
         # inputs, and the lifts of all but the newest state. The first full

@@ -15,10 +15,11 @@ from koopman_adapt.cli import cli_main
 from koopman_adapt.edmd import KoopmanModel, collect_snapshots
 from koopman_adapt.harness import default_config, generate_training_data
 from koopman_adapt.matops import pinv_full_row_rank
-from koopman_adapt.mpc import CondensedMpc, MpcConfig, mpc_gain_limit
+from koopman_adapt.mpc import CondensedMpc, MpcConfig
 from koopman_adapt.observables import identity_dictionary, trig_dictionary
 from koopman_adapt.observer import KalmanState, kf_correct, kf_predict
 from koopman_adapt.oracles import (
+    mpc_gain_limit,
     recursive_batch_max_error,
     riccati_prior_fixed_point,
     woodbury,

@@ -68,6 +68,20 @@ class TestExitCodes:
         assert cli_main(["simulate", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, old, new", [
+        ("simulate", "m_op = 5", "m_op = 5\nstate_scales = nan, 5.0"),
+        ("simulate", "m_op = 5", "m_op = 5\nstate_scales = -1.0, 5.0"),
+        ("simulate", "m_op = 5", "m_op = 5\nstate_scales = 1.0"),
+        ("compare", "speeds = 1.0, 2.0", "speeds = -1.0"),
+    ])
+    def test_bad_scale_or_speed_is_a_config_error(self, tmp_path, capsys,
+                                                  command, old, new):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_TEXT.replace(old, new))
+        out = str(tmp_path / "out.csv")
+        assert cli_main([command, str(path), "--out", out]) == 1
+        assert "configuration error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new", [
         ("horizon = 5", "horizon = 2.5"), ("substeps = 1", "substeps = 2.5"),
         ("m_op = 5", "m_op = 2.5"), ("seed = 3", "seed = 1.5"),

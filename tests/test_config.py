@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from koopman_adapt.config import assemble, dumps, loads
+from koopman_adapt.config import _KEYS, assemble, loads
 from koopman_adapt.errors import ConfigError
 from koopman_adapt.harness import default_config
 
@@ -41,15 +41,6 @@ class TestGrammar:
         assert cfg["plant"]["schedule"] == [(4.0, "m", 0.8), (4.5, "d", 0.12)]
         assert cfg["run"]["speeds"] == [1.5, 3.0]
 
-    def test_round_trip_bit_exact(self):
-        parsed = loads(SAMPLE)
-        assert loads(dumps(parsed)) == parsed
-
-    def test_round_trip_float_precision(self):
-        text = "[plant]\nm = 0.1234567890123456789\ndt = 1e-3\n"
-        parsed = loads(text)
-        assert loads(dumps(parsed)) == parsed
-
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError):
             loads("m = 0.4\n")
@@ -73,6 +64,58 @@ class TestGrammar:
     def test_quoted_strings(self):
         cfg = loads('[dict]\nfamily = "trig"\n')
         assert cfg["dict"]["family"] == "trig"
+
+    def test_values_parsed_by_their_key_kind(self):
+        cfg = loads("[plant]\nm = 1\nnoise_x = 0.001\n"
+                    "[redmd]\ngamma_init = 100\nstate_scales = 2.0\n"
+                    "[observer]\njoseph = FALSE\n")
+        assert cfg["plant"]["m"] == 1.0 and type(cfg["plant"]["m"]) is float
+        assert cfg["plant"]["noise_x"] == 0.001
+        assert cfg["redmd"] == {"gamma_init": 100.0, "state_scales": [2.0]}
+        assert cfg["observer"]["joseph"] is False
+
+    @pytest.mark.parametrize("text, where", [
+        ("[rocket]\nthrust = 9\n", r"line 1: unknown section \[rocket\]"),
+        ("[plant]\nm = 0.4\nmass = 0.4\n", r"line 3: \[plant\] mass"),
+    ])
+    def test_unknown_names_rejected_with_their_line(self, text, where):
+        with pytest.raises(ConfigError, match=where):
+            loads(text)
+
+    @pytest.mark.parametrize("section, setting", [
+        ("observer", "joseph = flase"),
+        ("observer", "relift_after_correct = no"),
+        ("redmd", "adaptive_lambda = 1"),
+        ("redmd", "lambda0 = true"),
+        ("plant", "m = true"),
+        ("plant", "schedule = (4.0, m, heavy)"),
+        ("plant", "schedule = (4.0, m, 0.8),"),
+        ("run", "speeds = 2.0,"),
+        ("redmd", "gamma_init = 'ones'"),
+        ("dict", "family ="),
+    ])
+    def test_mistyped_value_rejected_with_its_line(self, section, setting):
+        key = setting.split()[0]
+        with pytest.raises(ConfigError, match=rf"line 2: \[{section}\] {key}"):
+            loads(f"[{section}]\n{setting}\n")
+
+
+# Tokens of every kind the grammar knows, fed to every key.
+TOKENS = ("true", "2", "2.5", "nan", "abc", "1.0, 2.0", "(1.0, m, 2.0)")
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _KEYS.items() for key in keys])
+def test_any_value_assembles_or_is_a_config_error(section, key):
+    escaped = []
+    for token in TOKENS:
+        try:
+            assemble(loads(f"[{section}]\n{key} = {token}\n"))
+        except ConfigError:
+            pass
+        except Exception as exc:  # any other type escapes the config path
+            escaped.append(f"{token!r}: {type(exc).__name__}: {exc}")
+    assert not escaped
 
 
 class TestAssemble:
@@ -169,6 +212,26 @@ class TestAssemble:
     def test_bad_noise_x_rejected(self, noise_x):
         with pytest.raises(ConfigError, match="noise_x"):
             assemble(loads(f"[plant]\nnoise_x = {noise_x}\n"))
+
+    @pytest.mark.parametrize("scales", [
+        "nan, 5.0", "-1.0, 5.0", "0.0, 5.0", "inf, 5.0", "1.0",
+        "1.0, 2.0, 3.0"])
+    def test_bad_state_scales_rejected(self, scales):
+        with pytest.raises(ConfigError, match="state_scales"):
+            assemble(loads(f"[redmd]\nstate_scales = {scales}\n"))
+
+    @pytest.mark.parametrize("speeds", ["-1.0", "2.0, 0.0"])
+    def test_bad_speed_rejected(self, speeds):
+        with pytest.raises(ConfigError, match="speed"):
+            assemble(loads(f"[run]\nspeeds = {speeds}\n"))
+
+    def test_unknown_schedule_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="zz"):
+            assemble(loads("[plant]\nschedule = (4.0, zz, 1.0)\n"))
+
+    def test_scalar_noise_x_broadcasts(self):
+        cfg = assemble(loads("[plant]\nnoise_x = 0.001\n"))
+        np.testing.assert_array_equal(cfg.plant.noise_x_vector, [0.001, 0.001])
 
     def test_gamma_init_float_passthrough(self):
         cfg = assemble(loads("[redmd]\ngamma_init = 100\n"))

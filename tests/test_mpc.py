@@ -17,12 +17,12 @@ from koopman_adapt.mpc import (
     CondensedMpc,
     MpcConfig,
     build_prediction_matrices,
-    mpc_gain_limit,
 )
 from koopman_adapt.observables import (
     dictionary_from_functions,
     identity_dictionary,
 )
+from koopman_adapt.oracles import mpc_gain_limit
 
 
 def scalar_model(k=0.5, b=1.0):
