@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mpc import MpcConfig
-from .observables import ObservableDictionary, make_dictionary
+from .observables import ObservableDictionary
 from .observer import ObserverSettings
 from .plants import ChangeSchedule, PlantModel, apply_schedule, make_pendulum
 from .redmd import RedmdSettings
@@ -200,8 +200,8 @@ def assemble(sections: dict) -> ExperimentConfig:
     for time, _, _ in events:  # every parameter set the run will reach
         _build("plant", apply_schedule, plant, schedule, time)
 
-    dictionary = _build("dict", make_dictionary, n=plant.n,
-                        **{"family": "trig", **sections.get("dict", {})})
+    dictionary = _build("dict", ObservableDictionary, plant.n,
+                        **sections.get("dict", {}))
     if dictionary.output_index >= plant.n:
         raise ConfigError(
             "dict.output_index must address a state coordinate "

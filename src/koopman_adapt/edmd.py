@@ -41,7 +41,6 @@ class SnapshotSet:
     X: np.ndarray
     Xp: np.ndarray
     U: np.ndarray
-    dt: float = 1.0
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.Xp.ndim != 2 or self.U.ndim != 2:
@@ -71,7 +70,7 @@ class SnapshotSet:
         return self.X.shape[1]
 
 
-def collect_snapshots(trajectory: Sequence, dt: float = 1.0) -> SnapshotSet:
+def collect_snapshots(trajectory: Sequence) -> SnapshotSet:
     """Build a SnapshotSet from a sequence of (x_k, u_k) samples.
 
     The final input is unused (only M-1 transitions exist in M samples).
@@ -85,7 +84,7 @@ def collect_snapshots(trajectory: Sequence, dt: float = 1.0) -> SnapshotSet:
     Xp = np.column_stack(xs[1:])
     U = (np.column_stack(us[:-1]) if us[0].size
          else np.zeros((0, len(us) - 1)))
-    return SnapshotSet(X, Xp, U, dt)
+    return SnapshotSet(X, Xp, U)
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ class KoopmanModel:
     K: np.ndarray
     B: np.ndarray
     dictionary: ObservableDictionary
-    dt: float = 1.0
 
     def __post_init__(self):
         N = self.dictionary.size
@@ -151,6 +149,5 @@ def fit(snapshots: SnapshotSet, dictionary: ObservableDictionary,
                 f"(Gram condition estimate {cond:.3e}); add data or set a "
                 f"ridge term", cond=cond) from exc
     N = dictionary.size
-    return KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary,
-                        snapshots.dt)
+    return KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary)
 

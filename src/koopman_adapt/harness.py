@@ -90,7 +90,7 @@ def generate_training_data(cfg: ExperimentConfig) -> SnapshotSet:
         state = step_plant(plant, state, u)
     x_meas, _ = measure(plant, state, rng, cfg.dictionary.output_index)
     pairs.append((x_meas, np.zeros(plant.p)))
-    return collect_snapshots(pairs, dt=plant.dt)
+    return collect_snapshots(pairs)
 
 
 def prepare_estimator(cfg: ExperimentConfig) -> RecursiveEstimator:
@@ -224,8 +224,12 @@ class ComparisonResult:
 
 
 def _comparison_cells(cfg: ExperimentConfig):
+    # only the rest-to-rest reference reads its speed
+    reference = cfg.run.reference
+    speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
+              else (reference.speed,))
     for with_changes in (False, True):
-        for speed in cfg.run.speeds:
+        for speed in speeds:
             for variant in VARIANTS:
                 yield variant, with_changes, speed
 
@@ -251,7 +255,8 @@ def _run_cell(cfg: ExperimentConfig, estimator, variant: str,
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
-    """Run all variants x {no changes, changes} x reference speeds.
+    """Run all variants x {no changes, changes} x reference speeds (the
+    run's speeds for a rest-to-rest reference, else the reference's own).
 
     The offline fit is shared across cells (each gets a deep copy); cells
     run sequentially in a fixed order.

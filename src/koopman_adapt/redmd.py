@@ -115,7 +115,7 @@ class RecursiveEstimator:
 
     def __init__(self, theta0: np.ndarray, gamma0: np.ndarray,
                  dictionary: ObservableDictionary,
-                 settings: RedmdSettings | None = None, dt: float = 1.0):
+                 settings: RedmdSettings | None = None):
         settings = settings if settings is not None else RedmdSettings()
         N = dictionary.size
         theta0 = np.asarray(theta0, dtype=float)
@@ -129,7 +129,6 @@ class RecursiveEstimator:
                 f"gamma0 must be ({q}, {q}), got {gamma0.shape}")
         self.dictionary = dictionary
         self.settings = settings
-        self.dt = dt
         self.theta = theta0.copy()
         self.Gamma = (gamma0 + gamma0.T) / 2.0
         self.lam = settings.lambda0
@@ -144,9 +143,8 @@ class RecursiveEstimator:
                 f"got {scales.shape}")
         self._scales = scales
         # The gate window, oldest sample first: the last m_op states and
-        # inputs, and the lifts of all but the newest state. The first full
-        # step fills the lifts by the full recompute; later steps shift in
-        # the lift that the previous step's regressor already holds.
+        # inputs, and the lifts of all but the newest state. Each step
+        # shifts in the lift that the previous step's regressor holds.
         m = settings.m_op
         self._count = 0
         self._x_win = np.zeros((dictionary.n, m))
@@ -176,8 +174,7 @@ class RecursiveEstimator:
     @property
     def model(self) -> KoopmanModel:
         """A by-value snapshot of the current model."""
-        return KoopmanModel(self.K.copy(), self.B.copy(), self.dictionary,
-                            self.dt)
+        return KoopmanModel(self.K.copy(), self.B.copy(), self.dictionary)
 
     def regressor(self, x, u=None) -> np.ndarray:
         """The stacked vector [lift(x); u]."""
@@ -194,20 +191,17 @@ class RecursiveEstimator:
         """Max scaled one-step prediction error over the sample window.
 
         Returns +inf while the window holds fewer than m_op samples
-        (warm-up sentinel). Each prediction lifts the measured state: this
-        is the full recompute, which also refills the lifted window that
-        step() then extends one sample at a time.
+        (warm-up sentinel). This is the full recompute, which re-lifts every
+        state; step() instead keeps the lifted window one sample at a time.
         """
         if self._count < self.settings.m_op:
             return math.inf
-        self._psi_win[:] = self.dictionary.lift_batch(self._x_win[:, :-1])
-        return self._window_error()
+        return self._window_error(self.dictionary.lift_batch(self._x_win[:, :-1]))
 
-    def _window_error(self) -> float:
-        """The window error from the lifted window, with the full
-        recompute's operations on arrays of the same shapes and layouts, so
-        both give the same bits."""
-        pred = self.K @ self._psi_win
+    def _window_error(self, psi_win: np.ndarray) -> float:
+        """The window error over the lifted window psi_win, with the same
+        operations whether step() kept it or the full recompute made it."""
+        pred = self.K @ psi_win
         if self.p:
             pred = pred + self.B @ self._u_win[:, :-1]
         err = ((self._x_win[:, 1:] - pred[: self.dictionary.n])
@@ -246,20 +240,14 @@ class RecursiveEstimator:
         psi_next = self.dictionary.lift(np.asarray(x_next, dtype=float))
         if not (np.isfinite(phi).all() and np.isfinite(psi_next).all()):
             raise NonFiniteState("estimator sample contains NaN or Inf")
-        for win, column in ((self._x_win, x), (self._u_win, phi[N:])):
+        for win, column in ((self._x_win, x), (self._u_win, phi[N:]),
+                            (self._psi_win, self._psi_newest)):
             win[:, :-1] = win[:, 1:]
             win[:, -1] = column
+        self._psi_newest[:] = phi[:N]
         self._count += 1
         warm_up = self._count < s.m_op
-        if warm_up:
-            window_error = math.inf
-        elif self._count == s.m_op:
-            window_error = self.prediction_error_window()
-        else:
-            self._psi_win[:, :-1] = self._psi_win[:, 1:]
-            self._psi_win[:, -1] = self._psi_newest
-            window_error = self._window_error()
-        self._psi_newest[:] = phi[:N]
+        window_error = math.inf if warm_up else self._window_error(self._psi_win)
         do_update = warm_up or window_error >= s.eps_low
         e_post = math.nan
         if do_update:
@@ -318,8 +306,7 @@ def init_from_batch(snapshots: SnapshotSet, dictionary: ObservableDictionary,
             raise
         KB = dictionary.lift_batch(snapshots.Xp) @ pinv_svd(G)
         N = dictionary.size
-        model = KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary,
-                             snapshots.dt)
+        model = KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary)
     theta0 = np.hstack([model.K, model.B])
     if diagonal_init:
         gamma0 = float(settings.gamma_init) * np.eye(G.shape[0])
@@ -332,5 +319,4 @@ def init_from_batch(snapshots: SnapshotSet, dictionary: ObservableDictionary,
                 f"{COND_LIMIT:.1e}; request diagonal init or add data",
                 cond=cond)
         gamma0 = np.linalg.inv(gram)
-    return RecursiveEstimator(theta0, gamma0, dictionary, settings,
-                              dt=snapshots.dt)
+    return RecursiveEstimator(theta0, gamma0, dictionary, settings)

@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from koopman_adapt.observables import ObservableDictionary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,3 +22,25 @@ def perfbench():
         spec.loader.exec_module(module)
         return module
     return load
+
+
+class FunctionDictionary:
+    """Test fake: a lifting dictionary over n states whose observables are
+    explicit callables, each taking an (n, M) state batch and broadcasting
+    over M; the first n must be the coordinate maps x[i]. It borrows the
+    library dictionary's lift paths, shape checks and projections; only
+    its rows differ."""
+
+    lift = ObservableDictionary.lift
+    lift_batch = ObservableDictionary.lift_batch
+    project_state = ObservableDictionary.project_state
+    output_projection = ObservableDictionary.output_projection
+
+    def __init__(self, n, funcs, output_index=0):
+        self.n, self.funcs, self.output_index = n, tuple(funcs), output_index
+        self.size = len(self.funcs)
+
+    def _lift(self, X):
+        return np.stack([np.broadcast_to(f(X), (X.shape[1],))
+                         for f in self.funcs]).astype(float)
+

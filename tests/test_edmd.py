@@ -8,10 +8,9 @@ from koopman_adapt.errors import (
     RankDeficientRegressor,
     TooFewSamples,
 )
-from koopman_adapt.observables import (
-    dictionary_from_functions,
-    identity_dictionary,
-)
+from koopman_adapt.observables import identity_dictionary
+
+from conftest import FunctionDictionary
 
 
 def scalar_decay_trajectory(k_true=0.9, x0=1.0, steps=50):
@@ -24,9 +23,8 @@ def scalar_decay_trajectory(k_true=0.9, x0=1.0, steps=50):
 @pytest.fixture
 def invariant_subspace_dict():
     """[x1, x2, x1^2] is invariant for x1' = a x1, x2' = b x2 + c x1^2."""
-    return dictionary_from_functions(
-        2, [lambda x: x[0], lambda x: x[1], lambda x: x[0] ** 2],
-        names=("x1", "x2", "x1^2"))
+    return FunctionDictionary(
+        2, [lambda x: x[0], lambda x: x[1], lambda x: x[0] ** 2])
 
 
 def invariant_subspace_data(a=0.9, b=0.5, c=0.4, n_traj=6, steps=15, seed=0):
@@ -113,7 +111,7 @@ class TestFit:
         rng = np.random.default_rng(17)
         perm = rng.permutation(snapshots.num_pairs)
         shuffled = type(snapshots)(snapshots.X[:, perm], snapshots.Xp[:, perm],
-                                   snapshots.U[:, perm], snapshots.dt)
+                                   snapshots.U[:, perm])
         m1 = fit(snapshots, invariant_subspace_dict)
         m2 = fit(shuffled, invariant_subspace_dict)
         np.testing.assert_allclose(m1.K, m2.K, atol=1e-9)
@@ -124,7 +122,7 @@ class TestFit:
         # make the data non-exact so the residual is nonzero
         noisy = type(snapshots)(
             snapshots.X, snapshots.Xp + 1e-3 * np.sin(snapshots.Xp),
-            snapshots.U, snapshots.dt)
+            snapshots.U)
         model = fit(noisy, invariant_subspace_dict)
         d = invariant_subspace_dict
         G = np.vstack([d.lift_batch(noisy.X), noisy.U])

@@ -260,6 +260,19 @@ class TestComparison:
         assert len(comparison.cells) == 16
         assert all(c.ok for c in comparison.cells)
 
+    @pytest.mark.parametrize("kind", ["sinusoid", "hold"])
+    def test_speed_columns_only_for_rest_to_rest(self, tiny_cfg, kind):
+        """Only the rest-to-rest reference reads its speed: any other
+        reference runs one column, at its own speed, whatever the run's
+        speeds."""
+        cfg = replace(tiny_cfg, run=replace(
+            tiny_cfg.run, speeds=(1.0, 2.0),
+            reference=replace(tiny_cfg.run.reference, kind=kind, speed=1.5)))
+        comparison = run_comparison(cfg)
+        assert len(comparison.cells) == 8
+        assert {c.speed for c in comparison.cells} == {1.5}
+        assert all(c.ok for c in comparison.cells)
+
     def test_scaled_scenario_preserves_ordering(self):
         """Scaling the stroke amplitude leaves the four-variant ordering
         of the with-changes cells unchanged."""

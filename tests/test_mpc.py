@@ -18,11 +18,10 @@ from koopman_adapt.mpc import (
     MpcConfig,
     build_prediction_matrices,
 )
-from koopman_adapt.observables import (
-    dictionary_from_functions,
-    identity_dictionary,
-)
+from koopman_adapt.observables import identity_dictionary
 from koopman_adapt.oracles import mpc_gain_limit
+
+from conftest import FunctionDictionary
 
 
 def scalar_model(k=0.5, b=1.0):
@@ -136,7 +135,7 @@ def random_problem(seed, n, extra, p, horizon):
     rng = np.random.default_rng(seed)
     funcs = [lambda x, i=i: x[i] for i in range(n)]
     funcs += [lambda x, k=k: np.tanh((k + 1) * x[0]) for k in range(extra)]
-    d = dictionary_from_functions(n, funcs)
+    d = FunctionDictionary(n, funcs)
     N = d.size
     K = rng.standard_normal((N, N))
     K *= rng.uniform(0.3, 1.1) / max(np.abs(np.linalg.eigvals(K)).max(),

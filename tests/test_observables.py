@@ -1,37 +1,81 @@
 """Tests for lifting dictionaries and projections."""
 
+from itertools import combinations_with_replacement
+
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from koopman_adapt.errors import DimensionMismatch
 from koopman_adapt.observables import (
-    dictionary_from_functions,
+    ObservableDictionary,
     identity_dictionary,
-    make_dictionary,
     monomial_dictionary,
     trig_dictionary,
 )
 
+FAMILIES = [identity_dictionary(2), trig_dictionary(2),
+            monomial_dictionary(2, 3)]
 
-@pytest.fixture
-def sin_product_dict():
-    """The dictionary [x1, x2, sin(x1), x1*x2]."""
-    return dictionary_from_functions(
-        2,
-        [lambda x: x[0], lambda x: x[1],
-         lambda x: np.sin(x[0]), lambda x: x[0] * x[1]],
-        names=("x1", "x2", "sin(x1)", "x1*x2"),
-    )
+
+def callable_observables(family, n, degree):
+    """The dictionary rows as one callable per observable, written the way
+    the dictionary held them before its lifts became closed forms: each
+    indexes the state as x[i] and broadcasts over a trailing sample axis."""
+    funcs = [lambda x, i=i: x[i] for i in range(n)]
+    if family == "trig":
+        for i in range(n):
+            funcs.append(lambda x, i=i: np.sin(x[i]))
+            funcs.append(lambda x, i=i: np.cos(x[i]))
+    elif family == "monomial":
+        for deg in range(2, degree + 1):
+            for idx in combinations_with_replacement(range(n), deg):
+                funcs.append(lambda x, idx=idx: np.prod(x[list(idx)], axis=0))
+    return funcs
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       family=st.sampled_from(["identity", "trig", "monomial"]),
+       degree=st.integers(1, 4), M=st.integers(1, 60))
+def test_closed_forms_equal_the_callables_bit_for_bit(seed, n, family, degree,
+                                                      M):
+    """lift and lift_batch give exactly the bits of evaluating the callables
+    one at a time, on a single state and stacked over a batch, for states of
+    magnitude 1e-3 to 1e4; the first n rows are the states themselves."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n, M)) * 10.0 ** rng.uniform(-3.0, 4.0, (n, M))
+    d = ObservableDictionary(n, family, degree)
+    funcs = callable_observables(family, n, degree)
+    assert d.size == len(funcs)
+    batch = d.lift_batch(X)
+    assert same_bits(batch, np.stack([np.broadcast_to(f(X), (M,))
+                                      for f in funcs]).astype(float))
+    assert same_bits(batch[:n], X)
+    # the gate window lifts a slice of a wider array
+    assert same_bits(d.lift_batch(np.hstack([X, X[:, :1]])[:, :-1]), batch)
+    for j in range(M):
+        psi = d.lift(X[:, j])
+        assert same_bits(psi, np.array([f(X[:, j]) for f in funcs],
+                                       dtype=float))
+        assert same_bits(psi, batch[:, j])
 
 
 class TestLift:
-    def test_at_origin(self, sin_product_dict):
+    def test_at_origin(self):
         np.testing.assert_array_equal(
-            sin_product_dict.lift(np.zeros(2)), np.zeros(4))
+            monomial_dictionary(2, 2).lift(np.zeros(2)), np.zeros(5))
 
-    def test_analytic_point(self, sin_product_dict):
-        psi = sin_product_dict.lift(np.array([np.pi / 2, 1.0]))
-        np.testing.assert_allclose(psi, [np.pi / 2, 1.0, 1.0, np.pi / 2])
+    def test_analytic_point(self):
+        psi = trig_dictionary(2).lift(np.array([np.pi / 2, 0.0]))
+        np.testing.assert_allclose(psi, [np.pi / 2, 0.0, 1.0, 0.0, 0.0, 1.0],
+                                   atol=1e-15)
 
     def test_identity_dictionary_is_identity(self):
         d = identity_dictionary(3)
@@ -39,31 +83,31 @@ class TestLift:
         x = rng.standard_normal(3)
         np.testing.assert_array_equal(d.lift(x), x)
 
-    def test_deterministic_bitwise(self, sin_product_dict):
+    def test_deterministic_bitwise(self):
         x = np.array([0.31, -2.7])
-        a = sin_product_dict.lift(x)
-        b = sin_product_dict.lift(x)
-        assert (a == b).all()
+        for d in FAMILIES:
+            assert same_bits(d.lift(x), d.lift(x))
 
-    def test_dimension_mismatch(self, sin_product_dict):
-        with pytest.raises(DimensionMismatch):
-            sin_product_dict.lift(np.zeros(3))
+    def test_dimension_mismatch(self):
+        for d in FAMILIES:
+            for bad in (np.zeros(3), np.zeros((2, 1))):
+                with pytest.raises(DimensionMismatch):
+                    d.lift(bad)
 
 
 class TestLiftBatch:
-    def test_single_column_reduces_to_lift(self, sin_product_dict):
+    def test_single_column_reduces_to_lift(self):
         x = np.array([0.4, 1.2])
-        np.testing.assert_array_equal(
-            sin_product_dict.lift_batch(x[:, None])[:, 0],
-            sin_product_dict.lift(x))
+        for d in FAMILIES:
+            assert same_bits(d.lift_batch(x[:, None])[:, 0], d.lift(x))
 
-    def test_column_permutation(self, sin_product_dict):
+    def test_column_permutation(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((2, 6))
         perm = rng.permutation(6)
-        np.testing.assert_array_equal(
-            sin_product_dict.lift_batch(X[:, perm]),
-            sin_product_dict.lift_batch(X)[:, perm])
+        for d in FAMILIES:
+            np.testing.assert_array_equal(d.lift_batch(X[:, perm]),
+                                          d.lift_batch(X)[:, perm])
 
     def test_identity_dictionary_passthrough(self):
         d = identity_dictionary(2)
@@ -71,17 +115,19 @@ class TestLiftBatch:
         X = rng.standard_normal((2, 5))
         np.testing.assert_array_equal(d.lift_batch(X), X)
 
-    def test_shape_check(self, sin_product_dict):
-        with pytest.raises(DimensionMismatch):
-            sin_product_dict.lift_batch(np.zeros((3, 4)))
+    def test_shape_check(self):
+        for d in FAMILIES:
+            for bad in (np.zeros((3, 4)), np.zeros(2), np.zeros((2, 2, 2))):
+                with pytest.raises(DimensionMismatch):
+                    d.lift_batch(bad)
 
 
 class TestProjections:
-    def test_state_round_trip(self, sin_product_dict):
+    def test_state_round_trip(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(2)
-        np.testing.assert_array_equal(
-            sin_product_dict.project_state(sin_product_dict.lift(x)), x)
+        for d in FAMILIES:
+            np.testing.assert_array_equal(d.project_state(d.lift(x)), x)
 
     def test_identity_case(self):
         d = identity_dictionary(3)
@@ -89,21 +135,22 @@ class TestProjections:
         np.testing.assert_array_equal(d.project_state(psi), psi)
 
     def test_truncation(self):
-        d = dictionary_from_functions(
-            2, [lambda x: x[0], lambda x: x[1],
-                lambda x: x[0] ** 2, lambda x: x[1] ** 2])
+        d = monomial_dictionary(2, 2)
         np.testing.assert_array_equal(
-            d.project_state(np.array([1.0, 2.0, 3.0, 4.0])), [1.0, 2.0])
+            d.project_state(np.array([1.0, 2.0, 3.0, 4.0, 5.0])), [1.0, 2.0])
 
-    def test_output_first_coordinate(self, sin_product_dict):
-        psi = sin_product_dict.lift(np.array([3.0, -1.0]))
-        assert sin_product_dict.output_projection() @ psi == 3.0
+    def test_project_state_shape_check(self):
+        with pytest.raises(DimensionMismatch):
+            trig_dictionary(2).project_state(np.zeros(5))
+
+    def test_output_first_coordinate(self):
+        d = trig_dictionary(2)
+        assert d.output_projection() @ d.lift(np.array([3.0, -1.0])) == 3.0
 
     def test_output_arbitrary_index(self):
-        d = dictionary_from_functions(
-            2, [lambda x: x[0], lambda x: x[1], lambda x: x[0] * x[1]],
-            output_index=1)
-        assert d.output_projection() @ np.array([5.0, 7.0, 9.0]) == 7.0
+        d = monomial_dictionary(2, 2, output_index=1)
+        assert d.output_projection() @ np.array([5.0, 7.0, 9.0, 1.0, 2.0]) \
+            == 7.0
 
     def test_output_matches_state_coordinate(self):
         d = trig_dictionary(2, output_index=1)
@@ -111,9 +158,9 @@ class TestProjections:
         x = rng.standard_normal(2)
         assert d.output_projection() @ d.lift(x) == x[1]
 
-    def test_projection_matrices(self, sin_product_dict):
-        row = sin_product_dict.output_projection()
-        np.testing.assert_array_equal(row, [1, 0, 0, 0])
+    def test_projection_matrices(self):
+        row = trig_dictionary(2).output_projection()
+        np.testing.assert_array_equal(row, [1, 0, 0, 0, 0, 0])
 
 
 class TestFamilies:
@@ -134,22 +181,25 @@ class TestFamilies:
         np.testing.assert_allclose(
             d.lift(np.array([2.0, 3.0])), [2.0, 3.0, 4.0, 6.0, 9.0])
 
-    def test_monomial_names(self):
+    def test_monomial_row_order(self):
+        # x1, x2, then x1^2, x1*x2, x2^2, then x1^3, x1^2*x2, x1*x2^2, x2^3
         d = monomial_dictionary(2, 3)
-        assert "x1^2" in d.names and "x1*x2" in d.names and "x1^2*x2" in d.names
+        np.testing.assert_array_equal(
+            d.lift(np.array([2.0, 3.0])),
+            [2.0, 3.0, 4.0, 6.0, 9.0, 8.0, 12.0, 18.0, 27.0])
 
-    def test_make_dictionary_dispatch(self):
-        assert make_dictionary("identity", 2).family == "identity"
-        assert make_dictionary("trig", 2).family == "trig"
-        assert make_dictionary("monomial", 2, degree=3).size == 2 + 3 + 4
-        with pytest.raises(ValueError):
-            make_dictionary("fourier", 2)
-
-    def test_identity_prefix_enforced(self):
-        with pytest.raises(ValueError):
-            dictionary_from_functions(
-                2, [lambda x: x[1], lambda x: x[0], lambda x: x[0] ** 2])
+    def test_family_dispatch(self):
+        assert ObservableDictionary(2, "identity").size == 2
+        assert ObservableDictionary(2).size == 6  # trig is the default
+        assert ObservableDictionary(2, "monomial", 3).size == 2 + 3 + 4
+        assert ObservableDictionary(3, "monomial", 1).size == 3
+        for args in ((2, "fourier"), (0, "trig"), (2, "monomial", 0),
+                     (2, "trig", 0)):
+            with pytest.raises(ValueError):
+                ObservableDictionary(*args)
 
     def test_output_index_range(self):
         with pytest.raises(ValueError):
             identity_dictionary(2, output_index=5)
+        with pytest.raises(ValueError):
+            trig_dictionary(2, output_index=-1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from koopman_adapt.edmd import collect_snapshots, fit
 from koopman_adapt.errors import CovarianceNotPD, NonFiniteState
-from koopman_adapt.observables import identity_dictionary, make_dictionary
+from koopman_adapt.observables import ObservableDictionary, identity_dictionary
 from koopman_adapt.redmd import (
     RecursiveEstimator,
     RedmdSettings,
@@ -493,7 +493,7 @@ def test_incremental_window_equals_full_recompute(seed, n, p, family, degree,
     full step, gate openings, closed-gate runs and trace-bound hits, with
     zero to two inputs and lifted sizes from 1 to 19."""
     rng = np.random.default_rng(seed)
-    d = make_dictionary(family, n, degree)
+    d = ObservableDictionary(n, family, degree)
     s = RedmdSettings(lambda_min=0.9, m_op=m_op, eps_low=eps_low,
                       eps_high=max(eps_low, 0.05), n0=10.0,
                       trace_max_factor=trace_max_factor,
@@ -511,21 +511,28 @@ def test_incremental_window_equals_full_recompute(seed, n, p, family, degree,
         assert report.window_error == ref.prediction_error_window()
         if est._count >= m_op:
             # the lifted window step() keeps equals a fresh lift of the states
-            np.testing.assert_array_equal(est._psi_win, ref._psi_win)
+            np.testing.assert_array_equal(est._psi_win,
+                                          d.lift_batch(est._x_win[:, :-1]))
 
 
 @pytest.mark.parametrize("eps_low", [0.0, np.inf])
-def test_full_window_recompute_once(monkeypatch, eps_low):
-    """The full window recompute (which re-lifts every state) runs once, at
-    the first full step; later steps, gate open or closed, lift only the
-    newest sample."""
+def test_step_never_relifts_the_window(monkeypatch, eps_low):
+    """step() lifts only the newest sample, gate open or closed: from the
+    first sample on it calls neither the full window recompute nor the batch
+    lift. The full recompute only reads the estimator."""
     calls = []
-    full = RecursiveEstimator.prediction_error_window
-    monkeypatch.setattr(RecursiveEstimator, "prediction_error_window",
-                        lambda self: calls.append(1) or full(self))
+    for owner, name in ((RecursiveEstimator, "prediction_error_window"),
+                        (ObservableDictionary, "lift_batch")):
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
     s = RedmdSettings(m_op=5, eps_low=eps_low, eps_high=np.inf)
     est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
                              identity_dictionary(2), s)
     for x, u, x_next in rls_stream(np.random.default_rng(8), steps=30):
         est.step(x, u, x_next)
-    assert len(calls) == 1
+    assert calls == []
+    before = copy.deepcopy(vars(est))
+    assert math.isfinite(est.prediction_error_window())
+    np.testing.assert_equal(vars(est), before)
