@@ -2,8 +2,9 @@
 
 Subcommands:
     simulate <config>  one closed-loop run; writes the trace CSV
-    compare <config>   four-variant sweep; writes the summary CSV and
-                       prints the comparison table
+    compare <config>   four-variant sweep (the with-changes half only when
+                       the config has a schedule); writes the summary CSV
+                       and prints the comparison table
     oracle <name>      run a named verification oracle
 
 ``<config>`` is a config file path or the literal ``default-config`` for

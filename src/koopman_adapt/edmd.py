@@ -12,12 +12,14 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteState,
     RankDeficientRegressor,
-    SingularGram,
     TooFewSamples,
 )
-from .matops import pinv_full_row_rank
 from .observables import ObservableDictionary
+
+# Gram condition estimate beyond which a regressor counts as rank deficient.
+COND_LIMIT = 1e12
 
 
 def _as_input(u, p: int | None = None) -> np.ndarray:
@@ -115,19 +117,44 @@ class KoopmanModel:
         return self.B.shape[1]
 
 
-def fit(snapshots: SnapshotSet, dictionary: ObservableDictionary,
-        ridge: float = 0.0) -> KoopmanModel:
+def pinv_full_row_rank(A) -> np.ndarray:
+    """Pseudo-inverse of a full-row-rank matrix, A+ = A.T @ inv(A @ A.T).
+
+    Raises
+    ------
+    NonFiniteState
+        If A has a NaN or Inf entry (an overflowing lift, for instance).
+    RankDeficientRegressor
+        If the condition estimate of ``A @ A.T`` exceeds ``COND_LIMIT``;
+        the estimate is carried as ``cond``.
+    """
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise NonFiniteState("regressor contains NaN or Inf entries")
+    gram = A @ A.T
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise RankDeficientRegressor(
+            f"regressor is rank deficient (Gram condition estimate "
+            f"{cond:.3e} exceeds {COND_LIMIT:.1e}); add data or excitation",
+            cond=cond)
+    # gram is symmetric, so solve(gram, A).T == A.T @ inv(gram)
+    return np.linalg.solve(gram, A).T
+
+
+def fit(snapshots: SnapshotSet,
+        dictionary: ObservableDictionary) -> KoopmanModel:
     """Least-squares fit of (K, B) on lifted snapshots.
 
     Solves ``[K, B] = lift(Xp) @ pinv([lift(X); U])`` using the
-    full-row-rank pseudo-inverse. With ``ridge > 0`` the Gram matrix is
-    regularized instead and the rank requirement is waived.
+    full-row-rank pseudo-inverse.
 
     Raises
     ------
     RankDeficientRegressor
-        If the stacked regressor is not (numerically) full row rank and no
-        ridge was requested.
+        If the stacked regressor is not (numerically) full row rank.
+    NonFiniteState
+        If the stacked regressor has a NaN or Inf entry.
     """
     if snapshots.n != dictionary.n:
         raise DimensionMismatch(
@@ -136,18 +163,6 @@ def fit(snapshots: SnapshotSet, dictionary: ObservableDictionary,
     PsiX = dictionary.lift_batch(snapshots.X)
     PsiXp = dictionary.lift_batch(snapshots.Xp)
     G = np.vstack([PsiX, snapshots.U])
-    if ridge > 0.0:
-        gram = G @ G.T + ridge * np.eye(G.shape[0])
-        KB = np.linalg.solve(gram, G @ PsiXp.T).T
-    else:
-        try:
-            KB = PsiXp @ pinv_full_row_rank(G)
-        except SingularGram as exc:
-            cond = np.linalg.cond(G @ G.T)
-            raise RankDeficientRegressor(
-                f"stacked regressor [lift(X); U] is rank deficient "
-                f"(Gram condition estimate {cond:.3e}); add data or set a "
-                f"ridge term", cond=cond) from exc
+    KB = PsiXp @ pinv_full_row_rank(G)
     N = dictionary.size
     return KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary)
-

@@ -38,10 +38,6 @@ class NumericalError(KoopmanAdaptError):
     """Base class for numerical breakdowns; the harness aborts the run."""
 
 
-class SingularGram(NumericalError):
-    """A @ A.T is too ill-conditioned for the full-row-rank pseudo-inverse."""
-
-
 class RankDeficientRegressor(NumericalError):
     """The stacked regressor lacks full row rank (insufficient excitation)."""
 
@@ -55,8 +51,9 @@ class CovarianceNotPD(NumericalError):
 
 
 class NonFiniteState(NumericalError):
-    """A state went non-finite: plant integration produced NaN or Inf, or
-    the estimator was fed a sample containing one."""
+    """A state went non-finite: plant integration produced NaN or Inf, the
+    estimator was fed a sample containing one, or a lifted regressor
+    overflowed."""
 
 
 class IllConditionedHessian(NumericalError):

@@ -8,9 +8,9 @@ predict the observer forward. The estimator always runs; the adaptivity
 variant only decides which consumers receive its model updates.
 
 The comparison sweep mirrors the four-variant adaptivity study: every
-variant runs with and without the change schedule at each configured
-reference speed, reporting the cumulated quadratic tracking error
-normalized by the reference energy.
+variant runs without and, when the config has one, with the change schedule
+at each configured reference speed, reporting the cumulated quadratic
+tracking error normalized by the reference energy.
 """
 
 import copy
@@ -224,11 +224,13 @@ class ComparisonResult:
 
 
 def _comparison_cells(cfg: ExperimentConfig):
-    # only the rest-to-rest reference reads its speed
+    # only the rest-to-rest reference reads its speed; without a schedule
+    # the with-changes half would repeat the nominal one
     reference = cfg.run.reference
     speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
               else (reference.speed,))
-    for with_changes in (False, True):
+    halves = (False, True) if cfg.schedule.events else (False,)
+    for with_changes in halves:
         for speed in speeds:
             for variant in VARIANTS:
                 yield variant, with_changes, speed
@@ -256,7 +258,8 @@ def _run_cell(cfg: ExperimentConfig, estimator, variant: str,
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     """Run all variants x {no changes, changes} x reference speeds (the
-    run's speeds for a rest-to-rest reference, else the reference's own).
+    run's speeds for a rest-to-rest reference, else the reference's own);
+    the with-changes half runs only when the config has a schedule.
 
     The offline fit is shared across cells (each gets a deep copy); cells
     run sequentially in a fixed order.
@@ -317,8 +320,8 @@ def write_summary_csv(path, comparison: ComparisonResult) -> None:
 
 def format_comparison_table(comparison: ComparisonResult) -> str:
     """Human-readable table: variants as rows, scenario columns."""
-    speeds = sorted({c.speed for c in comparison.cells})
-    cols = [(wc, s) for wc in (False, True) for s in speeds]
+    cells = {(c.variant, c.with_changes, c.speed): c for c in comparison.cells}
+    cols = sorted({(wc, s) for _, wc, s in cells})
     head = ["variant".ljust(16)]
     for wc, s in cols:
         tag = "chg" if wc else "nom"
@@ -327,7 +330,7 @@ def format_comparison_table(comparison: ComparisonResult) -> str:
     for variant in VARIANTS:
         row = [variant.ljust(16)]
         for wc, s in cols:
-            cell = comparison.get(variant, wc, s)
+            cell = cells[variant, wc, s]
             row.append((f"{cell.normalized_error:.4e}" if cell.ok
                         else "failed").rjust(12))
         lines.append("  ".join(row))

@@ -9,9 +9,8 @@ point, and the linear feedback gain the unconstrained controller realizes.
 
 import numpy as np
 
-from .edmd import KoopmanModel, collect_snapshots, fit
+from .edmd import COND_LIMIT, KoopmanModel, collect_snapshots, fit
 from .errors import NotSquare, NumericalError
-from .matops import COND_LIMIT, _as_matrix
 from .mpc import CondensedMpc, MpcConfig
 from .observables import (
     identity_dictionary,
@@ -25,7 +24,17 @@ class SingularInner(NumericalError):
     """The inner matrix of the inversion lemma is numerically singular."""
 
 
-def _require_square(A, name: str = "A") -> np.ndarray:
+def _as_matrix(A, name: str) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError(f"{name} must be a 2-D matrix with at least one row "
+                         f"and column, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return A
+
+
+def _require_square(A, name: str) -> np.ndarray:
     A = _as_matrix(A, name)
     if A.shape[0] != A.shape[1]:
         raise NotSquare(f"{name} must be square, got shape {A.shape}")

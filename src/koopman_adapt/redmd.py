@@ -22,7 +22,6 @@ from .errors import (
     NonFiniteState,
     RankDeficientRegressor,
 )
-from .matops import COND_LIMIT, pinv_svd
 from .observables import ObservableDictionary
 
 # Lower bound on the windowed output-error variance, keeping Sigma0 > 0.
@@ -142,16 +141,12 @@ class RecursiveEstimator:
                 f"state_scales needs one entry per state ({dictionary.n}), "
                 f"got {scales.shape}")
         self._scales = scales
-        # The gate window, oldest sample first: the last m_op states and
-        # inputs, and the lifts of all but the newest state. Each step
-        # shifts in the lift that the previous step's regressor holds.
-        m = settings.m_op
+        # The gate window, oldest sample first: the regressors [lift(x); u]
+        # of the last m_op samples. Its first n rows are the states, since
+        # every dictionary starts with the coordinate maps.
         self._count = 0
-        self._x_win = np.zeros((dictionary.n, m))
-        self._u_win = np.zeros((q - N, m))
-        self._psi_win = np.zeros((N, m - 1))
-        self._psi_newest = np.zeros(N)
-        self._err_buf: deque = deque(maxlen=m)
+        self._phi_win = np.zeros((q, settings.m_op))
+        self._err_buf: deque = deque(maxlen=settings.m_op)
 
     # -- views ------------------------------------------------------------
 
@@ -192,20 +187,23 @@ class RecursiveEstimator:
 
         Returns +inf while the window holds fewer than m_op samples
         (warm-up sentinel). This is the full recompute, which re-lifts every
-        state; step() instead keeps the lifted window one sample at a time.
+        state; step() instead reads the lifts the window keeps.
         """
         if self._count < self.settings.m_op:
             return math.inf
-        return self._window_error(self.dictionary.lift_batch(self._x_win[:, :-1]))
+        n = self.dictionary.n
+        return self._window_error(
+            self.dictionary.lift_batch(self._phi_win[:n, :-1]))
 
     def _window_error(self, psi_win: np.ndarray) -> float:
-        """The window error over the lifted window psi_win, with the same
-        operations whether step() kept it or the full recompute made it."""
+        """The window error of predicting each state from its predecessor's
+        lift (a column of psi_win) and input, with the same operations
+        whether the window kept psi_win or the full recompute made it."""
+        N, n = self.size, self.dictionary.n
         pred = self.K @ psi_win
         if self.p:
-            pred = pred + self.B @ self._u_win[:, :-1]
-        err = ((self._x_win[:, 1:] - pred[: self.dictionary.n])
-               / self._scales[:, None])
+            pred = pred + self.B @ self._phi_win[N:, :-1]
+        err = (self._phi_win[:n, 1:] - pred[:n]) / self._scales[:, None]
         return float(np.abs(err).max())
 
     def _set_lambda(self, phi_gamma, e_post, sigma_boost) -> None:
@@ -235,19 +233,17 @@ class RecursiveEstimator:
         together only once both candidates are finite.
         """
         s = self.settings
-        N = self.size
         phi = self.regressor(x, u)
         psi_next = self.dictionary.lift(np.asarray(x_next, dtype=float))
         if not (np.isfinite(phi).all() and np.isfinite(psi_next).all()):
             raise NonFiniteState("estimator sample contains NaN or Inf")
-        for win, column in ((self._x_win, x), (self._u_win, phi[N:]),
-                            (self._psi_win, self._psi_newest)):
-            win[:, :-1] = win[:, 1:]
-            win[:, -1] = column
-        self._psi_newest[:] = phi[:N]
+        win = self._phi_win
+        win[:, :-1] = win[:, 1:]
+        win[:, -1] = phi
         self._count += 1
         warm_up = self._count < s.m_op
-        window_error = math.inf if warm_up else self._window_error(self._psi_win)
+        window_error = (math.inf if warm_up
+                        else self._window_error(win[: self.size, :-1]))
         do_update = warm_up or window_error >= s.eps_low
         e_post = math.nan
         if do_update:
@@ -291,32 +287,25 @@ def init_from_batch(snapshots: SnapshotSet, dictionary: ObservableDictionary,
     """Initialize the estimator from an offline batch fit.
 
     The covariance starts at the inverse of the initial regressor Gram
-    (gamma_init="data") or at delta * I when a float delta was configured;
-    in the latter case a rank-deficient batch fit falls back to the SVD
-    pseudo-inverse instead of failing.
+    (gamma_init="data"; the batch fit has already rejected a rank-deficient
+    regressor) or at delta * I when a float delta was configured; in the
+    latter case a rank-deficient batch fit falls back to the minimum-norm
+    least-squares model instead of failing.
     """
     settings = settings if settings is not None else RedmdSettings()
-    PsiX = dictionary.lift_batch(snapshots.X)
-    G = np.vstack([PsiX, snapshots.U])
+    G = np.vstack([dictionary.lift_batch(snapshots.X), snapshots.U])
     diagonal_init = not isinstance(settings.gamma_init, str)
     try:
         model = fit(snapshots, dictionary)
+        theta0 = np.hstack([model.K, model.B])
     except RankDeficientRegressor:
         if not diagonal_init:
             raise
-        KB = dictionary.lift_batch(snapshots.Xp) @ pinv_svd(G)
-        N = dictionary.size
-        model = KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary)
-    theta0 = np.hstack([model.K, model.B])
+        # singular values below max(rows, cols) * eps of the largest are cut
+        theta0 = dictionary.lift_batch(snapshots.Xp) @ np.linalg.pinv(
+            G, max(G.shape) * np.finfo(float).eps)
     if diagonal_init:
         gamma0 = float(settings.gamma_init) * np.eye(G.shape[0])
     else:
-        gram = G @ G.T
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise RankDeficientRegressor(
-                f"initial Gram condition estimate {cond:.3e} exceeds "
-                f"{COND_LIMIT:.1e}; request diagonal init or add data",
-                cond=cond)
-        gamma0 = np.linalg.inv(gram)
+        gamma0 = np.linalg.inv(G @ G.T)
     return RecursiveEstimator(theta0, gamma0, dictionary, settings)

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from koopman_adapt.cli import cli_main
-from koopman_adapt.edmd import KoopmanModel, collect_snapshots
+from koopman_adapt.edmd import (
+    KoopmanModel,
+    collect_snapshots,
+    pinv_full_row_rank,
+)
 from koopman_adapt.harness import default_config, generate_training_data
-from koopman_adapt.matops import pinv_full_row_rank
 from koopman_adapt.mpc import CondensedMpc, MpcConfig
 from koopman_adapt.observables import identity_dictionary, trig_dictionary
 from koopman_adapt.observer import KalmanState, kf_correct, kf_predict

@@ -94,6 +94,17 @@ class TestExitCodes:
         assert cli_main(["simulate", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_lift_is_a_numerical_abort(self, tmp_path, capsys):
+        """Training states whose monomial lift overflows stop the offline
+        fit with a numerical abort, not a traceback."""
+        path = tmp_path / "overflow.cfg"
+        path.write_text("[dict]\nfamily = monomial\ndegree = 2\n\n"
+                        "[run]\ntrain_amplitude = 1e200\nt_sim = 0.1\n")
+        out = str(tmp_path / "trace.csv")
+        assert cli_main(["simulate", str(path), "--out", out]) == 2
+        assert "numerical abort:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_trace(self, tiny_config_path, tmp_path, capsys):
@@ -106,9 +117,12 @@ class TestSimulate:
 
 
 class TestCompare:
-    def test_sixteen_data_rows(self, tiny_config_path, tmp_path, capsys):
+    def test_sixteen_data_rows(self, tmp_path, capsys):
+        path = tmp_path / "scheduled.cfg"
+        path.write_text(TINY_TEXT.replace(
+            "noise_x = 0.0", "noise_x = 0.0\nschedule = (0.02, m, 0.8)"))
         out = str(tmp_path / "summary.csv")
-        code = cli_main(["compare", tiny_config_path, "--out", out])
+        code = cli_main(["compare", str(path), "--out", out])
         assert code == 0
         lines = open(out).read().splitlines()
         assert len(lines) == 17  # header + 16 cells

@@ -14,6 +14,7 @@ from koopman_adapt.errors import EmptyTrace, RankDeficientRegressor
 from koopman_adapt.harness import (
     compute_metric,
     default_config,
+    format_comparison_table,
     generate_training_data,
     prepare_estimator,
     reference_energy,
@@ -253,19 +254,34 @@ class TestVariantIsolation:
         assert (result.observer_model.K == result.initial_model.K).all()
 
 
+ONE_EVENT = ChangeSchedule(((0.005, "m", 0.8),))
+
+
 class TestComparison:
     def test_cell_shape(self, tiny_cfg):
-        cfg = replace(tiny_cfg, run=replace(tiny_cfg.run, speeds=(1.0, 2.0)))
+        cfg = replace(tiny_cfg, schedule=ONE_EVENT,
+                      run=replace(tiny_cfg.run, speeds=(1.0, 2.0)))
         comparison = run_comparison(cfg)
         assert len(comparison.cells) == 16
         assert all(c.ok for c in comparison.cells)
+
+    def test_no_schedule_runs_only_the_nominal_half(self, tiny_cfg):
+        """Without a schedule the with-changes half would repeat the
+        nominal one, so it does not run."""
+        assert not tiny_cfg.schedule.events
+        cfg = replace(tiny_cfg, run=replace(tiny_cfg.run, speeds=(1.0, 2.0)))
+        comparison = run_comparison(cfg)
+        assert len(comparison.cells) == 8
+        assert not any(c.with_changes for c in comparison.cells)
+        assert all(c.ok for c in comparison.cells)
+        assert "chg@" not in format_comparison_table(comparison)
 
     @pytest.mark.parametrize("kind", ["sinusoid", "hold"])
     def test_speed_columns_only_for_rest_to_rest(self, tiny_cfg, kind):
         """Only the rest-to-rest reference reads its speed: any other
         reference runs one column, at its own speed, whatever the run's
         speeds."""
-        cfg = replace(tiny_cfg, run=replace(
+        cfg = replace(tiny_cfg, schedule=ONE_EVENT, run=replace(
             tiny_cfg.run, speeds=(1.0, 2.0),
             reference=replace(tiny_cfg.run.reference, kind=kind, speed=1.5)))
         comparison = run_comparison(cfg)

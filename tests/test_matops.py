@@ -1,11 +1,16 @@
-"""Tests for the dense matrix kernels, and for the matrix-inversion lemma
-that the oracles keep as a verification helper."""
+"""Tests for the full-row-rank pseudo-inverse behind the batch fit, and for
+the matrix-inversion lemma that the oracles keep as a verification
+helper."""
 
 import numpy as np
 import pytest
 
-from koopman_adapt.errors import NotSquare, SingularGram
-from koopman_adapt.matops import pinv_full_row_rank, pinv_svd
+from koopman_adapt.edmd import pinv_full_row_rank
+from koopman_adapt.errors import (
+    NonFiniteState,
+    NotSquare,
+    RankDeficientRegressor,
+)
 from koopman_adapt.oracles import SingularInner, woodbury
 
 
@@ -45,37 +50,13 @@ class TestPinvFullRowRank:
 
     def test_rank_deficient_raises(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularGram):
+        with pytest.raises(RankDeficientRegressor) as info:
             pinv_full_row_rank(A)
+        assert info.value.cond > 1e12
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteState):
             pinv_full_row_rank(np.array([[1.0, np.nan]]))
-
-
-class TestPinvSvd:
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(pinv_svd(np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_identity(self):
-        np.testing.assert_allclose(pinv_svd(np.eye(3)), np.eye(3))
-
-    def test_rank_one(self):
-        A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        Ap = pinv_svd(A)
-        np.testing.assert_allclose(Ap, np.full((2, 2), 0.25), atol=1e-14)
-        assert penrose_residuals(A, Ap) < 1e-12
-
-    def test_penrose_on_rank_deficient_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            # rank-2 5x4 matrix
-            A = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
-            assert penrose_residuals(A, pinv_svd(A)) < 1e-10
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            pinv_svd(np.eye(2), tol=-1.0)
 
 
 class TestWoodbury:

@@ -13,8 +13,12 @@ import hypothesis
 from hypothesis import given
 from hypothesis import strategies as st
 
-from koopman_adapt.edmd import collect_snapshots, fit
-from koopman_adapt.errors import CovarianceNotPD, NonFiniteState
+from koopman_adapt.edmd import SnapshotSet, collect_snapshots, fit
+from koopman_adapt.errors import (
+    CovarianceNotPD,
+    NonFiniteState,
+    RankDeficientRegressor,
+)
 from koopman_adapt.observables import ObservableDictionary, identity_dictionary
 from koopman_adapt.redmd import (
     RecursiveEstimator,
@@ -349,6 +353,24 @@ class TestInitFromBatch:
                               settings)
         np.testing.assert_array_equal(est.Gamma, 1e3 * np.eye(2))
 
+    def test_float_gamma_fallback_is_min_norm_lstsq(self):
+        """On a rank-deficient regressor the float-gamma_init fallback
+        gives the minimum-norm least-squares model."""
+        rng = np.random.default_rng(23)
+        x1 = rng.standard_normal(30)
+        X = np.vstack([x1, 2.0 * x1])  # rank 1 in the states
+        U = rng.standard_normal((1, 30))
+        snapshots = SnapshotSet(X, rng.standard_normal((2, 30)), U)
+        with pytest.raises(RankDeficientRegressor):
+            fit(snapshots, identity_dictionary(2))
+        est = init_from_batch(snapshots, identity_dictionary(2),
+                              RedmdSettings(gamma_init=1e3, m_op=2))
+        G = np.vstack([X, U])
+        expected = np.linalg.lstsq(G.T, snapshots.Xp.T, rcond=None)[0].T
+        rel = (np.linalg.norm(est.theta - expected)
+               / np.linalg.norm(expected))
+        assert rel < 1e-12
+
     def test_data_gamma_is_spd(self):
         rng = np.random.default_rng(14)
         stream = rls_stream(rng, n=2, p=1, steps=60)
@@ -392,9 +414,7 @@ class TestInvariants:
 def _state(est):
     """Everything step() may mutate, copied."""
     return (est.theta.copy(), est.Gamma.copy(), est.lam, est.sigma_e,
-            est.Sigma0, est._count, est._x_win.copy(), est._u_win.copy(),
-            est._psi_win.copy(), est._psi_newest.copy(),
-            list(est._err_buf))
+            est.Sigma0, est._count, est._phi_win.copy(), list(est._err_buf))
 
 
 def _assert_same_state(a, b):
@@ -510,9 +530,10 @@ def test_incremental_window_equals_full_recompute(seed, n, p, family, degree,
         ref.theta = theta
         assert report.window_error == ref.prediction_error_window()
         if est._count >= m_op:
-            # the lifted window step() keeps equals a fresh lift of the states
-            np.testing.assert_array_equal(est._psi_win,
-                                          d.lift_batch(est._x_win[:, :-1]))
+            # the lifted window step() keeps equals a fresh lift of its
+            # state rows
+            np.testing.assert_array_equal(est._phi_win[:d.size],
+                                          d.lift_batch(est._phi_win[:n]))
 
 
 @pytest.mark.parametrize("eps_low", [0.0, np.inf])
