@@ -143,26 +143,28 @@ def pinv_full_row_rank(A) -> np.ndarray:
 
 
 def fit(snapshots: SnapshotSet,
-        dictionary: ObservableDictionary) -> KoopmanModel:
+        dictionary: ObservableDictionary) -> tuple[KoopmanModel, np.ndarray]:
     """Least-squares fit of (K, B) on lifted snapshots.
 
-    Solves ``[K, B] = lift(Xp) @ pinv([lift(X); U])`` using the
-    full-row-rank pseudo-inverse.
+    Solves ``[K, B] = lift(Xp) @ pinv(G)`` for the regressor
+    ``G = [lift(X); U]`` by the full-row-rank pseudo-inverse; returns the
+    model and G (the recursive estimator starts from its Gram).
 
     Raises
     ------
     RankDeficientRegressor
         If the stacked regressor is not (numerically) full row rank.
     NonFiniteState
-        If the stacked regressor has a NaN or Inf entry.
+        If the regressor or the model has a NaN or Inf entry (an overflowing
+        lift of X or of Xp, for instance).
     """
     if snapshots.n != dictionary.n:
         raise DimensionMismatch(
             f"snapshot state dimension {snapshots.n} != dictionary n "
             f"{dictionary.n}")
-    PsiX = dictionary.lift_batch(snapshots.X)
-    PsiXp = dictionary.lift_batch(snapshots.Xp)
-    G = np.vstack([PsiX, snapshots.U])
-    KB = PsiXp @ pinv_full_row_rank(G)
+    G = np.vstack([dictionary.lift_batch(snapshots.X), snapshots.U])
+    KB = dictionary.lift_batch(snapshots.Xp) @ pinv_full_row_rank(G)
+    if not np.isfinite(KB).all():
+        raise NonFiniteState("fitted model contains NaN or Inf entries")
     N = dictionary.size
-    return KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary)
+    return KoopmanModel(KB[:, :N].copy(), KB[:, N:].copy(), dictionary), G

@@ -27,7 +27,7 @@ from .errors import EmptyTrace, NumericalError
 from .mpc import CondensedMpc
 from .observer import init_kalman, kf_correct, kf_estimate_state, kf_predict
 from .plants import PlantState, apply_schedule, measure, step_plant
-from .redmd import RecursiveEstimator, init_from_batch
+from .redmd import RecursiveEstimator, StepReport, init_from_batch
 from .references import build_reference
 
 _TRAIN_STREAM = 0
@@ -123,18 +123,14 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None,
         else prepare_estimator(cfg)
     adapt_ctrl = run.variant in ("adaptive-ctrl", "adaptive-both")
     adapt_obs = run.variant in ("adaptive-obs", "adaptive-both")
-    initial_model = est.model
-    ctrl_model = initial_model
-    obs_model = initial_model
-    solver = CondensedMpc(ctrl_model, cfg.mpc)
+    initial_model = ctrl_model = obs_model = est.model
+    solver = CondensedMpc(initial_model, cfg.mpc)
     kf = init_kalman(dictionary, w_full[:, 0], cfg.observer,
                      model=initial_model)
     rng = np.random.default_rng([run.seed, _RUN_STREAM])
     state = PlantState(w_full[:, 0].copy(), 0.0)
     records: list[StepRecord] = []
     e_cum = 0.0
-    prev_meas = None
-    prev_u = None
     aborted = False
     reason = ""
     # event times not yet reached; the plant is rebuilt once per distinct time
@@ -149,20 +145,18 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None,
             x_true = state.x
             x_meas, y_meas = measure(plant, state, rng,
                                      dictionary.output_index)
-            if prev_meas is not None:
+            if k:  # the transition into this sample
                 report = est.step(prev_meas, prev_u, x_meas)
-                if report.updated:
-                    if adapt_ctrl:
-                        ctrl_model = est.model
-                        solver = CondensedMpc(ctrl_model, cfg.mpc)
-                    if adapt_obs:
-                        obs_model = est.model
-                lam, trace_gamma = report.lam, report.trace_gamma
-                updated, e_post = report.updated, report.e_post
-                window_error = report.window_error
-            else:
-                lam, trace_gamma = est.lam, float(np.trace(est.Gamma))
-                updated, e_post, window_error = False, math.nan, math.inf
+            else:  # no transition yet: the warm-up sentinels
+                report = StepReport(False, est.lam, float(np.trace(est.Gamma)),
+                                    math.nan, math.inf)
+            if report.updated and (adapt_ctrl or adapt_obs):
+                model = est.model  # one snapshot serves both consumers
+                if adapt_ctrl:
+                    ctrl_model = model
+                    solver = CondensedMpc(model, cfg.mpc)
+                if adapt_obs:
+                    obs_model = model
             kf_correct(kf, dictionary, y_meas)
             x_hat = kf_estimate_state(kf, dictionary)
             u0, _ = solver.solve(kf.psi, w_full[:, k + 1: k + 1 + H])
@@ -170,8 +164,9 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None,
             err = w_k - x_true
             e_cum += float(err @ err)
             records.append(StepRecord(
-                t, x_true.copy(), x_meas, x_hat, u0.copy(), w_k.copy(),
-                lam, trace_gamma, updated, e_post, window_error, e_cum))
+                t, x_true, x_meas, x_hat, u0, w_k.copy(), report.lam,
+                report.trace_gamma, report.updated, report.e_post,
+                report.window_error, e_cum))
             state = step_plant(plant, state, u0)
             kf_predict(kf, obs_model, u0)
             prev_meas, prev_u = x_meas, u0
@@ -214,13 +209,6 @@ class CellResult:
 @dataclass
 class ComparisonResult:
     cells: list
-
-    def get(self, variant: str, with_changes: bool, speed: float) -> CellResult:
-        for c in self.cells:
-            if (c.variant == variant and c.with_changes == with_changes
-                    and c.speed == speed):
-                return c
-        raise KeyError((variant, with_changes, speed))
 
 
 def _comparison_cells(cfg: ExperimentConfig):

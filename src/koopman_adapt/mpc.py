@@ -13,6 +13,7 @@ clipped plan. This is the dense Koopman-MPC form of Korda & Mezic
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import DimensionMismatch, IllConditionedHessian
 HESSIAN_COND_LIMIT = 1e12
 
 
-@dataclass
+@dataclass(frozen=True)
 class MpcConfig:
     """Horizon, weights, and box bounds for the tracking controller.
 
@@ -32,7 +33,8 @@ class MpcConfig:
     by terminal_weight. u_min/u_max are per-channel bounds; None leaves the
     problem unconstrained. When the bounds bind, the box QP stops once its
     KKT conditions hold to within pg_tol, or after max_pg_iters active-set
-    iterations.
+    iterations. The config is immutable, so its ``structure`` is built
+    once and shared by every model's controller.
     """
 
     horizon: int
@@ -47,20 +49,21 @@ class MpcConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        self.Qy = np.atleast_2d(np.asarray(self.Qy, dtype=float))
-        self.Ru = np.atleast_2d(np.asarray(self.Ru, dtype=float))
+        for name, ndmin in (("Qy", 2), ("Ru", 2), ("u_min", 1), ("u_max", 1)):
+            v = getattr(self, name)
+            if v is not None:  # a read-only copy, as the structure reads it
+                v = np.array(v, dtype=float, ndmin=ndmin)
+                v.flags.writeable = False
+                object.__setattr__(self, name, v)
         if not 0 < self.terminal_weight < math.inf:
             raise ValueError("terminal_weight must be finite and positive")
         if not (np.isfinite(self.Ru).all()
                 and np.linalg.eigvalsh(self.Ru).min() > 0):
             raise ValueError("Ru must be finite and positive definite")
         for name in ("u_min", "u_max"):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.atleast_1d(np.asarray(v, dtype=float))
-                if np.isnan(v).any():
-                    raise ValueError(f"{name} must not be NaN")
-                setattr(self, name, v)
+            if getattr(self, name) is not None \
+                    and np.isnan(getattr(self, name)).any():
+                raise ValueError(f"{name} must not be NaN")
         if self.u_min is not None and self.u_max is not None:
             if self.u_min.shape != self.u_max.shape:
                 raise ValueError(
@@ -81,65 +84,64 @@ class MpcConfig:
     def constrained(self) -> bool:
         return self.u_min is not None or self.u_max is not None
 
+    @cached_property
+    def structure(self) -> "ConfigStructure":
+        """The config-only part of the condensation, built on first use."""
+        return ConfigStructure(self)
 
-def build_prediction_matrices(model: KoopmanModel, horizon: int):
-    """Stacked maps (S_psi, S_u) with lifted predictions
-    Psi_{1..H} = S_psi @ psi0 + S_u @ vec(u_0..u_{H-1}).
 
-    S_psi stacks the powers K^i; S_u is lower block-triangular Toeplitz:
-    block (i, j), j <= i, is the impulse response K^{i-j} B, each computed
-    once and placed through the lag i - j.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    N, p = model.size, model.p
-    powers = [np.eye(N)]
-    for _ in range(horizon):
-        powers.append(model.K @ powers[-1])
-    S_psi = np.vstack(powers[1:])
-    impulse = np.stack([P @ model.B for P in powers[:-1]])  # K^i B, i < H
-    row, col = np.tril_indices(horizon)
-    S_u = np.zeros((horizon, N, horizon, p))
-    S_u[row, :, col, :] = impulse[row - col]
-    return S_psi, S_u.reshape(horizon * N, horizon * p)
+class ConfigStructure:
+    """The condensation's config-only part: the stacked weights
+    Qbar = blkdiag(Qy, ..., terminal_weight Qy) and Rbar = blkdiag(Ru, ...),
+    the lag i - j of block (i, j) of the impulse map (H, a zero block, above
+    the diagonal) and the bounds lo, hi tiled over the horizon."""
+
+    def __init__(self, cfg: MpcConfig):
+        H, p = cfg.horizon, cfg.Ru.shape[0]
+        weights = np.ones(H)
+        weights[-1] = cfg.terminal_weight
+        self.Qbar = np.kron(np.diag(weights), cfg.Qy)
+        self.Rbar = np.kron(np.eye(H), cfg.Ru)
+        self.lag = np.subtract.outer(np.arange(H), np.arange(H))
+        self.lag[self.lag < 0] = H
+        unbounded = np.full(p, np.inf)
+        self.lo = np.tile(-unbounded if cfg.u_min is None else cfg.u_min, H)
+        self.hi = np.tile(unbounded if cfg.u_max is None else cfg.u_max, H)
 
 
 class CondensedMpc:
     """Condensed tracking QP for one model; reusable across solves.
 
-    Building the condensation and the unconstrained law costs
-    O(H^2 (N+p)^2 + (H p)^3); an unconstrained solve is then one
+    Building the model's part of the condensation and the unconstrained law
+    costs O(H N^3 + H^2 n^2 p + (H p)^3); an unconstrained solve is then one
     (H p) x (H n) matrix-vector product, so the harness constructs one of
     these per model update rather than per sample.
     """
 
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
-        n = model.dictionary.n
-        p = model.p
-        H = cfg.horizon
-        if cfg.Qy.shape != (n, n):
-            raise DimensionMismatch(
-                f"Qy must be ({n}, {n}), got {cfg.Qy.shape}")
-        if cfg.Ru.shape != (p, p):
-            raise DimensionMismatch(
-                f"Ru must be ({p}, {p}), got {cfg.Ru.shape}")
-        for name in ("u_min", "u_max"):
-            bound = getattr(cfg, name)
-            if bound is not None and bound.shape != (p,):
+        n, N, p, H = model.dictionary.n, model.size, model.p, cfg.horizon
+        for name, shape in (("Qy", (n, n)), ("Ru", (p, p)), ("u_min", (p,)),
+                            ("u_max", (p,))):
+            value = getattr(cfg, name)
+            if value is not None and value.shape != shape:
                 raise DimensionMismatch(
-                    f"{name} must be ({p},), got {bound.shape}")
-        self.model = model
-        self.cfg = cfg
-        S_psi, S_u = build_prediction_matrices(model, H)
-        # project the stacked lifted predictions onto the first n coordinates
-        N = model.size
-        rows = (np.arange(H)[:, None] * N + np.arange(n)[None, :]).ravel()
-        self.F = S_psi[rows]          # (H n, N)
-        self.G = S_u[rows]            # (H n, H p)
-        weights = np.ones(H)
-        weights[-1] = cfg.terminal_weight
-        self.GtQ = self.G.T @ np.kron(np.diag(weights), cfg.Qy)
-        self.hessian = 2.0 * (self.GtQ @ self.G + np.kron(np.eye(H), cfg.Ru))
+                    f"{name} must be {shape}, got {value.shape}")
+        self.model, self.cfg = model, cfg
+        s = cfg.structure
+        powers = np.empty((H + 1, N, N))
+        powers[0] = np.eye(N)
+        for i in range(H):
+            np.matmul(model.K, powers[i], out=powers[i + 1])
+        impulse = np.zeros((H + 1, n, p))
+        impulse[:H] = (powers[:-1] @ model.B)[:, :n]  # K^i B, i < H
+        # Psi_{1..H} = S_psi psi0 + S_u U with S_psi the stacked K^i and S_u
+        # lower block-triangular Toeplitz in K^{i-j} B; only the n projected
+        # rows of each block are placed
+        self.F = powers[1:, :n].reshape(H * n, N)  # (H n, N)
+        self.G = impulse.take(s.lag, 0).transpose(0, 2, 1, 3).reshape(
+            H * n, H * p)  # (H n, H p)
+        self.GtQ = self.G.T @ s.Qbar
+        self.hessian = 2.0 * (self.GtQ @ self.G + s.Rbar)
         if not np.isfinite(self.hessian).all():
             raise IllConditionedHessian(
                 "condensed Hessian has non-finite entries; the model "
@@ -156,9 +158,6 @@ class CondensedMpc:
                 f"{HESSIAN_COND_LIMIT:.1e}; revisit weights or horizon")
         # U = -law @ f0 minimizes the condensed objective without bounds
         self._law = np.linalg.solve(self.hessian, 2.0 * self.GtQ)
-        unbounded = np.full(p, np.inf)
-        self._lo = np.tile(-unbounded if cfg.u_min is None else cfg.u_min, H)
-        self._hi = np.tile(unbounded if cfg.u_max is None else cfg.u_max, H)
 
     def solve(self, psi0, w_window, return_info: bool = False):
         """Minimize the condensed objective for the current lifted state
@@ -168,10 +167,7 @@ class CondensedMpc:
         iterations, 0 when the unconstrained plan is feasible),
         "pg_objectives" (the objective at each iterate, non-increasing) and
         "converged" (the KKT conditions held to within pg_tol)."""
-        cfg = self.cfg
-        n = self.model.dictionary.n
-        p = self.model.p
-        H = cfg.horizon
+        cfg, n, H = self.cfg, self.model.dictionary.n, self.cfg.horizon
         psi0 = np.asarray(psi0, dtype=float)
         w_window = np.asarray(w_window, dtype=float)
         if psi0.shape != (self.model.size,):
@@ -183,15 +179,17 @@ class CondensedMpc:
         f0 = self.F @ psi0 - w_window.T.ravel()
         U = -(self._law @ f0)
         info = {"pg_iterations": 0, "pg_objectives": [], "converged": True}
-        if cfg.constrained and ((U < self._lo) | (U > self._hi)).any():
-            U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0))
-        plan = U.reshape(H, p).T
+        s = cfg.structure
+        if cfg.constrained and ((U < s.lo) | (U > s.hi)).any():
+            U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0), return_info)
+        plan = U.reshape(H, self.model.p).T
         return (plan[:, 0].copy(), plan, info) if return_info \
             else (plan[:, 0].copy(), plan)
 
-    def _box_qp(self, U, grad0):
+    def _box_qp(self, U, grad0, record: bool):
         """Primal active-set method for min 1/2 U'HU + grad0'U on the box,
-        from the unconstrained minimizer U.
+        from the unconstrained minimizer U, recording each iterate's
+        objective only when asked to.
 
         The working set starts as the entries U violates, fixed at their
         bounds. Each iteration minimizes over the free entries with the
@@ -200,49 +198,61 @@ class CondensedMpc:
         the KKT conditions and releases the bound with the most negative
         multiplier. Every iterate is feasible and the objective never rises.
         """
-        hess, lo, hi = self.hessian, self._lo, self._hi
+        hess = self.hessian
+        lo, hi = self.cfg.structure.lo, self.cfg.structure.hi
         tol = self.cfg.pg_tol
-        at_lo, at_hi = U < lo, U > hi
-        U = np.clip(U, lo, hi)
+        # the working set: the entries not free, each on its lower bound
+        # where at_lo holds and on its upper bound otherwise
+        at_lo = U < lo
+        free = ~(at_lo | (U > hi))
+        U = U.clip(lo, hi)
 
         def objective(U):
             return 0.5 * float(U @ hess @ U) + float(grad0 @ U)
 
-        objectives = [objective(U)]
+        objectives = [objective(U)] if record else []
         converged = False
         for iters in range(1, self.cfg.max_pg_iters + 1):
-            free = ~(at_lo | at_hi)
-            idx = np.flatnonzero(free)
+            idx = free.nonzero()[0]
             if idx.size:
-                rhs = grad0[idx] + hess[idx] @ np.where(free, 0.0, U)
-                step = np.linalg.solve(hess[np.ix_(idx, idx)], -rhs) - U[idx]
+                rows = hess.take(idx, 0)
+                held = U.copy()
+                held[idx] = 0.0
+                U_free = U[idx]
+                step = np.linalg.solve(rows.take(idx, 1),
+                                       -(grad0[idx] + rows @ held)) - U_free
                 # ratio test: the fraction of the step each free entry can
-                # take before it reaches a bound
-                room = np.full(idx.size, np.inf)
-                down, up = step < 0, step > 0
-                room[down] = (lo[idx[down]] - U[idx[down]]) / step[down]
-                room[up] = (hi[idx[up]] - U[idx[up]]) / step[up]
-                j = int(np.argmin(room))
+                # take before it reaches a bound (inf where it stands still)
+                lo_free, hi_free = lo[idx], hi[idx]
+                down = step < 0
+                still = step == 0
+                room = (np.where(down, lo_free, np.where(still, np.inf,
+                                                         hi_free))
+                        - U_free) / np.where(still, 1.0, step)
+                j = int(room.argmin())
                 blocked = room[j] < 1.0
-                U[idx] += min(room[j], 1.0) * step
+                U_free += min(room[j], 1.0) * step
+                U_free.clip(lo_free, hi_free, out=U_free)
                 if blocked:  # the first bound met joins the working set
-                    at_lo[idx[j]], at_hi[idx[j]] = down[j], up[j]
-                # working-set entries sit exactly on their bounds
-                U = np.where(at_lo, lo, np.where(at_hi, hi,
-                                                 np.clip(U, lo, hi)))
-                objectives.append(objective(U))
+                    free[idx[j]] = False
+                    at_lo[idx[j]] = down[j]
+                    # working-set entries sit exactly on their bounds
+                    U_free[j] = lo_free[j] if down[j] else hi_free[j]
+                U[idx] = U_free
+                if record:
+                    objectives.append(objective(U))
                 if blocked:
                     continue
             grad = hess @ U + grad0
             # bound multipliers, >= 0 at the optimum
             mult = np.where(at_lo, grad, -grad)
             mult[free] = np.inf
-            worst = int(np.argmin(mult))
-            if np.abs(grad[free]).max(initial=0.0) <= tol \
-                    and mult[worst] >= -tol:
+            worst = int(mult.argmin())
+            if mult[worst] >= -tol \
+                    and np.abs(grad[free]).max(initial=0.0) <= tol:
                 converged = True
                 break
             if mult[worst] < -tol:
-                at_lo[worst] = at_hi[worst] = False
+                free[worst] = True
         return U, {"pg_iterations": iters, "pg_objectives": objectives,
                    "converged": converged}

@@ -115,9 +115,9 @@ def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
         # (I - L C) P (I - L C)^T + R L L^T with C the one-hot output row
         ILC = np.eye(kf.psi.shape[0])
         ILC[:, i] -= L
-        P = ILC @ kf.P @ ILC.T + kf.R * np.outer(L, L)
+        P = ILC @ kf.P @ ILC.T + kf.R * (L[:, None] * L)
     else:
-        P = kf.P - np.outer(L, kf.P[i, :])
+        P = kf.P - L[:, None] * kf.P[i, :]
     if kf.relift_after_correct:
         psi = dictionary.lift(psi[: dictionary.n])
     kf.psi = psi

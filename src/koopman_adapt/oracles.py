@@ -155,7 +155,7 @@ def recursive_batch_max_error(n_systems: int = 20, seed: int = 2024,
                               settings)
         for k in range(m0, m0 + n_extra):
             est.step(pairs[k][0], pairs[k][1], pairs[k + 1][0])
-        batch = fit(collect_snapshots(pairs), dictionary)
+        batch, _ = fit(collect_snapshots(pairs), dictionary)
         theta_batch = np.hstack([batch.K, batch.B])
         rel = (np.linalg.norm(est.theta - theta_batch, "fro")
                / np.linalg.norm(theta_batch, "fro"))

@@ -29,7 +29,8 @@ class PlantModel:
     identification path), a scalar or one value per state; noise_y the
     scalar output noise std (observer path). dt is the controller sample
     time, integrated in `substeps` RK4 steps. noise_x_vector holds noise_x
-    as a read-only length-n vector, validated once here.
+    as a read-only length-n vector, validated once here, and
+    pendulum_coeffs a pendulum's (d, c, m g l, m l^2) as floats.
     """
 
     kind: str
@@ -39,6 +40,8 @@ class PlantModel:
     dt: float = 1e-3
     substeps: int = 1
     noise_x_vector: np.ndarray = field(init=False, repr=False, compare=False)
+    pendulum_coeffs: tuple | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("pendulum", "linear2nd"):
@@ -58,6 +61,9 @@ class PlantModel:
                 raise ValueError("m, l, g must be positive")
             if p["d"] < 0 or p["c"] < 0:
                 raise ValueError("d and c must be >= 0")
+            m, l, g, d, c = (float(p[k]) for k in _PENDULUM_PARAMS)
+            object.__setattr__(self, "pendulum_coeffs",
+                               (d, c, m * g * l, m * l * l))
         else:
             A = np.asarray(self.params["A"], dtype=float)
             B = np.asarray(self.params["B"], dtype=float)
@@ -116,7 +122,7 @@ def make_linear2nd(A, B, **kwargs) -> PlantModel:
                        "B": np.asarray(B, dtype=float)}, **kwargs)
 
 
-def _pendulum_rk4(params, theta: float, omega: float, u: float, h: float,
+def _pendulum_rk4(coeffs, theta: float, omega: float, u: float, h: float,
                   substeps: int) -> tuple[float, float]:
     """RK4 substeps of the pendulum on Python floats.
 
@@ -126,9 +132,7 @@ def _pendulum_rk4(params, theta: float, omega: float, u: float, h: float,
     array form would be. np.tanh is kept because math.tanh differs from it
     in the last bit.
     """
-    m, l, g, d, c = (float(params[k]) for k in _PENDULUM_PARAMS)
-    ml2 = m * l * l
-    mgl = m * g * l
+    d, c, mgl, ml2 = coeffs
     tanh, sin = np.tanh, math.sin
 
     def accel(th, om):
@@ -166,7 +170,7 @@ def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
     if plant.kind == "pendulum":
         theta, omega = x.tolist()
         try:
-            x = np.array(_pendulum_rk4(plant.params, theta, omega,
+            x = np.array(_pendulum_rk4(plant.pendulum_coeffs, theta, omega,
                                        float(u[0]), h, plant.substeps))
         except (ValueError, ZeroDivisionError) as exc:
             # math.sin(inf) and a zero m l^2 raise where arrays give inf/NaN

@@ -171,10 +171,6 @@ class RecursiveEstimator:
         """A by-value snapshot of the current model."""
         return KoopmanModel(self.K.copy(), self.B.copy(), self.dictionary)
 
-    def regressor(self, x, u=None) -> np.ndarray:
-        """The stacked vector [lift(x); u]."""
-        return np.concatenate([self.dictionary.lift(x), _as_input(u, self.p)])
-
     def _trace_bounded(self, G: np.ndarray) -> np.ndarray:
         """G scaled down to the trace bound when its trace exceeds it."""
         t = float(np.trace(G))
@@ -233,7 +229,7 @@ class RecursiveEstimator:
         together only once both candidates are finite.
         """
         s = self.settings
-        phi = self.regressor(x, u)
+        phi = np.concatenate([self.dictionary.lift(x), _as_input(u, self.p)])
         psi_next = self.dictionary.lift(np.asarray(x_next, dtype=float))
         if not (np.isfinite(phi).all() and np.isfinite(psi_next).all()):
             raise NonFiniteState("estimator sample contains NaN or Inf")
@@ -293,14 +289,14 @@ def init_from_batch(snapshots: SnapshotSet, dictionary: ObservableDictionary,
     least-squares model instead of failing.
     """
     settings = settings if settings is not None else RedmdSettings()
-    G = np.vstack([dictionary.lift_batch(snapshots.X), snapshots.U])
     diagonal_init = not isinstance(settings.gamma_init, str)
     try:
-        model = fit(snapshots, dictionary)
+        model, G = fit(snapshots, dictionary)
         theta0 = np.hstack([model.K, model.B])
     except RankDeficientRegressor:
         if not diagonal_init:
             raise
+        G = np.vstack([dictionary.lift_batch(snapshots.X), snapshots.U])
         # singular values below max(rows, cols) * eps of the largest are cut
         theta0 = dictionary.lift_batch(snapshots.Xp) @ np.linalg.pinv(
             G, max(G.shape) * np.finfo(float).eps)

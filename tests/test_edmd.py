@@ -5,10 +5,11 @@ import pytest
 
 from koopman_adapt.edmd import SnapshotSet, collect_snapshots, fit
 from koopman_adapt.errors import (
+    NonFiniteState,
     RankDeficientRegressor,
     TooFewSamples,
 )
-from koopman_adapt.observables import identity_dictionary
+from koopman_adapt.observables import identity_dictionary, monomial_dictionary
 
 from conftest import FunctionDictionary
 
@@ -70,7 +71,7 @@ class TestCollectSnapshots:
 class TestFit:
     def test_scalar_autonomous_decay(self):
         s = collect_snapshots(scalar_decay_trajectory())
-        model = fit(s, identity_dictionary(1))
+        model, _ = fit(s, identity_dictionary(1))
         np.testing.assert_allclose(model.K, [[0.9]], rtol=1e-12)
         assert model.B.shape == (1, 0)
 
@@ -83,13 +84,13 @@ class TestFit:
             pairs.append((x.copy(), u))
             x = 0.5 * x + 0.2 * u
         pairs.append((x.copy(), np.zeros(1)))
-        model = fit(collect_snapshots(pairs), identity_dictionary(1))
+        model, _ = fit(collect_snapshots(pairs), identity_dictionary(1))
         np.testing.assert_allclose(model.K, [[0.5]], atol=1e-10)
         np.testing.assert_allclose(model.B, [[0.2]], atol=1e-10)
 
     def test_recovers_lifted_space_generator(self, invariant_subspace_dict):
         snapshots, K_true = invariant_subspace_data()
-        model = fit(snapshots, invariant_subspace_dict)
+        model, _ = fit(snapshots, invariant_subspace_dict)
         rel = (np.linalg.norm(model.K - K_true, "fro")
                / np.linalg.norm(K_true, "fro"))
         assert rel < 1e-8
@@ -101,14 +102,34 @@ class TestFit:
             fit(collect_snapshots(pairs), identity_dictionary(2))
         assert info.value.cond > 1e12
 
+    def test_overflowing_successor_lift_is_nonfinite_state(self):
+        """A successor whose lift overflows while lift(X) stays finite is a
+        NonFiniteState, not the model's bare ValueError."""
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((1, 20))
+        Xp = rng.standard_normal((1, 20))
+        Xp[0, 7] = 1e200  # its square overflows
+        U = rng.standard_normal((1, 20))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState):
+                fit(SnapshotSet(X, Xp, U), monomial_dictionary(1, 2))
+
+    def test_returns_the_stacked_regressor(self, invariant_subspace_dict):
+        """The second result is the regressor [lift(X); U] the model was
+        fitted on, bit for bit."""
+        snapshots, _ = invariant_subspace_data(seed=3)
+        _, G = fit(snapshots, invariant_subspace_dict)
+        np.testing.assert_array_equal(G, np.vstack([
+            invariant_subspace_dict.lift_batch(snapshots.X), snapshots.U]))
+
     def test_column_reordering_invariance(self, invariant_subspace_dict):
         snapshots, _ = invariant_subspace_data(seed=5)
         rng = np.random.default_rng(17)
         perm = rng.permutation(snapshots.num_pairs)
         shuffled = type(snapshots)(snapshots.X[:, perm], snapshots.Xp[:, perm],
                                    snapshots.U[:, perm])
-        m1 = fit(snapshots, invariant_subspace_dict)
-        m2 = fit(shuffled, invariant_subspace_dict)
+        m1, _ = fit(snapshots, invariant_subspace_dict)
+        m2, _ = fit(shuffled, invariant_subspace_dict)
         np.testing.assert_allclose(m1.K, m2.K, atol=1e-9)
 
     def test_least_squares_optimality(self, invariant_subspace_dict):
@@ -118,7 +139,7 @@ class TestFit:
         noisy = type(snapshots)(
             snapshots.X, snapshots.Xp + 1e-3 * np.sin(snapshots.Xp),
             snapshots.U)
-        model = fit(noisy, invariant_subspace_dict)
+        model, _ = fit(noisy, invariant_subspace_dict)
         d = invariant_subspace_dict
         G = np.vstack([d.lift_batch(noisy.X), noisy.U])
         PsiXp = d.lift_batch(noisy.Xp)
@@ -137,7 +158,7 @@ class TestRollout:
         """Powers of the fitted K carry the lift of x0 along the true
         trajectory: the dictionary spans an invariant subspace."""
         snapshots, _ = invariant_subspace_data()
-        model = fit(snapshots, invariant_subspace_dict)
+        model, _ = fit(snapshots, invariant_subspace_dict)
         a, b, c = 0.9, 0.5, 0.4
         x = np.array([0.7, -0.3])
         psi = invariant_subspace_dict.lift(x)

@@ -9,7 +9,7 @@ import pytest
 
 from koopman_adapt import harness
 from koopman_adapt.config import ExperimentConfig, RunSettings, assemble, loads
-from koopman_adapt.edmd import fit
+from koopman_adapt.edmd import KoopmanModel, fit
 from koopman_adapt.errors import EmptyTrace, RankDeficientRegressor
 from koopman_adapt.harness import (
     compute_metric,
@@ -246,6 +246,26 @@ class TestVariantIsolation:
         assert (result.controller_model.K == result.initial_model.K).all()
         assert not (result.observer_model.K == result.initial_model.K).all()
 
+    def test_adaptive_both_snapshots_each_update_once(self, short_cfg,
+                                                      monkeypatch):
+        """Controller and observer share one model snapshot per update."""
+        estimator = prepare_estimator(short_cfg)
+        cfg = replace(short_cfg, run=replace(short_cfg.run,
+                                             variant="adaptive-both"))
+        built = []
+        post_init = KoopmanModel.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(KoopmanModel, "__post_init__", counting)
+        result = run_closed_loop(cfg, estimator=estimator)
+        updates = sum(r.updated for r in result.records)
+        assert updates > 0
+        assert len(built) == 1 + updates  # the initial model, then one each
+        assert result.controller_model is result.observer_model
+
     def test_static_static_freezes_both(self, short_cfg):
         cfg = replace(short_cfg, run=replace(short_cfg.run,
                                              variant="static-static"))
@@ -298,9 +318,9 @@ class TestComparison:
             reference=replace(cfg.run.reference,
                               amplitude=0.8 * cfg.run.reference.amplitude)))
         comparison = run_comparison(cfg)
-        vals = {v: comparison.get(v, True, 3.0).normalized_error
-                for v in ("static-static", "adaptive-ctrl", "adaptive-obs",
-                          "adaptive-both")}
+        vals = {c.variant: c.normalized_error for c in comparison.cells
+                if c.with_changes and c.speed == 3.0}
+        assert len(vals) == 4
         assert vals["adaptive-both"] < min(vals["adaptive-ctrl"],
                                            vals["adaptive-obs"])
         assert max(vals["adaptive-ctrl"],

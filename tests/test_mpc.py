@@ -13,11 +13,7 @@ from koopman_adapt import harness, mpc
 from koopman_adapt.config import assemble, loads
 from koopman_adapt.edmd import KoopmanModel
 from koopman_adapt.errors import DimensionMismatch, IllConditionedHessian
-from koopman_adapt.mpc import (
-    CondensedMpc,
-    MpcConfig,
-    build_prediction_matrices,
-)
+from koopman_adapt.mpc import CondensedMpc, MpcConfig
 from koopman_adapt.observables import identity_dictionary
 from koopman_adapt.oracles import mpc_gain_limit
 
@@ -76,6 +72,43 @@ def lstsq_mpc_oracle(model, cfg, psi0, w_window):
                         np.zeros(H * p)])
     U, *_ = np.linalg.lstsq(A, b, rcond=None)
     return U.reshape(H, p).T
+
+
+def build_prediction_matrices(model, horizon):
+    """Reference (S_psi, S_u) with every lifted row: S_psi stacks the
+    powers K^i, S_u places the impulse responses K^i B through the lag
+    index. The library places only the projected rows of the same
+    products."""
+    N, p = model.size, model.p
+    powers = [np.eye(N)]
+    for _ in range(horizon):
+        powers.append(model.K @ powers[-1])
+    S_psi = np.vstack(powers[1:])
+    impulse = np.stack([P @ model.B for P in powers[:-1]])  # K^i B, i < H
+    row, col = np.tril_indices(horizon)
+    S_u = np.zeros((horizon, N, horizon, p))
+    S_u[row, :, col, :] = impulse[row - col]
+    return S_psi, S_u.reshape(horizon * N, horizon * p)
+
+
+def from_scratch_condensation(model, cfg):
+    """Reference (F, G, GtQ, hessian, law, lo, hi) built from nothing but
+    the model and the config: the full prediction maps, their projected
+    rows, the Kronecker weights and the tiled bounds, as one monolithic
+    construction."""
+    H, N, n, p = cfg.horizon, model.size, model.dictionary.n, model.p
+    S_psi, S_u = build_prediction_matrices(model, H)
+    rows = (np.arange(H)[:, None] * N + np.arange(n)[None, :]).ravel()
+    F, G = S_psi[rows], S_u[rows]
+    weights = np.ones(H)
+    weights[-1] = cfg.terminal_weight
+    GtQ = G.T @ np.kron(np.diag(weights), cfg.Qy)
+    hessian = 2.0 * (GtQ @ G + np.kron(np.eye(H), cfg.Ru))
+    law = np.linalg.solve(hessian, 2.0 * GtQ)
+    unbounded = np.full(p, np.inf)
+    lo = np.tile(-unbounded if cfg.u_min is None else cfg.u_min, H)
+    hi = np.tile(unbounded if cfg.u_max is None else cfg.u_max, H)
+    return F, G, GtQ, hessian, law, lo, hi
 
 
 def double_loop_prediction_matrices(model, horizon):
@@ -180,33 +213,42 @@ def dare_gain(a, b, q, r, tol=1e-14):
     return a * p_cur * b / (r + b * p_cur * b)
 
 
+def condensed(model, horizon):
+    """The controller's projected prediction maps (F, G) at unit weights."""
+    n, p = model.dictionary.n, model.p
+    solver = CondensedMpc(model, MpcConfig(horizon=horizon, Qy=np.eye(n),
+                                           Ru=np.eye(p)))
+    return solver.F, solver.G
+
+
 class TestPredictionMatrices:
     def test_h1(self):
         model = random_model(seed=1)
-        S_psi, S_u = build_prediction_matrices(model, 1)
-        np.testing.assert_array_equal(S_psi, model.K)
-        np.testing.assert_array_equal(S_u, model.B)
+        F, G = condensed(model, 1)
+        np.testing.assert_array_equal(F, model.K)
+        np.testing.assert_array_equal(G, model.B)
 
     def test_nilpotent_k(self):
         d = identity_dictionary(2)
         model = KoopmanModel(np.zeros((2, 2)), np.eye(2), d)
-        S_psi, S_u = build_prediction_matrices(model, 3)
-        np.testing.assert_array_equal(S_psi[2:], np.zeros((4, 2)))
-        np.testing.assert_array_equal(S_u[2:4, 0:2], np.zeros((2, 2)))
-        np.testing.assert_array_equal(S_u[2:4, 2:4], np.eye(2))
+        F, G = condensed(model, 3)
+        np.testing.assert_array_equal(F[2:], np.zeros((4, 2)))
+        np.testing.assert_array_equal(G[2:4, 0:2], np.zeros((2, 2)))
+        np.testing.assert_array_equal(G[2:4, 2:4], np.eye(2))
 
     def test_scalar_toeplitz(self):
         model = scalar_model(k=0.5, b=1.0)
-        _, S_u = build_prediction_matrices(model, 3)
+        _, G = condensed(model, 3)
         np.testing.assert_allclose(
-            S_u, [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.25, 0.5, 1.0]])
+            G, [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.25, 0.5, 1.0]])
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @given(**problems)
     def test_condensation_equals_block_assembly(self, seed, n, extra, p,
                                                 horizon):
-        """The lag-indexed S_u and the Kronecker weights give the same bits
-        as the double loop and the block-by-block diagonal assembly."""
+        """The lag-placed projected rows and the Kronecker weights give the
+        same bits as the double loop and the block-by-block diagonal
+        assembly."""
         model, cfg = random_problem(seed, n, extra, p, horizon)
         S_psi, S_u = build_prediction_matrices(model, horizon)
         S_psi_ref, S_u_ref = double_loop_prediction_matrices(model, horizon)
@@ -221,12 +263,71 @@ class TestPredictionMatrices:
 
     def test_matches_simulation(self):
         model = random_model(seed=4)
-        S_psi, S_u = build_prediction_matrices(model, 6)
-        F, G = stacked_map_by_simulation(model, 6)
-        n, N = model.dictionary.n, model.size
-        rows = (np.arange(6)[:, None] * N + np.arange(n)[None, :]).ravel()
-        np.testing.assert_allclose(S_psi[rows], F, atol=1e-12)
-        np.testing.assert_allclose(S_u[rows], G, atol=1e-12)
+        F, G = condensed(model, 6)
+        F_sim, G_sim = stacked_map_by_simulation(model, 6)
+        np.testing.assert_allclose(F, F_sim, atol=1e-12)
+        np.testing.assert_allclose(G, G_sim, atol=1e-12)
+
+
+class TestConfigStructure:
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @given(**problems, side=st.sampled_from(["none", "lower", "upper",
+                                             "both"]))
+    def test_shared_structure_equals_from_scratch_build(self, seed, n, extra,
+                                                        p, horizon, side):
+        """A controller built on a config whose structure another model
+        already built equals the monolithic from-scratch construction, bit
+        for bit: dense Qy, terminal weight != 1, one- and two-sided bounds."""
+        model, cfg = random_problem(seed, n, extra, p, horizon)
+        bounds = {"lower": {"u_min": -np.ones(p)},
+                  "upper": {"u_max": np.ones(p)},
+                  "both": {"u_min": -np.ones(p), "u_max": np.ones(p)},
+                  "none": {}}[side]
+        cfg = dataclasses.replace(cfg, **bounds)
+        other, _ = random_problem(seed + 1, n, extra, p, horizon)
+        CondensedMpc(KoopmanModel(other.K, other.B, model.dictionary), cfg)
+        solver = CondensedMpc(model, cfg)
+        F, G, GtQ, hessian, law, lo, hi = from_scratch_condensation(model,
+                                                                    cfg)
+        np.testing.assert_array_equal(solver.F, F)
+        np.testing.assert_array_equal(solver.G, G)
+        np.testing.assert_array_equal(solver.GtQ, GtQ)
+        np.testing.assert_array_equal(solver.hessian, hessian)
+        np.testing.assert_array_equal(solver._law, law)
+        np.testing.assert_array_equal(cfg.structure.lo, lo)
+        np.testing.assert_array_equal(cfg.structure.hi, hi)
+
+    def test_second_model_skips_the_config_work(self, monkeypatch):
+        """Only the first controller of a config builds its Kronecker
+        weights and lag index; a model swap builds neither."""
+        calls = {"kron": 0, "tril_indices": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(np, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np, name, counting)
+        cfg = MpcConfig(horizon=6, Qy=np.eye(3), Ru=np.eye(2),
+                        terminal_weight=3.0, u_max=[1.0, 1.0])
+        CondensedMpc(random_model(seed=1), cfg)
+        structure = cfg.structure
+        assert calls["kron"] >= 2
+        calls.update(kron=0, tril_indices=0)
+        CondensedMpc(random_model(seed=2), cfg)
+        assert calls == {"kron": 0, "tril_indices": 0}
+        assert cfg.structure is structure
+
+    def test_config_is_immutable(self):
+        """The shared structure cannot go stale: the config and its arrays
+        are read-only."""
+        Qy = np.eye(2)
+        cfg = MpcConfig(horizon=3, Qy=Qy, Ru=np.eye(1), u_min=[-1.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.terminal_weight = 2.0
+        for a in (cfg.Qy, cfg.Ru, cfg.u_min):
+            with pytest.raises(ValueError):
+                a[0] = 5.0
+        Qy[0, 0] = 7.0  # the caller's array is copied, not frozen
+        assert cfg.Qy[0, 0] == 1.0
 
 
 class TestSolve:
@@ -412,6 +513,31 @@ class TestBoxQp:
             assert info["converged"]
             ref, *_ = bvls_plan(solver, psi0, w)
             np.testing.assert_allclose(plan, ref, rtol=0, atol=1e-9)
+
+
+    def test_saturating_solves_same_without_info(self, perfbench,
+                                                 monkeypatch):
+        """Every binding solve of the saturating scenario at seed 12345
+        gives the same bits whether or not it records its diagnostics."""
+        workloads = perfbench("workloads")
+        cfg = assemble(loads(workloads.config_text("saturating", 12345)))
+        solves = []
+        solve = mpc.CondensedMpc.solve
+
+        def recording_solve(self, psi0, w_window, return_info=False):
+            solves.append((self, psi0.copy(), w_window.copy()))
+            return solve(self, psi0, w_window, return_info)
+
+        monkeypatch.setattr(mpc.CondensedMpc, "solve", recording_solve)
+        harness.run_closed_loop(cfg)
+        binding = 0
+        for solver, psi0, w in solves:
+            u0, plan, info = solve(solver, psi0, w, return_info=True)
+            u0_bare, plan_bare = solve(solver, psi0, w)
+            binding += info["pg_iterations"] > 0
+            np.testing.assert_array_equal(u0_bare, u0)
+            np.testing.assert_array_equal(plan_bare, plan)
+        assert binding > 100
 
 
 class TestGainLimit:

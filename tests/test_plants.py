@@ -172,6 +172,18 @@ class TestSchedule:
         twice = apply_schedule(once, schedule, 3.0)
         assert once.params == twice.params
 
+    def test_step_uses_the_scheduled_parameters(self):
+        """After a change, the integrator runs on the new parameters, not
+        on coefficients cached from the old ones."""
+        plant = make_pendulum(m=0.4, d=0.04, c=0.002, dt=0.01, substeps=8)
+        schedule = ChangeSchedule(((1.0, "m", 0.8), (1.0, "d", 0.12)))
+        changed = apply_schedule(plant, schedule, 1.0)
+        x, u = np.array([0.3, -0.7]), np.array([1.5])
+        got = step_plant(changed, PlantState(x), u).x
+        np.testing.assert_array_equal(
+            got, reference_pendulum_rk4(changed, x, u))
+        assert (got != step_plant(plant, PlantState(x), u).x).any()
+
     def test_unknown_parameter(self):
         plant = make_pendulum()
         with pytest.raises(UnknownParameter):

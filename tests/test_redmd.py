@@ -346,6 +346,32 @@ class TestInitFromBatch:
         gram = sum(v * v for v in xs[:-1])
         np.testing.assert_allclose(est.Gamma, [[1.0 / gram]], rtol=1e-12)
 
+    def test_lifts_each_snapshot_matrix_once(self, monkeypatch):
+        """The offline init reuses the regressor of the batch fit: X and Xp
+        are lifted once each, and Theta0 and Gamma0 equal the fit's model
+        and the inverse Gram of a fresh [lift(X); U], bit for bit."""
+        rng = np.random.default_rng(41)
+        stream = rls_stream(rng, n=2, p=1, steps=60)
+        pairs = [(x, u) for x, u, _ in stream] + [(stream[-1][2], np.zeros(1))]
+        snapshots = collect_snapshots(pairs)
+        d = ObservableDictionary(2, "trig")
+        model, _ = fit(snapshots, d)
+        G = np.vstack([d.lift_batch(snapshots.X), snapshots.U])
+        inv_gram = np.linalg.inv(G @ G.T)
+        lifted = []
+        lift_batch = ObservableDictionary.lift_batch
+
+        def counting(self, X):
+            lifted.append(X)
+            return lift_batch(self, X)
+
+        monkeypatch.setattr(ObservableDictionary, "lift_batch", counting)
+        est = init_from_batch(snapshots, d)
+        assert len(lifted) == 2
+        np.testing.assert_array_equal(est.theta, np.hstack([model.K, model.B]))
+        np.testing.assert_array_equal(est.Gamma,
+                                      (inv_gram + inv_gram.T) / 2.0)
+
     def test_diagonal_init_ignores_data(self):
         pairs = [(np.array([1.0, 1.0]), None)] * 10  # rank deficient
         settings = RedmdSettings(gamma_init=1e3, m_op=2)
