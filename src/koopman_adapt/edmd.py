@@ -162,8 +162,11 @@ def fit(snapshots: SnapshotSet,
         raise DimensionMismatch(
             f"snapshot state dimension {snapshots.n} != dictionary n "
             f"{dictionary.n}")
-    G = np.vstack([dictionary.lift_batch(snapshots.X), snapshots.U])
-    KB = dictionary.lift_batch(snapshots.Xp) @ pinv_full_row_rank(G)
+    # an overflowing lift or product surfaces as an error below, not as
+    # warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.vstack([dictionary.lift_batch(snapshots.X), snapshots.U])
+        KB = dictionary.lift_batch(snapshots.Xp) @ pinv_full_row_rank(G)
     if not np.isfinite(KB).all():
         raise NonFiniteState("fitted model contains NaN or Inf entries")
     N = dictionary.size

@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .config import VARIANTS, ExperimentConfig, assemble, loads
-from .edmd import SnapshotSet, collect_snapshots
+from .edmd import SnapshotSet
 from .errors import EmptyTrace, NumericalError
 from .mpc import CondensedMpc
 from .observer import init_kalman, kf_correct, kf_estimate_state, kf_predict
@@ -78,19 +78,21 @@ def generate_training_data(cfg: ExperimentConfig) -> SnapshotSet:
     steps = max(2, round(run.train_duration / plant.dt))
     freqs = np.geomspace(0.3, 4.0, 6)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
-    state = PlantState(np.zeros(plant.n))
-    pairs = []
+    t = np.arange(steps) * plant.dt
+    tones = (np.sin(2.0 * np.pi * freqs * t[:, None] + phases).sum(axis=1)
+             / 6.0).tolist()
+    oi = cfg.dictionary.output_index
     amp = run.train_amplitude
-    for k in range(steps):
-        t = k * plant.dt
-        tone = np.sum(np.sin(2.0 * np.pi * freqs * t + phases)) / 6.0
+    states = np.empty((plant.n, steps + 1))
+    U = np.empty((plant.p, steps))
+    state = PlantState(np.zeros(plant.n))
+    for k, tone in enumerate(tones):
         u = np.array([amp * (tone + 0.25 * rng.standard_normal())])
-        x_meas, _ = measure(plant, state, rng, cfg.dictionary.output_index)
-        pairs.append((x_meas, u))
+        states[:, k], _ = measure(plant, state, rng, oi)
+        U[:, k] = u
         state = step_plant(plant, state, u)
-    x_meas, _ = measure(plant, state, rng, cfg.dictionary.output_index)
-    pairs.append((x_meas, np.zeros(plant.p)))
-    return collect_snapshots(pairs)
+    states[:, steps], _ = measure(plant, state, rng, oi)
+    return SnapshotSet(states[:, :-1].copy(), states[:, 1:].copy(), U)
 
 
 def prepare_estimator(cfg: ExperimentConfig) -> RecursiveEstimator:

@@ -128,24 +128,27 @@ class CondensedMpc:
                     f"{name} must be {shape}, got {value.shape}")
         self.model, self.cfg = model, cfg
         s = cfg.structure
-        powers = np.empty((H + 1, N, N))
-        powers[0] = np.eye(N)
-        for i in range(H):
-            np.matmul(model.K, powers[i], out=powers[i + 1])
-        impulse = np.zeros((H + 1, n, p))
-        impulse[:H] = (powers[:-1] @ model.B)[:, :n]  # K^i B, i < H
-        # Psi_{1..H} = S_psi psi0 + S_u U with S_psi the stacked K^i and S_u
-        # lower block-triangular Toeplitz in K^{i-j} B; only the n projected
-        # rows of each block are placed
-        self.F = powers[1:, :n].reshape(H * n, N)  # (H n, N)
-        self.G = impulse.take(s.lag, 0).transpose(0, 2, 1, 3).reshape(
-            H * n, H * p)  # (H n, H p)
-        self.GtQ = self.G.T @ s.Qbar
-        self.hessian = 2.0 * (self.GtQ @ self.G + s.Rbar)
-        if not np.isfinite(self.hessian).all():
-            raise IllConditionedHessian(
-                "condensed Hessian has non-finite entries; the model "
-                "overflows over the horizon")
+        # an overflow over the horizon surfaces as IllConditionedHessian,
+        # not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.empty((H + 1, N, N))
+            powers[0] = np.eye(N)
+            for i in range(H):
+                np.matmul(model.K, powers[i], out=powers[i + 1])
+            impulse = np.zeros((H + 1, n, p))
+            impulse[:H] = (powers[:-1] @ model.B)[:, :n]  # K^i B, i < H
+            # Psi_{1..H} = S_psi psi0 + S_u U with S_psi the stacked K^i and
+            # S_u lower block-triangular Toeplitz in K^{i-j} B; only the n
+            # projected rows of each block are placed
+            self.F = powers[1:, :n].reshape(H * n, N)  # (H n, N)
+            self.G = impulse.take(s.lag, 0).transpose(0, 2, 1, 3).reshape(
+                H * n, H * p)  # (H n, H p)
+            self.GtQ = self.G.T @ s.Qbar
+            self.hessian = 2.0 * (self.GtQ @ self.G + s.Rbar)
+            if not np.isfinite(self.hessian).all():
+                raise IllConditionedHessian(
+                    "condensed Hessian has non-finite entries; the model "
+                    "overflows over the horizon")
         eig = np.linalg.eigvalsh(self.hessian)  # ascending
         if eig[0] <= 0:
             raise IllConditionedHessian(

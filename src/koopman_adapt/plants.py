@@ -16,6 +16,9 @@ from .errors import DimensionMismatch, NonFiniteState, UnknownParameter
 
 # Smooth Coulomb friction: tanh(velocity / EPS_COULOMB) in place of sign().
 EPS_COULOMB = 1e-3
+# np.tanh(v) is exactly +-1.0 for |v| >= 20 (from about 18.99 on), so there
+# the friction term c * tanh(v) is exactly +-c without the call.
+_TANH_SATURATES = 20.0
 
 _PENDULUM_PARAMS = ("m", "l", "g", "d", "c")
 _LINEAR_PARAMS = ("A", "B")
@@ -130,25 +133,31 @@ def _pendulum_rk4(coeffs, theta: float, omega: float, u: float, h: float,
     divided by m l^2; stage states x + (h/2) k, combination
     x + (h/6) (k1 + 2 k2 + 2 k3 + k4), all evaluated left to right as the
     array form would be. np.tanh is kept because math.tanh differs from it
-    in the last bit.
+    in the last bit; where it saturates the friction term is exactly +-c.
     """
     d, c, mgl, ml2 = coeffs
     tanh, sin = np.tanh, math.sin
-
-    def accel(th, om):
-        return ((u - d * om) - c * float(tanh(om / EPS_COULOMB))
-                - mgl * sin(th)) / ml2
-
+    eps, sat = EPS_COULOMB, _TANH_SATURATES
     hh = 0.5 * h
     h6 = h / 6.0
+    # the four stages of accel(theta, omega) =
+    #   ((u - d omega) - friction(omega) - m g l sin(theta)) / m l^2
     for _ in range(substeps):
-        a1 = accel(theta, omega)
+        v = omega / eps
+        f = c if v >= sat else -c if v <= -sat else c * float(tanh(v))
+        a1 = ((u - d * omega) - f - mgl * sin(theta)) / ml2
         om2 = omega + hh * a1
-        a2 = accel(theta + hh * omega, om2)
+        v = om2 / eps
+        f = c if v >= sat else -c if v <= -sat else c * float(tanh(v))
+        a2 = ((u - d * om2) - f - mgl * sin(theta + hh * omega)) / ml2
         om3 = omega + hh * a2
-        a3 = accel(theta + hh * om2, om3)
+        v = om3 / eps
+        f = c if v >= sat else -c if v <= -sat else c * float(tanh(v))
+        a3 = ((u - d * om3) - f - mgl * sin(theta + hh * om2)) / ml2
         om4 = omega + h * a3
-        a4 = accel(theta + h * om3, om4)
+        v = om4 / eps
+        f = c if v >= sat else -c if v <= -sat else c * float(tanh(v))
+        a4 = ((u - d * om4) - f - mgl * sin(theta + h * om3)) / ml2
         theta = theta + h6 * (((omega + 2.0 * om2) + 2.0 * om3) + om4)
         omega = omega + h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
     return theta, omega
@@ -170,11 +179,14 @@ def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
     if plant.kind == "pendulum":
         theta, omega = x.tolist()
         try:
-            x = np.array(_pendulum_rk4(plant.pendulum_coeffs, theta, omega,
-                                       float(u[0]), h, plant.substeps))
+            theta, omega = _pendulum_rk4(plant.pendulum_coeffs, theta, omega,
+                                         float(u[0]), h, plant.substeps)
         except (ValueError, ZeroDivisionError) as exc:
             # math.sin(inf) and a zero m l^2 raise where arrays give inf/NaN
             raise _blow_up(plant, state) from exc
+        if not (math.isfinite(theta) and math.isfinite(omega)):
+            raise _blow_up(plant, state)
+        return PlantState(np.array((theta, omega)), state.t + plant.dt)
     else:
         # dx/dt = A x + B u; blow-up surfaces as NonFiniteState below, not
         # as overflow warnings

@@ -133,7 +133,7 @@ class RecursiveEstimator:
         self.lam = settings.lambda0
         self.sigma_e = SIGMA_FLOOR
         self.Sigma0 = SIGMA_FLOOR * settings.n0
-        self.trace_max = settings.trace_max_factor * float(np.trace(self.Gamma))
+        self.trace_max = settings.trace_max_factor * float(self.Gamma.trace())
         scales = (np.ones(dictionary.n) if settings.state_scales is None
                   else np.asarray(settings.state_scales, dtype=float))
         if scales.shape != (dictionary.n,):
@@ -147,6 +147,9 @@ class RecursiveEstimator:
         self._count = 0
         self._phi_win = np.zeros((q, settings.m_op))
         self._err_buf: deque = deque(maxlen=settings.m_op)
+        # the last x_next step() saw, as bytes, and its lift
+        self._next_key: bytes | None = None
+        self._psi_next: np.ndarray | None = None
 
     # -- views ------------------------------------------------------------
 
@@ -173,7 +176,7 @@ class RecursiveEstimator:
 
     def _trace_bounded(self, G: np.ndarray) -> np.ndarray:
         """G scaled down to the trace bound when its trace exceeds it."""
-        t = float(np.trace(G))
+        t = float(G.trace())
         return G * (self.trace_max / t) if t > self.trace_max else G
 
     # -- gating and forgetting ----------------------------------------------
@@ -229,10 +232,19 @@ class RecursiveEstimator:
         together only once both candidates are finite.
         """
         s = self.settings
-        phi = np.concatenate([self.dictionary.lift(x), _as_input(u, self.p)])
-        psi_next = self.dictionary.lift(np.asarray(x_next, dtype=float))
+        lift = self.dictionary.lift
+        x = np.asarray(x, dtype=float)
+        # a chained stream's x is the previous x_next: reuse its lift when
+        # the two are equal bit for bit
+        reuse = (x.shape == (self.dictionary.n,)
+                 and x.tobytes() == self._next_key)
+        psi = self._psi_next if reuse else lift(x)
+        phi = np.concatenate([psi, _as_input(u, self.p)])
+        x_next = np.asarray(x_next, dtype=float)
+        psi_next = lift(x_next)
         if not (np.isfinite(phi).all() and np.isfinite(psi_next).all()):
             raise NonFiniteState("estimator sample contains NaN or Inf")
+        self._next_key, self._psi_next = x_next.tobytes(), psi_next
         win = self._phi_win
         win[:, :-1] = win[:, 1:]
         win[:, -1] = phi
@@ -249,18 +261,21 @@ class RecursiveEstimator:
                 Gamma = self._trace_bounded(Gamma)
                 if window_error >= s.eps_high:
                     sigma_boost = s.mu_sigma
-            gp = Gamma @ phi
-            q = float(phi @ gp)
-            denom = q + self.lam
-            if not math.isfinite(denom) or denom <= 0.0:
-                raise CovarianceNotPD(
-                    f"correction denominator {denom} is not positive")
-            innovation = psi_next - self.theta @ phi
-            theta = self.theta + np.outer(innovation, gp / denom)
-            G = (Gamma - np.outer(gp, gp) / denom) / self.lam
-            G = (G + G.T) / 2.0
-            if not (np.isfinite(theta).all() and np.isfinite(G).all()):
-                raise CovarianceNotPD("rank-one update produced NaN or Inf")
+            # an overflow surfaces as CovarianceNotPD, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                gp = Gamma @ phi
+                q = float(phi @ gp)
+                denom = q + self.lam
+                if not math.isfinite(denom) or denom <= 0.0:
+                    raise CovarianceNotPD(
+                        f"correction denominator {denom} is not positive")
+                innovation = psi_next - self.theta @ phi
+                theta = self.theta + np.outer(innovation, gp / denom)
+                G = (Gamma - np.outer(gp, gp) / denom) / self.lam
+                G = (G + G.T) / 2.0
+                if not (np.isfinite(theta).all() and np.isfinite(G).all()):
+                    raise CovarianceNotPD(
+                        "rank-one update produced NaN or Inf")
             if s.check_spd:
                 try:
                     np.linalg.cholesky(G)
@@ -274,7 +289,7 @@ class RecursiveEstimator:
             self._err_buf.append(e_post)
             if not warm_up and s.adaptive_lambda:
                 self._set_lambda(q / denom, e_post, sigma_boost)
-        return StepReport(do_update, self.lam, float(np.trace(self.Gamma)),
+        return StepReport(do_update, self.lam, float(self.Gamma.trace()),
                           e_post, window_error)
 
 

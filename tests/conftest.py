@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
+import contextlib
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,18 @@ def perfbench():
         spec.loader.exec_module(module)
         return module
     return load
+
+
+@contextlib.contextmanager
+def no_runtime_warnings():
+    """Fails the test when a RuntimeWarning (an overflow, say) escapes the
+    block: a numerical abort is reported by its error alone."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    leaked = [str(w.message) for w in caught
+              if issubclass(w.category, RuntimeWarning)]
+    assert not leaked, leaked
 
 
 class FunctionDictionary:

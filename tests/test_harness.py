@@ -9,7 +9,7 @@ import pytest
 
 from koopman_adapt import harness
 from koopman_adapt.config import ExperimentConfig, RunSettings, assemble, loads
-from koopman_adapt.edmd import KoopmanModel, fit
+from koopman_adapt.edmd import KoopmanModel, collect_snapshots, fit
 from koopman_adapt.errors import EmptyTrace, RankDeficientRegressor
 from koopman_adapt.harness import (
     compute_metric,
@@ -23,7 +23,7 @@ from koopman_adapt.harness import (
     write_trace_csv,
 )
 from koopman_adapt.mpc import MpcConfig
-from koopman_adapt.observables import identity_dictionary
+from koopman_adapt.observables import ObservableDictionary, identity_dictionary
 from koopman_adapt.observer import ObserverSettings
 from koopman_adapt.plants import (
     ChangeSchedule,
@@ -102,6 +102,24 @@ class TestRunBookkeeping:
             assert (ra.x == rb.x).all()
             assert (ra.u == rb.u).all()
             assert ra.e_cum == rb.e_cum
+
+    def test_each_measured_state_lifted_once(self, tiny_cfg, tiny_estimator,
+                                             monkeypatch):
+        """Two single-state lifts per sample: the estimator's newest
+        measurement (the one before it is reused) and the filter's relift
+        after its correction; plus the first measurement and the filter's
+        initial state."""
+        calls = []
+        lift = ObservableDictionary.lift
+
+        def counted(self, x):
+            calls.append(1)
+            return lift(self, x)
+        cfg = replace(tiny_cfg, observer=replace(tiny_cfg.observer,
+                                                 relift_after_correct=True))
+        monkeypatch.setattr(ObservableDictionary, "lift", counted)
+        result = run_closed_loop(cfg, estimator=tiny_estimator)
+        assert len(calls) == 2 * len(result.records) + 1
 
     def test_passed_estimator_not_mutated(self, tiny_cfg, tiny_estimator):
         theta_before = tiny_estimator.theta.copy()
@@ -202,7 +220,42 @@ class TestMetric:
             reference_energy([])
 
 
+def reference_training_data(cfg):
+    """The per-sample excitation run generate_training_data must reproduce
+    bit for bit: each sample's tone summed on its own, the snapshots
+    collected from (x, u) pairs."""
+    plant, run = cfg.plant, cfg.run
+    rng = np.random.default_rng([run.seed, harness._TRAIN_STREAM])
+    steps = max(2, round(run.train_duration / plant.dt))
+    freqs = np.geomspace(0.3, 4.0, 6)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
+    state = PlantState(np.zeros(plant.n))
+    pairs = []
+    for k in range(steps):
+        t = k * plant.dt
+        tone = np.sum(np.sin(2.0 * np.pi * freqs * t + phases)) / 6.0
+        u = np.array([run.train_amplitude
+                      * (tone + 0.25 * rng.standard_normal())])
+        x_meas, _ = measure(plant, state, rng, cfg.dictionary.output_index)
+        pairs.append((x_meas, u))
+        state = step_plant(plant, state, u)
+    x_meas, _ = measure(plant, state, rng, cfg.dictionary.output_index)
+    pairs.append((x_meas, np.zeros(plant.p)))
+    return collect_snapshots(pairs)
+
+
 class TestTrainingData:
+    @pytest.mark.parametrize("dt", [0.01, 0.037])
+    @pytest.mark.parametrize("seed", [12345, 7, 2000007])
+    def test_matches_per_sample_reference_bitwise(self, seed, dt):
+        cfg = default_config()
+        cfg = replace(cfg, plant=replace(cfg.plant, dt=dt),
+                      run=replace(cfg.run, seed=seed))
+        got, want = generate_training_data(cfg), reference_training_data(cfg)
+        for name in ("X", "Xp", "U"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
     def test_deterministic(self, tiny_cfg):
         a = generate_training_data(tiny_cfg)
         b = generate_training_data(tiny_cfg)

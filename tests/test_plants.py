@@ -121,6 +121,25 @@ class TestStepPlant:
             got = step_plant(plant, PlantState(x), u).x
             np.testing.assert_array_equal(
                 got, reference_pendulum_rk4(plant, x, u))
+            if trial % 10 == 0:
+                # omega / EPS_COULOMB at the edge of the saturated-friction
+                # shortcut, and below it where np.tanh is not yet +-1
+                for v in (19.999, 20.0, 20.001, -19.999, -20.0, -20.001,
+                          18.9, -18.9):
+                    xv = np.array([x[0], v * EPS_COULOMB])
+                    np.testing.assert_array_equal(
+                        step_plant(plant, PlantState(xv), u).x,
+                        reference_pendulum_rk4(plant, xv, u))
+
+    def test_tanh_saturates_exactly(self):
+        """The premise of the plant's friction shortcut: np.tanh(v) is
+        exactly +-1.0 for |v| >= 20, so c * tanh(v) is exactly +-c there."""
+        v = np.concatenate([np.linspace(20.0, 40.0, 20001),
+                            [np.nextafter(20.0, np.inf), 1e3, 1e300, np.inf]])
+        assert (np.tanh(v) == 1.0).all()
+        assert (np.tanh(-v) == -1.0).all()
+        for x in v[-4:]:  # the scalar path the integrator takes
+            assert float(np.tanh(x)) == 1.0 and float(np.tanh(-x)) == -1.0
 
     @pytest.mark.parametrize("params, x, u", [
         ({}, [0.1, 0.0], [np.inf]),

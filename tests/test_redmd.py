@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from koopman_adapt.edmd import SnapshotSet, collect_snapshots, fit
 from koopman_adapt.errors import (
     CovarianceNotPD,
+    DimensionMismatch,
     NonFiniteState,
     RankDeficientRegressor,
 )
@@ -26,6 +27,8 @@ from koopman_adapt.redmd import (
     init_from_batch,
     variable_forgetting_factor,
 )
+
+from conftest import no_runtime_warnings
 
 
 def scalar_estimator(gamma=2.0, lam=1.0, k=0.0, **kwargs):
@@ -481,13 +484,12 @@ class TestAtomicStep:
         (0.0, 1e200, 0.0),       # phi^T Gamma phi overflows the denominator
         (-1e308, 1.0, 1e308),    # the innovation overflows the model
     ])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_update_rejected_without_mutation(self, k, x, x_next):
-        """A finite sample whose update overflows raises CovarianceNotPD
-        with Theta and Gamma untouched."""
+        """A finite sample whose update overflows raises CovarianceNotPD,
+        without overflow warnings, with Theta and Gamma untouched."""
         est = scalar_estimator(gamma=1.0, k=k)
         theta, gamma = est.theta.copy(), est.Gamma.copy()
-        with pytest.raises(CovarianceNotPD):
+        with no_runtime_warnings(), pytest.raises(CovarianceNotPD):
             est.step(np.array([x]), None, np.array([x_next]))
         np.testing.assert_array_equal(est.theta, theta)
         np.testing.assert_array_equal(est.Gamma, gamma)
@@ -583,3 +585,62 @@ def test_step_never_relifts_the_window(monkeypatch, eps_low):
     before = copy.deepcopy(vars(est))
     assert math.isfinite(est.prediction_error_window())
     np.testing.assert_equal(vars(est), before)
+
+
+def _chain(stream, feed):
+    """The stream's samples as step() receives them. "chained": each x is
+    the previous x_next object; "copies": a fresh copy of it; "broken":
+    every third x differs from the previous x_next, by one ulp or by the
+    sign of a zero."""
+    xs = [stream[0][0]] + [x_next for _, _, x_next in stream]
+    xs[40][1] = 0.0  # a zero the chain then breaks by its sign
+    out = []
+    for k, (_, u, _) in enumerate(stream):
+        x = xs[k]
+        if feed == "copies":
+            x = x.copy()
+        elif feed == "broken" and k % 3 == 1:
+            x = x.copy()
+            if k == 40:
+                x[1] = -0.0  # equal by value, not by bytes
+            else:
+                x[0] = np.nextafter(x[0], np.inf)
+        out.append((x, u, xs[k + 1]))
+    return out
+
+
+@pytest.mark.parametrize("feed", ["chained", "copies", "broken"])
+def test_lift_reuse_matches_fresh_lifts_bitwise(feed):
+    """Reusing the previous successor's lift for an equal start state gives
+    the estimator of one that lifts both states of every sample, bit for
+    bit: Theta, Gamma, the regressor window and every report."""
+    rng = np.random.default_rng(23)
+    stream = rls_stream(rng, steps=60) + rls_stream(rng, steps=60)
+    d = ObservableDictionary(2, "trig")
+    s = RedmdSettings(m_op=10, eps_low=0.05, eps_high=0.2, n0=10.0,
+                      lambda_min=0.9)
+    q = d.size + 1
+    est = RecursiveEstimator(np.zeros((d.size, q)), np.eye(q), d, s)
+    fresh = copy.deepcopy(est)
+    samples = _chain(stream, feed)
+    assert (samples[40][0][1] == 0.0
+            and math.copysign(1.0, samples[40][0][1])
+            == (-1.0 if feed == "broken" else 1.0))
+    for x, u, x_next in samples:
+        report = est.step(x, u, x_next)
+        fresh._next_key = None  # forget the successor: lift x afresh
+        assert repr(report) == repr(fresh.step(x, u, x_next))
+        for name in ("theta", "Gamma", "_phi_win"):
+            assert (getattr(est, name).tobytes()
+                    == getattr(fresh, name).tobytes())
+
+
+def test_lift_reuse_keeps_the_shape_check():
+    """A start state with the previous successor's bytes but the wrong
+    shape is still rejected."""
+    est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
+                             identity_dictionary(2), RedmdSettings(m_op=4))
+    x_next = np.array([0.1, 0.4])
+    est.step(np.array([0.3, -0.2]), np.array([0.5]), x_next)
+    with pytest.raises(DimensionMismatch):
+        est.step(x_next.reshape(1, 2), np.array([0.5]), x_next)
