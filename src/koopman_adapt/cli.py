@@ -21,7 +21,7 @@ from .harness import (
     compute_metric,
     default_config,
     format_comparison_table,
-    reference_energy,
+    normalized_error,
     run_closed_loop,
     run_comparison,
     write_summary_csv,
@@ -51,9 +51,9 @@ def _cmd_simulate(args) -> int:
         print(f"partial trace -> {args.out}", file=sys.stderr)
         return EXIT_NUMERICAL
     metric = compute_metric(result.records)
-    norm = reference_energy(result.records)
     print(f"{len(result.records)} samples, final cumulated error "
-          f"{metric:.6g} (normalized {metric / norm:.6g}) -> {args.out}")
+          f"{metric:.6g} (normalized {normalized_error(result.records):.6g})"
+          f" -> {args.out}")
     return EXIT_OK
 
 

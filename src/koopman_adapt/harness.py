@@ -101,18 +101,37 @@ def prepare_estimator(cfg: ExperimentConfig) -> RecursiveEstimator:
                            cfg.redmd)
 
 
-def run_closed_loop(cfg: ExperimentConfig, estimator=None,
-                    reference=None) -> RunResult:
+def _steps(cfg: ExperimentConfig) -> int:
+    return max(1, round(cfg.run.t_sim / cfg.plant.dt))
+
+
+@dataclass
+class _Fork:
+    """A closed loop's state at the top of sample k, saved by a run without
+    changes for its with-changes twin to resume from."""
+
+    k: int
+    saved: tuple | None = None
+
+
+def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
+                    *, _fork: _Fork | None = None) -> RunResult:
     """Run one closed-loop scenario and return its trace.
 
     An already-initialized estimator may be passed to share one offline fit
     across runs (it is deep-copied, never mutated). A reference array
     (n, >= steps + horizon) overrides the configured reference generator.
+
+    ``_fork`` (used by run_comparison): a fork with nothing saved receives
+    this run's loop state at the top of sample ``_fork.k``; one with a
+    saved state starts this run from it. That is exact when the saving
+    run's config differs from this one only by change events that act at
+    ``_fork.k`` or later.
     """
     run = cfg.run
     plant = cfg.plant
     dictionary = cfg.dictionary
-    steps = max(1, round(run.t_sim / plant.dt))
+    steps = _steps(cfg)
     H = cfg.mpc.horizon
     if reference is None:
         w_full = build_reference(run.reference, steps + H + 1, plant.dt)
@@ -121,24 +140,40 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None,
         if w_full.shape[0] != plant.n or w_full.shape[1] < steps + H:
             raise ValueError(
                 f"reference override must be ({plant.n}, >= {steps + H})")
-    est = copy.deepcopy(estimator) if estimator is not None \
-        else prepare_estimator(cfg)
     adapt_ctrl = run.variant in ("adaptive-ctrl", "adaptive-both")
     adapt_obs = run.variant in ("adaptive-obs", "adaptive-both")
-    initial_model = ctrl_model = obs_model = est.model
-    solver = CondensedMpc(initial_model, cfg.mpc)
-    kf = init_kalman(dictionary, w_full[:, 0], cfg.observer,
-                     model=initial_model)
-    rng = np.random.default_rng([run.seed, _RUN_STREAM])
-    state = PlantState(w_full[:, 0].copy(), 0.0)
-    records: list[StepRecord] = []
-    e_cum = 0.0
+    saved = _fork.saved if _fork is not None else None
+    fork_at = _fork.k if _fork is not None and saved is None else -1
+    if saved is None:
+        k0 = 0
+        est = copy.deepcopy(estimator) if estimator is not None \
+            else prepare_estimator(cfg)
+        initial_model = ctrl_model = obs_model = est.model
+        solver = CondensedMpc(initial_model, cfg.mpc)
+        kf = init_kalman(dictionary, w_full[:, 0], cfg.observer,
+                         model=initial_model)
+        rng = np.random.default_rng([run.seed, _RUN_STREAM])
+        state = PlantState(w_full[:, 0].copy(), 0.0)
+        records: list[StepRecord] = []
+        e_cum = 0.0
+    else:  # the saved copies become this run's own state
+        k0 = _fork.k
+        (state, rng, est, kf, records, e_cum, prev_meas, prev_u,
+         initial_model, ctrl_model, obs_model, solver) = saved
     aborted = False
     reason = ""
     # event times not yet reached; the plant is rebuilt once per distinct time
     pending = [e[0] for e in reversed(cfg.schedule.events)]
     try:
-        for k in range(steps):
+        for k in range(k0, steps):
+            if k == fork_at:
+                # copy what the rest of this run changes: the estimator and
+                # the RNG in place, the filter by rebinding psi and P;
+                # records are frozen, models and solvers never change
+                _fork.saved = (state, copy.deepcopy(rng), copy.deepcopy(est),
+                               copy.copy(kf), records.copy(), e_cum,
+                               prev_meas, prev_u, initial_model, ctrl_model,
+                               obs_model, solver)
             t = k * plant.dt
             if pending and pending[-1] <= t:
                 plant = apply_schedule(plant, cfg.schedule, t)
@@ -193,6 +228,13 @@ def reference_energy(records) -> float:
     return float(sum(r.w @ r.w for r in records))
 
 
+def normalized_error(records) -> float:
+    """Final cumulated error over the reference energy; inf when the
+    reference has no energy (a zero hold, say)."""
+    norm = reference_energy(records)
+    return compute_metric(records) / norm if norm > 0 else math.inf
+
+
 @dataclass(frozen=True)
 class CellResult:
     """One comparison cell: a (variant, schedule, speed) run outcome."""
@@ -213,17 +255,13 @@ class ComparisonResult:
     cells: list
 
 
-def _comparison_cells(cfg: ExperimentConfig):
-    # only the rest-to-rest reference reads its speed; without a schedule
-    # the with-changes half would repeat the nominal one
-    reference = cfg.run.reference
-    speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
-              else (reference.speed,))
-    halves = (False, True) if cfg.schedule.events else (False,)
-    for with_changes in halves:
-        for speed in speeds:
-            for variant in VARIANTS:
-                yield variant, with_changes, speed
+def _fork_sample(cfg: ExperimentConfig):
+    """The first sample k >= 1 at which the loop applies cfg's first change
+    event (its test is event_time <= k * dt), or None when that happens at
+    sample 0 or not at all, leaving no prefix to share."""
+    first = cfg.schedule.events[0][0]
+    return next((k for k in range(_steps(cfg))
+                 if first <= k * cfg.plant.dt), 0) or None
 
 
 def _cell_config(cfg: ExperimentConfig, variant: str, with_changes: bool,
@@ -234,16 +272,25 @@ def _cell_config(cfg: ExperimentConfig, variant: str, with_changes: bool,
     return replace(cfg, run=run, schedule=schedule)
 
 
-def _run_cell(cfg: ExperimentConfig, estimator, variant: str,
-              with_changes: bool, speed: float) -> CellResult:
-    cell_cfg = _cell_config(cfg, variant, with_changes, speed)
-    result = run_closed_loop(cell_cfg, estimator=estimator)
+def _cell_result(variant: str, with_changes: bool, speed: float,
+                 result: RunResult) -> CellResult:
     if result.aborted:
         return CellResult(variant, with_changes, speed, math.nan,
                           f"aborted: {result.reason}")
-    norm = reference_energy(result.records)
-    value = compute_metric(result.records) / norm if norm > 0 else math.inf
-    return CellResult(variant, with_changes, speed, value, "ok")
+    return CellResult(variant, with_changes, speed,
+                      normalized_error(result.records), "ok")
+
+
+def _run_pair(cfg: ExperimentConfig, estimator, variant: str, speed: float,
+              halves: tuple, fork_k) -> list:
+    """The (variant, speed) cell of each half. The two cells differ only
+    in the schedule, so given a fork sample the with-changes one resumes
+    from the loop state its twin reached there."""
+    fork = _Fork(fork_k) if fork_k is not None else None
+    return [_cell_result(variant, with_changes, speed, run_closed_loop(
+                _cell_config(cfg, variant, with_changes, speed),
+                estimator=estimator, _fork=fork))
+            for with_changes in halves]
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
@@ -251,13 +298,24 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     run's speeds for a rest-to-rest reference, else the reference's own);
     the with-changes half runs only when the config has a schedule.
 
-    The offline fit is shared across cells (each gets a deep copy); cells
-    run sequentially in a fixed order.
+    The offline fit is shared across cells (each gets a deep copy). Each
+    (variant, speed) pair runs its two cells back to back: the cell with
+    changes repeats its nominal twin up to the first change event, so it
+    resumes from a copy of the twin's loop state there. Cells are reported
+    by half, then speed, then variant.
     """
+    # only the rest-to-rest reference reads its speed; without a schedule
+    # the with-changes half would repeat the nominal one
+    reference = cfg.run.reference
+    speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
+              else (reference.speed,))
+    halves = (False, True) if cfg.schedule.events else (False,)
+    fork_k = _fork_sample(cfg) if cfg.schedule.events else None
     estimator = prepare_estimator(cfg)
-    return ComparisonResult([
-        _run_cell(cfg, estimator, variant, with_changes, speed)
-        for variant, with_changes, speed in _comparison_cells(cfg)])
+    pairs = [_run_pair(cfg, estimator, variant, speed, halves, fork_k)
+             for speed in speeds for variant in VARIANTS]
+    return ComparisonResult([pair[h] for h in range(len(halves))
+                             for pair in pairs])
 
 
 # -- reporting ----------------------------------------------------------------

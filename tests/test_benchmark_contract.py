@@ -1,8 +1,10 @@
 """What the benchmark (perfbench/) relies on in the library: every
-workload's config assembles, and every layer boundary its tracer wraps
-still exists and is reached by a closed-loop run."""
+workload's config assembles, every layer boundary its tracer wraps still
+exists and is reached by a closed-loop run, and each cell of a comparison
+sweep is one traced closed-loop run."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -51,3 +53,36 @@ def test_workload_traces_through_the_library(perfbench, tracer, name):
     # the counters the per-layer split reads from the step and solve results
     assert {"redmd.updates", "mpc.pg_iters", "mpc.pg_active",
             "mpc.pg_capped"} <= set(spans.counts)
+
+
+def test_comparison_sweep_traces_one_run_per_cell(perfbench, tracer,
+                                                  tmp_path):
+    """Each cell of a sweep, a resumed with-changes cell included, is one
+    traced run_closed_loop span holding that cell's plant steps, and the
+    per-layer split computes on the written trace."""
+    workloads = perfbench("workloads")
+    cfg = assemble(loads(workloads.config_text("compare-default", 12345)))
+    events = tuple((0.1, name, value)
+                   for _, name, value in cfg.schedule.events)
+    cfg = dataclasses.replace(
+        cfg, run=dataclasses.replace(cfg.run, t_sim=0.3),
+        schedule=dataclasses.replace(cfg.schedule, events=events))
+    steps, fork = 30, 10
+    spans = tracer.Tracer()
+    tracer.install(spans)
+    comparison = harness.run_comparison(cfg)
+    assert len(comparison.cells) == 16
+    assert all(c.ok for c in comparison.cells)
+    assert spans.names.count(tracer.CELL) == 16
+    parents = [spans.names[spans.parent[i]]
+               for i, name in enumerate(spans.names)
+               if name == "plants.step_plant"]
+    assert set(parents) == {tracer.CELL, "harness.generate_training_data"}
+    assert parents.count(tracer.CELL) == 16 * steps - 8 * fork
+    path = tmp_path / "trace.json"
+    spans.dump(path, values=[c.normalized_error for c in comparison.cells],
+               wall_s=1.0)
+    metrics = tracer.layer_metrics(json.loads(path.read_text()), 1.0, 1.0)
+    # sample intervals within each run: 8 full runs and 8 resumed ones
+    assert metrics["harness.samples"][0] == (8 * (steps - 1)
+                                             + 8 * (steps - fork - 1))

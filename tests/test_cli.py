@@ -117,6 +117,18 @@ class TestSimulate:
         assert len(lines) == 51
         assert lines[0].startswith("t,x1")
 
+    def test_zero_reference_energy_normalizes_to_inf(self, tmp_path, capsys):
+        """A zero hold reference has no energy: simulate reports the
+        normalized error as inf, as compare does, instead of dividing by
+        zero."""
+        path = tmp_path / "zero.cfg"
+        path.write_text(TINY_TEXT.replace(
+            "seed = 3", "seed = 3\nref_kind = hold\nref_amplitude = 0.0"))
+        out = tmp_path / "trace.csv"
+        assert cli_main(["simulate", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 51
+        assert "(normalized inf)" in capsys.readouterr().out
+
 
 class TestCompare:
     def test_sixteen_data_rows(self, tmp_path, capsys):

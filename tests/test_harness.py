@@ -1,14 +1,23 @@
 """Tests for the closed-loop harness: loop bookkeeping, metric, training
 data, variants, and the comparison sweep."""
 
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from koopman_adapt import harness
-from koopman_adapt.config import ExperimentConfig, RunSettings, assemble, loads
+from koopman_adapt.config import (
+    VARIANTS,
+    ExperimentConfig,
+    RunSettings,
+    assemble,
+    loads,
+)
 from koopman_adapt.edmd import KoopmanModel, collect_snapshots, fit
 from koopman_adapt.errors import EmptyTrace, RankDeficientRegressor
 from koopman_adapt.harness import (
@@ -16,6 +25,7 @@ from koopman_adapt.harness import (
     default_config,
     format_comparison_table,
     generate_training_data,
+    normalized_error,
     prepare_estimator,
     reference_energy,
     run_closed_loop,
@@ -329,6 +339,64 @@ class TestVariantIsolation:
 
 ONE_EVENT = ChangeSchedule(((0.005, "m", 0.8),))
 
+# The default scenario cut to 1 s, for the fork of the with-changes cells.
+SHORT_T_SIM = 1.0
+SHORT_DT = 0.01
+FORK_K = 40
+
+
+def short_changes_config(first_event):
+    """The short default scenario whose mass changes at first_event and
+    whose friction changes 0.25 s later."""
+    cfg = default_config()
+    assert cfg.plant.dt == SHORT_DT
+    return replace(cfg, run=replace(cfg.run, t_sim=SHORT_T_SIM),
+                   schedule=ChangeSchedule(((first_event, "m", 0.8),
+                                            (first_event + 0.25, "d", 0.12))))
+
+
+def _cell_config_of(cfg, cell):
+    return harness._cell_config(cfg, cell.variant, cell.with_changes,
+                                cell.speed)
+
+
+def assert_same_trace(a, b):
+    assert len(a) == len(b)
+    for f in dataclasses.fields(harness.StepRecord):
+        np.testing.assert_array_equal(
+            np.array([getattr(r, f.name) for r in a]),
+            np.array([getattr(r, f.name) for r in b]), err_msg=f.name)
+
+
+@pytest.fixture(scope="module")
+def short_estimator():
+    return prepare_estimator(short_changes_config(0.0))
+
+
+@pytest.fixture
+def sweep_spy(monkeypatch, short_estimator):
+    """Records each run_closed_loop call of a sweep and counts the plant
+    steps the harness takes; the sweep's offline fit is short_estimator,
+    so every counted step is a closed-loop one. ``run_closed_loop`` is the
+    unwrapped function, for runs from scratch."""
+    run, step = harness.run_closed_loop, harness.step_plant
+    spy = SimpleNamespace(runs=[], plant_steps=0, run_closed_loop=run)
+
+    def recording_run(cfg, *args, **kwargs):
+        result = run(cfg, *args, **kwargs)
+        spy.runs.append((cfg, result))
+        return result
+
+    def counting_step(*args):
+        spy.plant_steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(harness, "run_closed_loop", recording_run)
+    monkeypatch.setattr(harness, "step_plant", counting_step)
+    monkeypatch.setattr(harness, "prepare_estimator",
+                        lambda cfg: short_estimator)
+    return spy
+
 
 class TestComparison:
     def test_cell_shape(self, tiny_cfg):
@@ -361,6 +429,77 @@ class TestComparison:
         assert len(comparison.cells) == 8
         assert {c.speed for c in comparison.cells} == {1.5}
         assert all(c.ok for c in comparison.cells)
+
+    # -- the with-changes cell resumes from its nominal twin --------------
+
+    @pytest.mark.parametrize("first_event, fork_k", [
+        (FORK_K * SHORT_DT, FORK_K),                       # on the grid
+        (FORK_K * SHORT_DT + SHORT_DT / 2, FORK_K + 1),    # off the grid
+        (0.0, None),                                       # at sample 0
+        (SHORT_T_SIM, None),                               # after the end
+    ])
+    def test_changed_cells_match_runs_from_scratch(self, sweep_spy,
+                                                   short_estimator,
+                                                   first_event, fork_k):
+        cfg = short_changes_config(first_event)
+        steps = round(SHORT_T_SIM / SHORT_DT)
+        assert harness._fork_sample(cfg) == fork_k
+        comparison = run_comparison(cfg)
+        # closed-loop plant steps: 16 full cells less the shared prefixes
+        assert sweep_spy.plant_steps == 16 * steps - 8 * (fork_k or 0)
+        # one run_closed_loop call per cell
+        swept = {(c.run.variant, bool(c.schedule.events),
+                  c.run.reference.speed): result
+                 for c, result in sweep_spy.runs}
+        assert len(sweep_spy.runs) == len(swept) == 16
+        # reported by half, then speed, then variant
+        assert [(c.variant, c.with_changes, c.speed)
+                for c in comparison.cells] == [
+            (v, h, s) for h in (False, True) for s in cfg.run.speeds
+            for v in VARIANTS]
+        assert all(c.ok for c in comparison.cells)
+        for cell in comparison.cells:
+            scratch = sweep_spy.run_closed_loop(
+                _cell_config_of(cfg, cell), estimator=short_estimator)
+            assert cell.normalized_error == normalized_error(scratch.records)
+            assert_same_trace(
+                swept[cell.variant, cell.with_changes, cell.speed].records,
+                scratch.records)
+
+    @pytest.mark.parametrize("nan_sample", [FORK_K - 10, FORK_K + 10])
+    def test_abort_before_or_after_the_fork(self, sweep_spy, short_estimator,
+                                            monkeypatch, nan_sample):
+        """A NaN measurement at one sample aborts every cell, before the
+        fork (no state saved: the twin runs from scratch) or after it (the
+        twin resumes, then aborts), with the statuses of runs from
+        scratch."""
+        measure = harness.measure
+
+        def nan_measure(plant, state, rng, output_index):
+            x_meas, y_meas = measure(plant, state, rng, output_index)
+            if abs(state.t - nan_sample * SHORT_DT) < SHORT_DT / 2:
+                x_meas = x_meas * math.nan
+            return x_meas, y_meas
+
+        monkeypatch.setattr(harness, "measure", nan_measure)
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        comparison = run_comparison(cfg)
+        assert len(sweep_spy.runs) == 16
+        for cell in comparison.cells:
+            scratch = sweep_spy.run_closed_loop(
+                _cell_config_of(cfg, cell), estimator=short_estimator)
+            assert scratch.aborted
+            assert cell.status == f"aborted: {scratch.reason}"
+            assert math.isnan(cell.normalized_error)
+
+    def test_sweep_leaves_no_state_behind(self, sweep_spy, short_estimator):
+        """The shared estimator is never mutated and a second sweep repeats
+        the first bit for bit."""
+        before = pickle.dumps(short_estimator)
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        first = run_comparison(cfg).cells
+        assert pickle.dumps(short_estimator) == before
+        assert run_comparison(cfg).cells == first
 
     def test_scaled_scenario_preserves_ordering(self):
         """Scaling the stroke amplitude leaves the four-variant ordering
