@@ -3,7 +3,7 @@
 Subcommands:
     simulate <config>  one closed-loop run; writes the trace CSV
     compare <config>   four-variant sweep (the with-changes half only when
-                       the config has a schedule); writes the summary CSV
+                       a change acts within the run); writes the summary CSV
                        and prints the comparison table
     oracle <name>      run a named verification oracle
 

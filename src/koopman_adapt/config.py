@@ -162,6 +162,8 @@ class RunSettings:
             raise ConfigError("train_duration must be finite and > 0")
         if not all(map(math.isfinite, (self.train_amplitude, *self.speeds))):
             raise ConfigError("train_amplitude and speeds must be finite")
+        if len(set(self.speeds)) < len(self.speeds):
+            raise ConfigError(f"speeds must not repeat, got {self.speeds}")
 
 
 @dataclass

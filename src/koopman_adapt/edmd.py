@@ -23,10 +23,11 @@ COND_LIMIT = 1e12
 
 
 def _as_input(u, p: int | None = None) -> np.ndarray:
-    """Normalize an input sample: None means no input channels."""
-    if u is None:
-        u = np.zeros(0)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    """Normalize an input sample: None means no input channels. A float64
+    1-D array (what the MPC returns) is taken as it is."""
+    if not (type(u) is np.ndarray and u.dtype == np.float64 and u.ndim == 1):
+        u = np.atleast_1d(np.asarray(np.zeros(0) if u is None else u,
+                                     dtype=float))
     if p is not None and u.shape != (p,):
         raise DimensionMismatch(f"expected input of shape ({p},), got {u.shape}")
     return u

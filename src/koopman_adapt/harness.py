@@ -20,6 +20,9 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
+# numpy loads its random module on first use; load it with this module
+# so that the first run's timing does not include it
+from numpy.random import default_rng
 
 from .config import VARIANTS, ExperimentConfig, assemble, loads
 from .edmd import SnapshotSet
@@ -70,29 +73,32 @@ def generate_training_data(cfg: ExperimentConfig) -> SnapshotSet:
 
     The excitation mixes six log-spaced tones with seeded phases plus
     white noise, all scaled by run.train_amplitude; states are recorded
-    through the noisy measurement path.
+    through the noisy measurement path. Only the plant steps go sample by
+    sample.
     """
     plant = cfg.plant
     run = cfg.run
-    rng = np.random.default_rng([run.seed, _TRAIN_STREAM])
+    n = plant.n
+    rng = default_rng([run.seed, _TRAIN_STREAM])
     steps = max(2, round(run.train_duration / plant.dt))
     freqs = np.geomspace(0.3, 4.0, 6)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
+    # every draw at once, in the order a per-sample loop makes them: row k
+    # holds sample k's input draw, then its n + 1 sensor draws; the last
+    # sample has no input, so its sensor draws start the last row
+    z = rng.standard_normal((steps + 1, n + 2))
     t = np.arange(steps) * plant.dt
-    tones = (np.sin(2.0 * np.pi * freqs * t[:, None] + phases).sum(axis=1)
-             / 6.0).tolist()
-    oi = cfg.dictionary.output_index
-    amp = run.train_amplitude
-    states = np.empty((plant.n, steps + 1))
-    U = np.empty((plant.p, steps))
-    state = PlantState(np.zeros(plant.n))
-    for k, tone in enumerate(tones):
-        u = np.array([amp * (tone + 0.25 * rng.standard_normal())])
-        states[:, k], _ = measure(plant, state, rng, oi)
-        U[:, k] = u
-        state = step_plant(plant, state, u)
-    states[:, steps], _ = measure(plant, state, rng, oi)
-    return SnapshotSet(states[:, :-1].copy(), states[:, 1:].copy(), U)
+    tones = np.sin(2.0 * np.pi * freqs * t[:, None] + phases).sum(axis=1) / 6.0
+    U = (run.train_amplitude * (tones + 0.25 * z[:-1, 0]))[None, :]
+    state = PlantState(np.zeros(n))
+    states = [state.x]
+    for k in range(steps):
+        state = step_plant(plant, state, U[:, k])
+        states.append(state.x)
+    x_meas, _ = measure(plant, np.array(states),
+                        np.concatenate((z[:-1, 1:], z[-1:, :-1])),
+                        cfg.dictionary.output_index)
+    return SnapshotSet(x_meas[:-1].T.copy(), x_meas[1:].T.copy(), U)
 
 
 def prepare_estimator(cfg: ExperimentConfig) -> RecursiveEstimator:
@@ -152,14 +158,16 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         solver = CondensedMpc(initial_model, cfg.mpc)
         kf = init_kalman(dictionary, w_full[:, 0], cfg.observer,
                          model=initial_model)
-        rng = np.random.default_rng([run.seed, _RUN_STREAM])
         state = PlantState(w_full[:, 0].copy(), 0.0)
         records: list[StepRecord] = []
         e_cum = 0.0
     else:  # the saved copies become this run's own state
         k0 = _fork.k
-        (state, rng, est, kf, records, e_cum, prev_meas, prev_u,
+        (state, est, kf, records, e_cum, prev_meas, prev_u,
          initial_model, ctrl_model, obs_model, solver) = saved
+    # n + 1 sensor draws per sample, the same for a resumed run
+    draws = default_rng([run.seed, _RUN_STREAM]).standard_normal(
+        (steps, plant.n + 1))
     aborted = False
     reason = ""
     # event times not yet reached; the plant is rebuilt once per distinct time
@@ -167,20 +175,19 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
     try:
         for k in range(k0, steps):
             if k == fork_at:
-                # copy what the rest of this run changes: the estimator and
-                # the RNG in place, the filter by rebinding psi and P;
-                # records are frozen, models and solvers never change
-                _fork.saved = (state, copy.deepcopy(rng), copy.deepcopy(est),
-                               copy.copy(kf), records.copy(), e_cum,
-                               prev_meas, prev_u, initial_model, ctrl_model,
-                               obs_model, solver)
+                # copy what the rest of this run changes: the estimator in
+                # place, the filter by rebinding psi and P; records are
+                # frozen, models and solvers never change
+                _fork.saved = (state, copy.deepcopy(est), copy.copy(kf),
+                               records.copy(), e_cum, prev_meas, prev_u,
+                               initial_model, ctrl_model, obs_model, solver)
             t = k * plant.dt
             if pending and pending[-1] <= t:
                 plant = apply_schedule(plant, cfg.schedule, t)
                 while pending and pending[-1] <= t:
                     pending.pop()
             x_true = state.x
-            x_meas, y_meas = measure(plant, state, rng,
+            x_meas, y_meas = measure(plant, x_true, draws[k],
                                      dictionary.output_index)
             if k:  # the transition into this sample
                 report = est.step(prev_meas, prev_u, x_meas)
@@ -255,13 +262,15 @@ class ComparisonResult:
     cells: list
 
 
-def _fork_sample(cfg: ExperimentConfig):
-    """The first sample k >= 1 at which the loop applies cfg's first change
-    event (its test is event_time <= k * dt), or None when that happens at
-    sample 0 or not at all, leaving no prefix to share."""
+def _first_change_sample(cfg: ExperimentConfig):
+    """The first sample k at which the loop applies cfg's first change
+    event (its test is event_time <= k * dt), or None when no sample
+    reaches one."""
+    if not cfg.schedule.events:
+        return None
     first = cfg.schedule.events[0][0]
     return next((k for k in range(_steps(cfg))
-                 if first <= k * cfg.plant.dt), 0) or None
+                 if first <= k * cfg.plant.dt), None)
 
 
 def _cell_config(cfg: ExperimentConfig, variant: str, with_changes: bool,
@@ -296,7 +305,8 @@ def _run_pair(cfg: ExperimentConfig, estimator, variant: str, speed: float,
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     """Run all variants x {no changes, changes} x reference speeds (the
     run's speeds for a rest-to-rest reference, else the reference's own);
-    the with-changes half runs only when the config has a schedule.
+    the with-changes half runs only when some change event acts within
+    the run.
 
     The offline fit is shared across cells (each gets a deep copy). Each
     (variant, speed) pair runs its two cells back to back: the cell with
@@ -304,13 +314,15 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     resumes from a copy of the twin's loop state there. Cells are reported
     by half, then speed, then variant.
     """
-    # only the rest-to-rest reference reads its speed; without a schedule
-    # the with-changes half would repeat the nominal one
+    # only the rest-to-rest reference reads its speed; without a change
+    # that acts within the run the with-changes half would repeat the
+    # nominal one, and a change at sample 0 leaves no prefix to share
     reference = cfg.run.reference
     speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
               else (reference.speed,))
-    halves = (False, True) if cfg.schedule.events else (False,)
-    fork_k = _fork_sample(cfg) if cfg.schedule.events else None
+    change_k = _first_change_sample(cfg)
+    halves = (False,) if change_k is None else (False, True)
+    fork_k = change_k or None
     estimator = prepare_estimator(cfg)
     pairs = [_run_pair(cfg, estimator, variant, speed, halves, fork_k)
              for speed in speeds for variant in VARIANTS]

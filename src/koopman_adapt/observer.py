@@ -8,6 +8,7 @@ one mutable filter state: they rebind its ``psi`` and ``P`` to new arrays
 and never write into the old ones.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,14 @@ def kf_predict(kf: KalmanState, model: KoopmanModel, u=None) -> None:
     kf.P = (P + P.T) / 2.0
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(N: int) -> np.ndarray:
+    """A read-only N x N identity, built once per size."""
+    eye = np.eye(N)
+    eye.flags.writeable = False
+    return eye
+
+
 def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
                y_meas: float) -> None:
     """Measurement update with the scalar output y, in place.
@@ -113,7 +122,7 @@ def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
     psi = kf.psi + L * innovation
     if kf.joseph:
         # (I - L C) P (I - L C)^T + R L L^T with C the one-hot output row
-        ILC = np.eye(kf.psi.shape[0])
+        ILC = _identity(kf.psi.shape[0]).copy()
         ILC[:, i] -= L
         P = ILC @ kf.P @ ILC.T + kf.R * (L[:, None] * L)
     else:

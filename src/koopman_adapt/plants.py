@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .edmd import _as_input
 from .errors import DimensionMismatch, NonFiniteState, UnknownParameter
 
 # Smooth Coulomb friction: tanh(velocity / EPS_COULOMB) in place of sign().
@@ -170,10 +171,7 @@ def _blow_up(plant: PlantModel, state: PlantState) -> NonFiniteState:
 
 def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
     """Advance one sample time under zero-order-hold input via RK4."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (plant.p,):
-        raise DimensionMismatch(
-            f"expected input of shape ({plant.p},), got {u.shape}")
+    u = _as_input(u, plant.p)
     x = np.asarray(state.x, dtype=float)
     h = plant.dt / plant.substeps
     if plant.kind == "pendulum":
@@ -220,13 +218,23 @@ def apply_schedule(plant: PlantModel, schedule: ChangeSchedule,
     return replace(plant, params=params) if changed else plant
 
 
-def measure(plant: PlantModel, state: PlantState, rng: np.random.Generator,
+def measure(plant: PlantModel, x: np.ndarray, z: np.ndarray,
             output_coord: int = 0):
-    """Noisy sensors: full-state measurement for the identification path
-    and the scalar output for the observer path."""
-    if not 0 <= output_coord < plant.n:
+    """Noisy sensors, a pure function of the states x and the standard
+    normal draws z: the full-state measurement x + noise_x z[..., :n] for
+    the identification path and the scalar output
+    x[..., output_coord] + noise_y z[..., n] for the observer path.
+
+    The state axis is last, so one sample (x of shape (n,), z (n + 1,))
+    and a trajectory (x (M, n), z (M, n + 1)) take the same call.
+    """
+    n = plant.n
+    if not 0 <= output_coord < n:
         raise ValueError(f"output_coord {output_coord} out of range")
-    x = np.asarray(state.x, dtype=float)
-    x_meas = x + plant.noise_x_vector * rng.standard_normal(plant.n)
-    y_meas = float(x[output_coord]) + plant.noise_y * rng.standard_normal()
+    if x.shape[-1:] != (n,) or z.shape != x.shape[:-1] + (n + 1,):
+        raise DimensionMismatch(
+            f"need states (..., {n}) and draws (..., {n + 1}) alike, got "
+            f"{x.shape} and {z.shape}")
+    x_meas = x + plant.noise_x_vector * z[..., :n]
+    y_meas = x[..., output_coord] + plant.noise_y * z[..., n]
     return x_meas, y_meas

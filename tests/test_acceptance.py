@@ -162,7 +162,7 @@ def test_criterion_6_constant_trace_bound():
     for k in range(10_000):
         u = np.array([1.2 * math.sin(2 * math.pi * 0.6 * k * plant.dt)
                       + 0.3 * rng.standard_normal()])
-        x_meas, _ = measure(plant, state, rng)
+        x_meas, _ = measure(plant, state.x, rng.standard_normal(3))
         if x_prev is not None:
             rep = est.step(x_prev, u_prev, x_meas)
             worst_excess = max(worst_excess, rep.trace_gamma - est.trace_max)

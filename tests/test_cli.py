@@ -75,6 +75,7 @@ class TestExitCodes:
         ("simulate", "m_op = 5", "m_op = 5\nstate_scales = -1.0, 5.0"),
         ("simulate", "m_op = 5", "m_op = 5\nstate_scales = 1.0"),
         ("compare", "speeds = 1.0, 2.0", "speeds = -1.0"),
+        ("compare", "speeds = 1.0, 2.0", "speeds = 2.0, 2.0"),
     ])
     def test_bad_scale_or_speed_is_a_config_error(self, tmp_path, capsys,
                                                   command, old, new):

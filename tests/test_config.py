@@ -225,6 +225,13 @@ class TestAssemble:
         with pytest.raises(ConfigError, match="speed"):
             assemble(loads(f"[run]\nspeeds = {speeds}\n"))
 
+    @pytest.mark.parametrize("speeds", ["2.0, 2.0", "1.0, 3.0, 1.0"])
+    def test_repeated_speed_rejected(self, speeds):
+        """A repeated speed would run its cells twice and write duplicate
+        summary rows under one table column."""
+        with pytest.raises(ConfigError, match="speeds"):
+            assemble(loads(f"[run]\nspeeds = {speeds}\n"))
+
     def test_unknown_schedule_parameter_rejected(self):
         with pytest.raises(ConfigError, match="zz"):
             assemble(loads("[plant]\nschedule = (4.0, zz, 1.0)\n"))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from koopman_adapt.edmd import SnapshotSet, collect_snapshots, fit
+from koopman_adapt.edmd import SnapshotSet, _as_input, collect_snapshots, fit
 from koopman_adapt.errors import (
+    DimensionMismatch,
     NonFiniteState,
     RankDeficientRegressor,
     TooFewSamples,
@@ -45,6 +46,26 @@ def invariant_subspace_data(a=0.9, b=0.5, c=0.4, n_traj=6, steps=15, seed=0):
                          np.hstack([s.Xp for s in sets]),
                          np.hstack([s.U for s in sets]))
     return merged, K_true
+
+
+class TestAsInput:
+    def test_float_vector_taken_as_is(self):
+        u = np.array([0.5, -1.0])
+        assert _as_input(u, 2) is u
+
+    @pytest.mark.parametrize("u, want", [
+        (0.5, [0.5]), ([1, 2], [1.0, 2.0]), (np.array(3.0), [3.0]),
+        (np.array([1, 2]), [1.0, 2.0]), (None, [])])
+    def test_other_forms_converted(self, u, want):
+        got = _as_input(u)
+        assert got.dtype == np.float64 and got.ndim == 1
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("u", [np.zeros(3), np.zeros((2, 1)),
+                                   np.zeros((1, 2)), [1, 2, 3], None])
+    def test_wrong_shape_rejected(self, u):
+        with pytest.raises(DimensionMismatch, match="input of shape"):
+            _as_input(u, 2)
 
 
 class TestCollectSnapshots:

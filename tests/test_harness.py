@@ -142,8 +142,8 @@ class TestRunBookkeeping:
         NumericalError with the samples before it kept."""
         calls = []
 
-        def nan_on_fifth(plant, state, rng, output_index):
-            x_meas, y_meas = measure(plant, state, rng, output_index)
+        def nan_on_fifth(plant, x, z, output_index):
+            x_meas, y_meas = measure(plant, x, z, output_index)
             calls.append(None)
             if len(calls) == 5:
                 return np.full_like(x_meas, np.nan), math.nan
@@ -233,9 +233,13 @@ class TestMetric:
 def reference_training_data(cfg):
     """The per-sample excitation run generate_training_data must reproduce
     bit for bit: each sample's tone summed on its own, the snapshots
-    collected from (x, u) pairs."""
+    collected from (x, u) pairs, the RNG drawn from sample by sample."""
     plant, run = cfg.plant, cfg.run
     rng = np.random.default_rng([run.seed, harness._TRAIN_STREAM])
+
+    def sensor_draws():  # the state noise, then the output noise
+        return np.append(rng.standard_normal(plant.n), rng.standard_normal())
+
     steps = max(2, round(run.train_duration / plant.dt))
     freqs = np.geomspace(0.3, 4.0, 6)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
@@ -246,10 +250,12 @@ def reference_training_data(cfg):
         tone = np.sum(np.sin(2.0 * np.pi * freqs * t + phases)) / 6.0
         u = np.array([run.train_amplitude
                       * (tone + 0.25 * rng.standard_normal())])
-        x_meas, _ = measure(plant, state, rng, cfg.dictionary.output_index)
+        x_meas, _ = measure(plant, state.x, sensor_draws(),
+                            cfg.dictionary.output_index)
         pairs.append((x_meas, u))
         state = step_plant(plant, state, u)
-    x_meas, _ = measure(plant, state, rng, cfg.dictionary.output_index)
+    x_meas, _ = measure(plant, state.x, sensor_draws(),
+                        cfg.dictionary.output_index)
     pairs.append((x_meas, np.zeros(plant.p)))
     return collect_snapshots(pairs)
 
@@ -417,6 +423,23 @@ class TestComparison:
         assert all(c.ok for c in comparison.cells)
         assert "chg@" not in format_comparison_table(comparison)
 
+    @pytest.mark.parametrize("t_sim, halves", [
+        (0.5, 1),    # the default events at 4 s come after the last sample
+        (4.0, 1),    # the last sample is at 3.99 s
+        (4.01, 2),   # the last sample is at 4 s: the change acts there
+    ])
+    def test_changes_after_the_run_run_only_the_nominal_half(
+            self, sweep_spy, t_sim, halves):
+        """A schedule whose events all come after the last sample would
+        give with-changes cells equal to the nominal ones, so they do not
+        run."""
+        cfg = default_config()
+        cfg = replace(cfg, run=replace(cfg.run, t_sim=t_sim))
+        comparison = run_comparison(cfg)
+        assert len(sweep_spy.runs) == len(comparison.cells) == 8 * halves
+        assert all(c.ok for c in comparison.cells)
+        assert ("chg@" in format_comparison_table(comparison)) == (halves > 1)
+
     @pytest.mark.parametrize("kind", ["sinusoid", "hold"])
     def test_speed_columns_only_for_rest_to_rest(self, tiny_cfg, kind):
         """Only the rest-to-rest reference reads its speed: any other
@@ -443,19 +466,21 @@ class TestComparison:
                                                    first_event, fork_k):
         cfg = short_changes_config(first_event)
         steps = round(SHORT_T_SIM / SHORT_DT)
-        assert harness._fork_sample(cfg) == fork_k
+        halves = (False, True) if first_event < SHORT_T_SIM else (False,)
+        assert (harness._first_change_sample(cfg) or None) == fork_k
         comparison = run_comparison(cfg)
-        # closed-loop plant steps: 16 full cells less the shared prefixes
-        assert sweep_spy.plant_steps == 16 * steps - 8 * (fork_k or 0)
+        cells = 8 * len(halves)
+        # closed-loop plant steps: the full cells less the shared prefixes
+        assert sweep_spy.plant_steps == cells * steps - 8 * (fork_k or 0)
         # one run_closed_loop call per cell
         swept = {(c.run.variant, bool(c.schedule.events),
                   c.run.reference.speed): result
                  for c, result in sweep_spy.runs}
-        assert len(sweep_spy.runs) == len(swept) == 16
+        assert len(sweep_spy.runs) == len(swept) == cells
         # reported by half, then speed, then variant
         assert [(c.variant, c.with_changes, c.speed)
                 for c in comparison.cells] == [
-            (v, h, s) for h in (False, True) for s in cfg.run.speeds
+            (v, h, s) for h in halves for s in cfg.run.speeds
             for v in VARIANTS]
         assert all(c.ok for c in comparison.cells)
         for cell in comparison.cells:
@@ -474,15 +499,19 @@ class TestComparison:
         twin resumes, then aborts), with the statuses of runs from
         scratch."""
         measure = harness.measure
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        # every cell draws its sensor noise from the one seeded stream
+        nan_draws = np.random.default_rng(
+            [cfg.run.seed, harness._RUN_STREAM]).standard_normal(
+            (round(SHORT_T_SIM / SHORT_DT), cfg.plant.n + 1))[nan_sample]
 
-        def nan_measure(plant, state, rng, output_index):
-            x_meas, y_meas = measure(plant, state, rng, output_index)
-            if abs(state.t - nan_sample * SHORT_DT) < SHORT_DT / 2:
+        def nan_measure(plant, x, z, output_index):
+            x_meas, y_meas = measure(plant, x, z, output_index)
+            if np.array_equal(z, nan_draws):
                 x_meas = x_meas * math.nan
             return x_meas, y_meas
 
         monkeypatch.setattr(harness, "measure", nan_measure)
-        cfg = short_changes_config(FORK_K * SHORT_DT)
         comparison = run_comparison(cfg)
         assert len(sweep_spy.runs) == 16
         for cell in comparison.cells:

@@ -123,6 +123,30 @@ class TestJosephForm:
             assert np.linalg.eigvalsh(kf.P).min() >= -1e-10
             kf_predict(kf, model, rng.standard_normal(1))
 
+    def test_identity_built_once_per_size(self, monkeypatch):
+        """Corrections copy one cached identity instead of building
+        np.eye(N) each time, and still give the textbook Joseph form."""
+        d = identity_dictionary(7)
+        kf = KalmanState(np.zeros(7), np.eye(7), 1e-5 * np.eye(7), 1e-4,
+                         joseph=True)
+        eye, calls = np.eye, []
+
+        def counting_eye(*args, **kwargs):
+            calls.append(args)
+            return eye(*args, **kwargs)
+
+        monkeypatch.setattr(np, "eye", counting_eye)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            P0 = kf.P  # rebound by the correction, never written
+            kf_correct(kf, d, rng.standard_normal())
+            L = P0[:, 0] / (P0[0, 0] + kf.R)
+            ILC = eye(7)
+            ILC[:, 0] -= L
+            P = ILC @ P0 @ ILC.T + kf.R * (L[:, None] * L)
+            np.testing.assert_array_equal(kf.P, (P + P.T) / 2.0)
+        assert len(calls) <= 1
+
     def test_joseph_and_simple_agree_in_exact_arithmetic(self):
         d = identity_dictionary(2)
         kf_j = KalmanState(np.zeros(2), np.eye(2), np.zeros((2, 2)), 0.5,

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from koopman_adapt.errors import NonFiniteState, UnknownParameter
+from koopman_adapt.errors import (
+    DimensionMismatch,
+    NonFiniteState,
+    UnknownParameter,
+)
 from koopman_adapt.plants import (
     EPS_COULOMB,
     ChangeSchedule,
@@ -166,6 +170,22 @@ class TestStepPlant:
             return np.stack(xs)
         np.testing.assert_array_equal(run(), run())
 
+    @pytest.mark.parametrize("u", [0.3, [0.3], np.float32(0.3),
+                                   np.array(0.3), np.array([0.3])])
+    def test_input_forms_agree(self, u):
+        """A float64 (p,) input is used as it is; scalars, lists and other
+        dtypes are converted first, to the same step."""
+        plant = make_pendulum(dt=0.01, substeps=2)
+        state = PlantState(np.array([0.1, 0.2]))
+        want = step_plant(plant, state,
+                          np.asarray(u, dtype=np.float64).reshape(1)).x
+        np.testing.assert_array_equal(step_plant(plant, state, u).x, want)
+
+    @pytest.mark.parametrize("u", [np.zeros(2), np.zeros((1, 1)), None])
+    def test_wrong_input_shape_rejected(self, u):
+        with pytest.raises(DimensionMismatch, match="input of shape"):
+            step_plant(make_pendulum(), PlantState(np.zeros(2)), u)
+
 
 class TestSchedule:
     def test_empty_schedule_identity(self):
@@ -216,28 +236,50 @@ class TestSchedule:
 class TestMeasure:
     def test_noise_free_exact(self):
         plant = make_pendulum(noise_y=0.0, noise_x=0.0)
-        state = PlantState(np.array([0.3, -0.7]))
-        x_meas, y_meas = measure(plant, state, np.random.default_rng(0))
-        np.testing.assert_array_equal(x_meas, state.x)
+        x = np.array([0.3, -0.7])
+        x_meas, y_meas = measure(plant, x,
+                                 np.random.default_rng(0).standard_normal(3))
+        np.testing.assert_array_equal(x_meas, x)
         assert y_meas == 0.3
 
     def test_seeded_stream_reproducible(self):
+        """measure is a pure function of the states and the draws, the
+        noise scaled per channel; one call over a trajectory equals one
+        call per sample, bit for bit."""
         plant = make_pendulum(noise_y=0.01, noise_x=(0.01, 0.02))
-        state = PlantState(np.array([0.5, 0.1]))
-        a = measure(plant, state, np.random.default_rng(42))
-        b = measure(plant, state, np.random.default_rng(42))
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1] == b[1]
+        rng = np.random.default_rng(42)
+        X, Z = rng.standard_normal((50, 2)), rng.standard_normal((50, 3))
+        xs, ys = measure(plant, X, Z, output_coord=1)
+        np.testing.assert_array_equal(xs, X + [0.01, 0.02] * Z[:, :2])
+        np.testing.assert_array_equal(ys, X[:, 1] + 0.01 * Z[:, 2])
+        for k in range(50):
+            x_meas, y_meas = measure(plant, X[k], Z[k], output_coord=1)
+            np.testing.assert_array_equal(x_meas, xs[k])
+            assert y_meas == ys[k]
+        again = measure(plant, X, Z, output_coord=1)
+        np.testing.assert_array_equal(again[0], xs)
+        np.testing.assert_array_equal(again[1], ys)
 
     def test_sample_variance_matches_config(self):
         plant = make_pendulum(noise_y=0.2, noise_x=0.0)
-        state = PlantState(np.zeros(2))
         rng = np.random.default_rng(7)
-        ys = np.array([measure(plant, state, rng)[1] for _ in range(100_000)])
+        _, ys = measure(plant, np.zeros((100_000, 2)),
+                        rng.standard_normal((100_000, 3)))
         assert np.var(ys) == pytest.approx(0.04, rel=0.05)
 
     def test_output_coordinate_selectable(self):
         plant = make_pendulum(noise_y=0.0)
-        state = PlantState(np.array([0.3, -0.7]))
-        _, y = measure(plant, state, np.random.default_rng(0), output_coord=1)
+        _, y = measure(plant, np.array([0.3, -0.7]), np.zeros(3),
+                       output_coord=1)
         assert y == -0.7
+
+    @pytest.mark.parametrize("x_shape, z_shape", [
+        ((2,), (2,)), ((3,), (4,)), ((5, 2), (3,)), ((5, 2), (4, 3))])
+    def test_mismatched_shapes_rejected(self, x_shape, z_shape):
+        with pytest.raises(DimensionMismatch):
+            measure(make_pendulum(), np.zeros(x_shape), np.zeros(z_shape))
+
+    def test_output_coordinate_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="output_coord"):
+            measure(make_pendulum(), np.zeros(2), np.zeros(3),
+                    output_coord=2)
