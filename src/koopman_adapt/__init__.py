@@ -10,7 +10,7 @@ from .edmd import KoopmanModel, collect_snapshots
 from .errors import KoopmanAdaptError
 from .harness import (
     RunResult,
-    StepRecord,
+    Trace,
     compute_metric,
     default_config,
     format_comparison_table,
@@ -33,8 +33,8 @@ __all__ = [
     "RecursiveEstimator",
     "RedmdSettings",
     "RunResult",
-    "StepRecord",
     "StepReport",
+    "Trace",
     "collect_snapshots",
     "compute_metric",
     "default_config",

@@ -155,6 +155,8 @@ class RunSettings:
         self.speeds = tuple(self.speeds)
         if not 0 < self.t_sim < math.inf:
             raise ConfigError(f"t_sim must be finite and > 0, got {self.t_sim}")
+        if self.seed < 0:  # default_rng takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}")

@@ -37,30 +37,30 @@ _TRAIN_STREAM = 0
 _RUN_STREAM = 1
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One closed-loop sample: truth, measurements, estimate, action,
-    reference, estimator diagnostics, and the running error metric."""
+class Trace(np.recarray):
+    """A run's trace, one row per closed-loop sample: truth, measurements,
+    estimate, action, reference, estimator diagnostics, and the running
+    error metric. ``records.x`` is a column, ``records[k].x`` a row's
+    field."""
 
-    t: float
-    x: np.ndarray
-    x_meas: np.ndarray
-    x_hat: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    lam: float
-    trace_gamma: float
-    updated: bool
-    e_post: float
-    window_error: float
-    e_cum: float
+    @classmethod
+    def empty(cls, steps: int, n: int, p: int) -> "Trace":
+        return cls((steps,), dtype=np.dtype([
+            ("t", float), ("x", float, (n,)), ("x_meas", float, (n,)),
+            ("x_hat", float, (n,)), ("u", float, (p,)), ("w", float, (n,)),
+            ("lam", float), ("trace_gamma", float), ("updated", bool),
+            ("e_post", float), ("window_error", float), ("e_cum", float)],
+            align=True))
+
+    def __bool__(self) -> bool:  # as a list's: empty is false
+        return len(self) > 0
 
 
 @dataclass
 class RunResult:
     """A full trace plus the models in play at the end of the run."""
 
-    records: list
+    records: Trace
     aborted: bool = False
     reason: str = ""
     initial_model: object = None
@@ -159,7 +159,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         kf = init_kalman(dictionary, w_full[:, 0], cfg.observer,
                          model=initial_model)
         state = PlantState(w_full[:, 0].copy(), 0.0)
-        records: list[StepRecord] = []
+        records = Trace.empty(steps, plant.n, plant.p)
         e_cum = 0.0
     else:  # the saved copies become this run's own state
         k0 = _fork.k
@@ -170,14 +170,15 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         (steps, plant.n + 1))
     aborted = False
     reason = ""
+    written = k0  # rows of records filled so far
     # event times not yet reached; the plant is rebuilt once per distinct time
     pending = [e[0] for e in reversed(cfg.schedule.events)]
     try:
         for k in range(k0, steps):
             if k == fork_at:
                 # copy what the rest of this run changes: the estimator in
-                # place, the filter by rebinding psi and P; records are
-                # frozen, models and solvers never change
+                # place, the filter by rebinding psi and P, the trace's
+                # rows; models and solvers never change
                 _fork.saved = (state, copy.deepcopy(est), copy.copy(kf),
                                records.copy(), e_cum, prev_meas, prev_u,
                                initial_model, ctrl_model, obs_model, solver)
@@ -207,32 +208,34 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
             w_k = w_full[:, k]
             err = w_k - x_true
             e_cum += float(err @ err)
-            records.append(StepRecord(
-                t, x_true, x_meas, x_hat, u0, w_k.copy(), report.lam,
-                report.trace_gamma, report.updated, report.e_post,
-                report.window_error, e_cum))
+            records[k] = (t, x_true, x_meas, x_hat, u0, w_k, report.lam,
+                          report.trace_gamma, report.updated, report.e_post,
+                          report.window_error, e_cum)
+            written = k + 1
             state = step_plant(plant, state, u0)
             kf_predict(kf, obs_model, u0)
             prev_meas, prev_u = x_meas, u0
     except NumericalError as exc:
         aborted = True
         reason = f"{type(exc).__name__}: {exc}"
-    return RunResult(records, aborted, reason, initial_model, ctrl_model,
-                     obs_model)
+    return RunResult(records[:written], aborted, reason, initial_model,
+                     ctrl_model, obs_model)
 
 
 def compute_metric(records) -> float:
     """Final cumulated quadratic tracking error of a trace."""
     if not records:
         raise EmptyTrace("no records to compute a metric from")
-    return records[-1].e_cum
+    return float(records.e_cum[-1])
 
 
 def reference_energy(records) -> float:
     """Sum of squared reference norms over a trace (the normalizer)."""
     if not records:
         raise EmptyTrace("no records to compute reference energy from")
-    return float(sum(r.w @ r.w for r in records))
+    # each row's w @ w (the same dot as for one vector), summed in order
+    w = records.w
+    return float(np.cumsum(np.matmul(w[:, None, :], w[:, :, None]))[-1])
 
 
 def normalized_error(records) -> float:
@@ -340,8 +343,8 @@ def write_trace_csv(path, records) -> None:
     """Trace CSV: one row per sample, 17 significant digits, LF endings."""
     if not records:
         raise EmptyTrace("refusing to write an empty trace")
-    n = records[0].x.shape[0]
-    p = records[0].u.shape[0]
+    n = records.x.shape[1]
+    p = records.u.shape[1]
     header = (["t"]
               + [f"x{i + 1}" for i in range(n)]
               + [f"xmeas{i + 1}" for i in range(n)]
@@ -350,20 +353,12 @@ def write_trace_csv(path, records) -> None:
               + [f"w{i + 1}" for i in range(n)]
               + ["lambda", "trace_gamma", "updated", "e_post",
                  "window_error", "e_cum"])
+    # the flag becomes 1.0 / 0.0, which _fmt writes as 1 / 0
+    table = np.column_stack([records[name] for name in records.dtype.names])
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for r in records:
-            row = ([_fmt(r.t)]
-                   + [_fmt(v) for v in r.x]
-                   + [_fmt(v) for v in r.x_meas]
-                   + [_fmt(v) for v in r.x_hat]
-                   + [_fmt(v) for v in r.u]
-                   + [_fmt(v) for v in r.w]
-                   + [_fmt(r.lam), _fmt(r.trace_gamma),
-                      "1" if r.updated else "0",
-                      _fmt(r.e_post), _fmt(r.window_error), _fmt(r.e_cum)])
-            writer.writerow(row)
+        writer.writerows([_fmt(v) for v in row] for row in table)
 
 
 def write_summary_csv(path, comparison: ComparisonResult) -> None:

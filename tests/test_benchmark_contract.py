@@ -86,3 +86,21 @@ def test_comparison_sweep_traces_one_run_per_cell(perfbench, tracer,
     # sample intervals within each run: 8 full runs and 8 resumed ones
     assert metrics["harness.samples"][0] == (8 * (steps - 1)
                                              + 8 * (steps - fork - 1))
+
+
+@pytest.mark.parametrize("name, t_sim", [("saturating", None),
+                                         ("adapt-every-step", 0.5)])
+def test_single_run_passes_the_benchmark_checks(perfbench, name, t_sim):
+    """A single-run workload's unit passes the benchmark's own checks,
+    which read the trace through its truth value, its length, its
+    records[1:] slice, the rows' x, x_hat, u and updated, and the
+    harness's metric and energy."""
+    workloads = perfbench("workloads")
+    cfg = assemble(loads(workloads.config_text(name, 12345)))
+    if t_sim is not None:
+        cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run,
+                                                               t_sim=t_sim))
+    outcome = workloads.check_unit(name, cfg,
+                                   workloads.run_unit(name, cfg))
+    assert outcome.failures == {}
+    assert outcome.samples == round(cfg.run.t_sim / cfg.plant.dt)

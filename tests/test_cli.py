@@ -85,6 +85,15 @@ class TestExitCodes:
         assert cli_main([command, str(path), "--out", out]) == 1
         assert "configuration error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys,
+                                             command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_TEXT.replace("seed = 3", "seed = -1"))
+        out = str(tmp_path / "out.csv")
+        assert cli_main([command, str(path), "--out", out]) == 1
+        assert "configuration error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new", [
         ("horizon = 5", "horizon = 2.5"), ("substeps = 1", "substeps = 2.5"),
         ("m_op = 5", "m_op = 2.5"), ("seed = 3", "seed = 1.5"),

@@ -232,6 +232,13 @@ class TestAssemble:
         with pytest.raises(ConfigError, match="speeds"):
             assemble(loads(f"[run]\nspeeds = {speeds}\n"))
 
+    @pytest.mark.parametrize("seed", ["-1", "-12345"])
+    def test_negative_seed_rejected(self, seed):
+        """A negative seed would pass here and fail in the run's
+        default_rng instead."""
+        with pytest.raises(ConfigError, match="seed"):
+            assemble(loads(f"[run]\nseed = {seed}\n"))
+
     def test_unknown_schedule_parameter_rejected(self):
         with pytest.raises(ConfigError, match="zz"):
             assemble(loads("[plant]\nschedule = (4.0, zz, 1.0)\n"))

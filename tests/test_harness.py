@@ -1,7 +1,6 @@
 """Tests for the closed-loop harness: loop bookkeeping, metric, training
 data, variants, and the comparison sweep."""
 
-import dataclasses
 import math
 import pickle
 from dataclasses import replace
@@ -19,7 +18,11 @@ from koopman_adapt.config import (
     loads,
 )
 from koopman_adapt.edmd import KoopmanModel, collect_snapshots, fit
-from koopman_adapt.errors import EmptyTrace, RankDeficientRegressor
+from koopman_adapt.errors import (
+    EmptyTrace,
+    NonFiniteState,
+    RankDeficientRegressor,
+)
 from koopman_adapt.harness import (
     compute_metric,
     default_config,
@@ -155,6 +158,26 @@ class TestRunBookkeeping:
         assert result.reason.startswith("NonFiniteState")
         assert len(result.records) == 4
 
+    def test_error_after_the_row_keeps_that_sample(
+            self, tiny_cfg, tiny_estimator, monkeypatch):
+        """A plant step that fails at sample 3 comes after that sample's
+        row is written, so the partial trace ends with it."""
+        full = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records
+        calls = []
+
+        def fail_on_fourth(plant, state, u):
+            calls.append(None)
+            if len(calls) == 4:
+                raise NonFiniteState("plant state went non-finite")
+            return step_plant(plant, state, u)
+
+        monkeypatch.setattr(harness, "step_plant", fail_on_fourth)
+        result = run_closed_loop(tiny_cfg, estimator=tiny_estimator)
+        assert result.aborted
+        assert result.reason.startswith("NonFiniteState")
+        assert len(result.records) == 4
+        assert result.records[-1].t == 3 * tiny_cfg.plant.dt
+        assert_same_trace(result.records, full[:4])
 
     def test_schedule_applied_once_per_event_time(
             self, tiny_cfg, tiny_estimator, monkeypatch):
@@ -206,14 +229,18 @@ class TestModelMatchedClosedLoop:
 
 class TestMetric:
     def test_perfect_tracking_zero(self, tiny_cfg, tiny_estimator):
-        result = run_closed_loop(tiny_cfg, estimator=tiny_estimator)
-        records = [replace(r, w=r.x, e_cum=0.0) for r in result.records]
+        records = run_closed_loop(
+            tiny_cfg, estimator=tiny_estimator).records.copy()
+        records.w = records.x
+        records.e_cum = 0.0
         assert compute_metric(records) == 0.0
 
     def test_single_record_value(self, tiny_cfg, tiny_estimator):
-        r = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records[0]
-        r = replace(r, w=r.x + np.array([2.0, 0.0]), e_cum=4.0)
-        assert compute_metric([r]) == 4.0
+        records = run_closed_loop(
+            tiny_cfg, estimator=tiny_estimator).records[:1].copy()
+        records.w = records.x + np.array([2.0, 0.0])
+        records.e_cum = 4.0
+        assert compute_metric(records) == 4.0
 
     def test_concatenation_additivity(self, tiny_cfg, tiny_estimator):
         records = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records
@@ -228,6 +255,20 @@ class TestMetric:
             compute_metric([])
         with pytest.raises(EmptyTrace):
             reference_energy([])
+        with pytest.raises(EmptyTrace):
+            compute_metric(harness.Trace.empty(0, 2, 1))
+
+    def test_reference_energy_is_the_in_order_sum(self):
+        """Bit for bit each row's w @ w added up in sample order, over
+        references spanning twelve decades."""
+        records = harness.Trace.empty(1000, 2, 1)
+        rng = np.random.default_rng(5)
+        records.w = (rng.standard_normal((1000, 2))
+                     * 10.0 ** rng.integers(-6, 6, (1000, 1)))
+        total = 0.0
+        for w in records.w:
+            total += w @ w
+        assert reference_energy(records) == total
 
 
 def reference_training_data(cfg):
@@ -367,11 +408,11 @@ def _cell_config_of(cfg, cell):
 
 
 def assert_same_trace(a, b):
+    """Equal length, layout and bits in every column."""
     assert len(a) == len(b)
-    for f in dataclasses.fields(harness.StepRecord):
-        np.testing.assert_array_equal(
-            np.array([getattr(r, f.name) for r in a]),
-            np.array([getattr(r, f.name) for r in b]), err_msg=f.name)
+    assert a.dtype == b.dtype
+    for name in a.dtype.names:
+        assert a[name].tobytes() == b[name].tobytes(), name
 
 
 @pytest.fixture(scope="module")
