@@ -10,7 +10,8 @@ variant only decides which consumers receive its model updates.
 The comparison sweep mirrors the four-variant adaptivity study: every
 variant runs without and, when the config has one, with the change schedule
 at each configured reference speed, reporting the cumulated quadratic
-tracking error normalized by the reference energy.
+tracking error normalized by the reference energy. Its cells run in
+lockstep, as one closed loop over a leading cell axis.
 """
 
 import copy
@@ -28,7 +29,13 @@ from .config import VARIANTS, ExperimentConfig, assemble, loads
 from .edmd import SnapshotSet
 from .errors import EmptyTrace, NumericalError
 from .mpc import CondensedMpc
-from .observer import init_kalman, kf_correct, kf_estimate_state, kf_predict
+from .observer import (
+    KalmanState,
+    init_kalman,
+    kf_correct,
+    kf_estimate_state,
+    kf_predict,
+)
 from .plants import PlantState, apply_schedule, measure, step_plant
 from .redmd import RecursiveEstimator, StepReport, init_from_batch
 from .references import build_reference
@@ -111,115 +118,217 @@ def _steps(cfg: ExperimentConfig) -> int:
     return max(1, round(cfg.run.t_sim / cfg.plant.dt))
 
 
-@dataclass
-class _Fork:
-    """A closed loop's state at the top of sample k, saved by a run without
-    changes for its with-changes twin to resume from."""
+class _Cell:
+    """One cell of a lockstep run: its closed loop's state apart from its
+    rows of the run's stacked arrays (see _Rows), and its reference w."""
 
-    k: int
-    saved: tuple | None = None
+    def __init__(self, cfg: ExperimentConfig, est: RecursiveEstimator,
+                 w: np.ndarray, records: Trace):
+        self._set_config(cfg)
+        self.est, self.w, self.records = est, w, records
+        self.state = PlantState(w[:, 0].copy(), 0.0)
+        self.adapt_ctrl = cfg.run.variant in ("adaptive-ctrl", "adaptive-both")
+        self.adapt_obs = cfg.run.variant in ("adaptive-obs", "adaptive-both")
+        self.initial_model = self.ctrl_model = self.obs_model = est.model
+        self.solver = CondensedMpc(self.initial_model, cfg.mpc)
+        self.written = 0  # rows of records filled so far
+        self.report = self.prev_meas = self.prev_u = None
+        self.result = None  # set when the cell ends
+
+    def _set_config(self, cfg: ExperimentConfig) -> None:
+        self.cfg, self.plant = cfg, cfg.plant
+        # event times not yet reached; the plant is rebuilt once per
+        # distinct time
+        self.pending = [e[0] for e in reversed(cfg.schedule.events)]
+
+    def twin(self, cfg: ExperimentConfig) -> "_Cell":
+        """A copy of this cell running cfg from here on, exact when cfg
+        differs from this cell's config only by change events that act
+        from here on. It copies what the rest of the run changes in place:
+        the estimator and the trace's rows; the models, the solver and the
+        plant state are only ever rebound."""
+        twin = copy.copy(self)
+        twin._set_config(cfg)
+        if self.result is not None:  # ended here, so its twin ends here too
+            twin.result = replace(self.result,
+                                  records=self.result.records.copy())
+        else:
+            twin.est = copy.deepcopy(self.est)
+            twin.records = self.records.copy()
+        return twin
+
+    def update(self, k: int, t: float, x_meas) -> bool:
+        """Sample k's estimator step and model handover, on the plant in
+        force at time t; whether the observer took a new model."""
+        if self.pending and self.pending[-1] <= t:
+            self.plant = apply_schedule(self.plant, self.cfg.schedule, t)
+            while self.pending and self.pending[-1] <= t:
+                self.pending.pop()
+        est = self.est
+        if k:  # the transition into this sample
+            report = est.step(self.prev_meas, self.prev_u, x_meas)
+        else:  # no transition yet: the warm-up sentinels
+            report = StepReport(False, est.lam, est.trace_gamma, math.nan,
+                                math.inf)
+        self.report = report
+        if not (report.updated and (self.adapt_ctrl or self.adapt_obs)):
+            return False
+        model = est.model  # one snapshot serves both consumers
+        if self.adapt_ctrl:
+            self.ctrl_model = model
+            self.solver = CondensedMpc(model, self.cfg.mpc)
+        if self.adapt_obs:
+            self.obs_model = model
+        return self.adapt_obs
+
+    def end(self, exc: NumericalError | None = None) -> None:
+        """End the cell with the rows written, aborted when exc is given,
+        and fill in their running error: each row's err @ err as for one
+        vector, summed in order."""
+        records = self.records[:self.written]
+        err = records.w - records.x
+        records.e_cum = np.cumsum((err[:, None, :] @ err[:, :, None])[:, 0, 0])
+        self.result = RunResult(
+            records, exc is not None,
+            f"{type(exc).__name__}: {exc}" if exc is not None else "",
+            self.initial_model, self.ctrl_model, self.obs_model)
+
+
+@dataclass
+class _Rows:
+    """The live cells' rows of a lockstep run, stacked on a leading cell
+    axis in the order of its live cells: the filter and the observer models
+    (K, B, in the shape kf_predict takes)."""
+
+    kf: KalmanState
+    K: np.ndarray
+    B: np.ndarray
+
+    def take(self, rows) -> "_Rows":
+        """Copies of the given rows, in order."""
+        kf = self.kf
+        return _Rows(replace(kf, psi=kf.psi[rows], P=kf.P[rows],
+                             Q=kf.Q[rows]),
+                     self.K[rows], self.B[rows])
 
 
 def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
-                    *, _fork: _Fork | None = None) -> RunResult:
+                    *, _cells: tuple | None = None):
     """Run one closed-loop scenario and return its trace.
 
     An already-initialized estimator may be passed to share one offline fit
     across runs (it is deep-copied, never mutated). A reference array
     (n, >= steps + horizon) overrides the configured reference generator.
 
-    ``_fork`` (used by run_comparison): a fork with nothing saved receives
-    this run's loop state at the top of sample ``_fork.k``; one with a
-    saved state starts this run from it. That is exact when the saving
-    run's config differs from this one only by change events that act at
-    ``_fork.k`` or later.
+    The loop runs over a leading axis of cells, one cell here. Per sample,
+    the sensor and the Kalman filter run once for all live cells; the
+    estimator, the controller and the plant run cell by cell, and a cell's
+    running error is summed over its whole trace when it ends. Each cell's
+    numbers are those of its run alone, to the bit. A NumericalError ends
+    its cell alone, with the rows it wrote, and the cell leaves the stacked
+    arrays.
+
+    ``_cells`` (used by run_comparison) makes this one call run a sweep's
+    cells and return a list of their RunResults: given ``(pairs, k)``,
+    cfg's cell of each (variant, speed) pair without changes, then, when k
+    is not None, each with cfg's changes. A cell with changes starts at the
+    top of sample k as a copy of its nominal twin's loop state there, which
+    is exact when no change acts before sample k.
     """
-    run = cfg.run
-    plant = cfg.plant
-    dictionary = cfg.dictionary
-    steps = _steps(cfg)
-    H = cfg.mpc.horizon
-    if reference is None:
-        w_full = build_reference(run.reference, steps + H + 1, plant.dt)
+    if _cells is None:
+        cfgs, twin_k, twin_cfgs = [cfg], None, []
     else:
-        w_full = np.asarray(reference, dtype=float)
-        if w_full.shape[0] != plant.n or w_full.shape[1] < steps + H:
-            raise ValueError(
-                f"reference override must be ({plant.n}, >= {steps + H})")
-    adapt_ctrl = run.variant in ("adaptive-ctrl", "adaptive-both")
-    adapt_obs = run.variant in ("adaptive-obs", "adaptive-both")
-    saved = _fork.saved if _fork is not None else None
-    fork_at = _fork.k if _fork is not None and saved is None else -1
-    if saved is None:
-        k0 = 0
-        est = copy.deepcopy(estimator) if estimator is not None \
-            else prepare_estimator(cfg)
-        initial_model = ctrl_model = obs_model = est.model
-        solver = CondensedMpc(initial_model, cfg.mpc)
-        kf = init_kalman(dictionary, w_full[:, 0], cfg.observer,
-                         model=initial_model)
-        state = PlantState(w_full[:, 0].copy(), 0.0)
-        records = Trace.empty(steps, plant.n, plant.p)
-        e_cum = 0.0
-    else:  # the saved copies become this run's own state
-        k0 = _fork.k
-        (state, est, kf, records, e_cum, prev_meas, prev_u,
-         initial_model, ctrl_model, obs_model, solver) = saved
-    # n + 1 sensor draws per sample, the same for a resumed run
-    draws = default_rng([run.seed, _RUN_STREAM]).standard_normal(
-        (steps, plant.n + 1))
-    aborted = False
-    reason = ""
-    written = k0  # rows of records filled so far
-    # event times not yet reached; the plant is rebuilt once per distinct time
-    pending = [e[0] for e in reversed(cfg.schedule.events)]
-    try:
-        for k in range(k0, steps):
-            if k == fork_at:
-                # copy what the rest of this run changes: the estimator in
-                # place, the filter by rebinding psi and P, the trace's
-                # rows; models and solvers never change
-                _fork.saved = (state, copy.deepcopy(est), copy.copy(kf),
-                               records.copy(), e_cum, prev_meas, prev_u,
-                               initial_model, ctrl_model, obs_model, solver)
-            t = k * plant.dt
-            if pending and pending[-1] <= t:
-                plant = apply_schedule(plant, cfg.schedule, t)
-                while pending and pending[-1] <= t:
-                    pending.pop()
-            x_true = state.x
-            x_meas, y_meas = measure(plant, x_true, draws[k],
-                                     dictionary.output_index)
-            if k:  # the transition into this sample
-                report = est.step(prev_meas, prev_u, x_meas)
-            else:  # no transition yet: the warm-up sentinels
-                report = StepReport(False, est.lam, float(np.trace(est.Gamma)),
-                                    math.nan, math.inf)
-            if report.updated and (adapt_ctrl or adapt_obs):
-                model = est.model  # one snapshot serves both consumers
-                if adapt_ctrl:
-                    ctrl_model = model
-                    solver = CondensedMpc(model, cfg.mpc)
-                if adapt_obs:
-                    obs_model = model
-            kf_correct(kf, dictionary, y_meas)
-            x_hat = kf_estimate_state(kf, dictionary)
-            u0, _ = solver.solve(kf.psi, w_full[:, k + 1: k + 1 + H])
-            w_k = w_full[:, k]
-            err = w_k - x_true
-            e_cum += float(err @ err)
-            records[k] = (t, x_true, x_meas, x_hat, u0, w_k, report.lam,
-                          report.trace_gamma, report.updated, report.e_post,
-                          report.window_error, e_cum)
-            written = k + 1
-            state = step_plant(plant, state, u0)
-            kf_predict(kf, obs_model, u0)
-            prev_meas, prev_u = x_meas, u0
-    except NumericalError as exc:
-        aborted = True
-        reason = f"{type(exc).__name__}: {exc}"
-    return RunResult(records[:written], aborted, reason, initial_model,
-                     ctrl_model, obs_model)
+        pairs, twin_k = _cells
+        cfgs = [_cell_config(cfg, v, False, s) for v, s in pairs]
+        twin_cfgs = ([] if twin_k is None
+                     else [_cell_config(cfg, v, True, s) for v, s in pairs])
+    plant, dictionary, H = cfg.plant, cfg.dictionary, cfg.mpc.horizon
+    n, steps = plant.n, _steps(cfg)
+    if reference is None:  # each distinct reference once
+        refs = {spec: build_reference(spec, steps + H + 1, plant.dt)
+                for spec in {c.run.reference for c in cfgs}}
+        ws = [refs[c.run.reference] for c in cfgs]
+    else:
+        ws = [np.asarray(reference, dtype=float)]
+        if ws[0].shape[0] != n or ws[0].shape[1] < steps + H:
+            raise ValueError(f"reference override must be ({n}, >= "
+                             f"{steps + H})")
+    if estimator is None:
+        estimator = prepare_estimator(cfg)
+    cells = [_Cell(c, copy.deepcopy(estimator), w,
+                   Trace.empty(steps, n, plant.p))
+             for c, w in zip(cfgs, ws)]
+    filters = [init_kalman(dictionary, c.w[:, 0], c.cfg.observer,
+                           model=c.initial_model) for c in cells]
+    kf = filters[0]
+    rows = _Rows(replace(kf, psi=np.stack([f.psi for f in filters]),
+                         P=np.stack([f.P for f in filters]),
+                         Q=np.stack([f.Q for f in filters])),
+                 np.stack([c.obs_model.K for c in cells]),
+                 np.stack([c.obs_model.B for c in cells]))
+    live = list(cells)  # the cells not ended, in the order of rows
+    # n + 1 sensor draws per sample, the same for every cell
+    draws = default_rng([cfg.run.seed, _RUN_STREAM]).standard_normal(
+        (steps, n + 1))
+    for k in range(steps):
+        if k == twin_k:
+            twins = [c.twin(tc) for c, tc in zip(cells, twin_cfgs)]
+            cells = cells + twins
+            rows = rows.take(list(range(len(live))) * 2)
+            live = live + [c for c in twins if c.result is None]
+        if not live:
+            continue
+        t = k * plant.dt
+        x_true = np.array([c.state.x for c in live])
+        x_meas, y_meas = measure(plant, x_true,
+                                 draws[k:k + 1].repeat(len(live), 0),
+                                 dictionary.output_index)
+        ended = False
+        for j, c in enumerate(live):
+            try:
+                if c.update(k, t, x_meas[j]):
+                    rows.K[j], rows.B[j] = c.obs_model.K, c.obs_model.B
+            except NumericalError as exc:
+                c.end(exc)
+                ended = True
+        if ended:
+            keep = [j for j, c in enumerate(live) if c.result is None]
+            live, rows = [live[j] for j in keep], rows.take(keep)
+            x_true, x_meas, y_meas = x_true[keep], x_meas[keep], y_meas[keep]
+            if not live:
+                continue
+            ended = False
+        kf = rows.kf
+        kf_correct(kf, dictionary, y_meas)
+        x_hat = kf_estimate_state(kf, dictionary)
+        u = []
+        for j, c in enumerate(live):
+            w = c.w
+            u0, _ = c.solver.solve(kf.psi[j], w[:, k + 1: k + 1 + H])
+            r = c.report
+            # the running error is filled in when the cell ends
+            c.records[k] = (t, x_true[j], x_meas[j], x_hat[j], u0, w[:, k],
+                            r.lam, r.trace_gamma, r.updated, r.e_post,
+                            r.window_error, 0.0)
+            c.written = k + 1
+            try:
+                c.state = step_plant(c.plant, c.state, u0)
+            except NumericalError as exc:
+                c.end(exc)
+                ended = True
+                continue
+            c.prev_meas, c.prev_u = x_meas[j], u0
+            u.append(u0)
+        if ended:
+            keep = [j for j, c in enumerate(live) if c.result is None]
+            live, rows = [live[j] for j in keep], rows.take(keep)
+            if not live:
+                continue
+        kf_predict(rows.kf, rows, np.array(u))
+    for c in live:
+        c.end()
+    results = [c.result for c in cells]
+    return results if _cells is not None else results[0]
 
 
 def compute_metric(records) -> float:
@@ -293,44 +402,33 @@ def _cell_result(variant: str, with_changes: bool, speed: float,
                       normalized_error(result.records), "ok")
 
 
-def _run_pair(cfg: ExperimentConfig, estimator, variant: str, speed: float,
-              halves: tuple, fork_k) -> list:
-    """The (variant, speed) cell of each half. The two cells differ only
-    in the schedule, so given a fork sample the with-changes one resumes
-    from the loop state its twin reached there."""
-    fork = _Fork(fork_k) if fork_k is not None else None
-    return [_cell_result(variant, with_changes, speed, run_closed_loop(
-                _cell_config(cfg, variant, with_changes, speed),
-                estimator=estimator, _fork=fork))
-            for with_changes in halves]
-
-
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     """Run all variants x {no changes, changes} x reference speeds (the
     run's speeds for a rest-to-rest reference, else the reference's own);
     the with-changes half runs only when some change event acts within
     the run.
 
-    The offline fit is shared across cells (each gets a deep copy). Each
-    (variant, speed) pair runs its two cells back to back: the cell with
-    changes repeats its nominal twin up to the first change event, so it
-    resumes from a copy of the twin's loop state there. Cells are reported
-    by half, then speed, then variant.
+    The offline fit is shared across cells (each gets a deep copy). All
+    cells run in lockstep in one run_closed_loop call: a cell with changes
+    repeats its nominal twin up to the first change event, so it starts
+    there from a copy of the twin's loop state. Cells are reported by
+    half, then speed, then variant.
     """
     # only the rest-to-rest reference reads its speed; without a change
     # that acts within the run the with-changes half would repeat the
-    # nominal one, and a change at sample 0 leaves no prefix to share
+    # nominal one
     reference = cfg.run.reference
     speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
               else (reference.speed,))
+    pairs = [(variant, speed) for speed in speeds for variant in VARIANTS]
     change_k = _first_change_sample(cfg)
     halves = (False,) if change_k is None else (False, True)
-    fork_k = change_k or None
-    estimator = prepare_estimator(cfg)
-    pairs = [_run_pair(cfg, estimator, variant, speed, halves, fork_k)
-             for speed in speeds for variant in VARIANTS]
-    return ComparisonResult([pair[h] for h in range(len(halves))
-                             for pair in pairs])
+    results = run_closed_loop(cfg, prepare_estimator(cfg),
+                              _cells=(pairs, change_k))
+    return ComparisonResult([
+        _cell_result(variant, with_changes, speed, result)
+        for (with_changes, (variant, speed)), result in zip(
+            [(h, pair) for h in halves for pair in pairs], results)])
 
 
 # -- reporting ----------------------------------------------------------------

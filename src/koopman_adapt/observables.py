@@ -74,12 +74,16 @@ class ObservableDictionary:
         return X.copy()
 
     def lift(self, x) -> np.ndarray:
-        """Evaluate all observables at one state; first n entries equal x."""
+        """Evaluate all observables at one state (n,), or at each state of
+        a stack (C, n); the first n entries equal x."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.shape[-1:] != (self.n,) or x.ndim > 2:
             raise DimensionMismatch(
-                f"expected state of shape ({self.n},), got {x.shape}")
-        return self._lift(x[:, None])[:, 0]
+                f"expected state of shape ({self.n},) or (C, {self.n}), "
+                f"got {x.shape}")
+        if x.ndim == 1:
+            return self._lift(x[:, None])[:, 0]
+        return np.ascontiguousarray(self._lift(x.T).T)
 
     def lift_batch(self, X) -> np.ndarray:
         """Columnwise lift of an (n, M) snapshot matrix to (N, M)."""
@@ -90,12 +94,14 @@ class ObservableDictionary:
         return self._lift(X)
 
     def project_state(self, psi) -> np.ndarray:
-        """First n components of a lifted vector (P_x = [I | 0])."""
+        """First n components of a lifted vector, or of each lifted vector
+        of a stack (P_x = [I | 0])."""
         psi = np.asarray(psi, dtype=float)
-        if psi.shape != (self.size,):
+        if psi.shape[-1:] != (self.size,):
             raise DimensionMismatch(
-                f"expected lifted vector of shape ({self.size},), got {psi.shape}")
-        return psi[: self.n].copy()
+                f"expected lifted vectors of shape (..., {self.size}), got "
+                f"{psi.shape}")
+        return psi[..., : self.n].copy()
 
     def output_projection(self) -> np.ndarray:
         """The (N,) one-hot row extracting the output from lifted coordinates."""

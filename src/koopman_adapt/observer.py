@@ -6,6 +6,10 @@ subsequent predictions only), and correction extracts the scalar output
 through the dictionary's output projection. Predict and correct update
 one mutable filter state: they rebind its ``psi`` and ``P`` to new arrays
 and never write into the old ones.
+
+A filter state may also stack several independent filters on a leading
+cell axis, psi (C, N) and P (C, N, N); every function then runs each cell
+as one call on that cell alone would, to the bit.
 """
 
 import functools
@@ -41,8 +45,10 @@ class ObserverSettings:
 
 @dataclass
 class KalmanState:
-    """Lifted state estimate, its covariance, and the noise model. Shapes
-    are checked once, here; R is checked in ObserverSettings."""
+    """Lifted state estimate, its covariance, and the noise model, of one
+    filter (psi (N,), P and Q (N, N)) or of a stack of filters that share R
+    and the toggles (psi (C, N), P and Q (C, N, N)). Shapes are checked
+    once, here; R is checked in ObserverSettings."""
 
     psi: np.ndarray
     P: np.ndarray
@@ -52,10 +58,10 @@ class KalmanState:
     relift_after_correct: bool = False
 
     def __post_init__(self):
-        N = self.psi.shape[0]
-        if self.P.shape != (N, N) or self.Q.shape != (N, N):
+        shape = self.psi.shape + self.psi.shape[-1:]
+        if self.P.shape != shape or self.Q.shape != shape:
             raise DimensionMismatch(
-                f"P and Q must be ({N}, {N}), got {self.P.shape} and "
+                f"P and Q must be {shape}, got {self.P.shape} and "
                 f"{self.Q.shape}")
 
 
@@ -90,50 +96,56 @@ def init_kalman(dictionary: ObservableDictionary, x0,
 
 def kf_predict(kf: KalmanState, model: KoopmanModel, u=None) -> None:
     """Time update through the lifted model, in place: psi <- K psi + B u,
-    P <- K P K^T + Q."""
-    if model.size != kf.psi.shape[0]:
+    P <- K P K^T + Q. A stack of filters takes its cells' models stacked
+    alike (any object with K (C, N, N) and B (C, N, p)) and u as (C, p)."""
+    K, B = model.K, model.B
+    if K.shape[-1] != kf.psi.shape[-1]:
         raise DimensionMismatch(
-            f"model size {model.size} != filter size {kf.psi.shape[0]}")
-    u = _as_input(u, model.p)
-    P = model.K @ kf.P @ model.K.T + kf.Q
-    kf.psi = model.K @ kf.psi + model.B @ u
-    kf.P = (P + P.T) / 2.0
+            f"model size {K.shape[-1]} != filter size {kf.psi.shape[-1]}")
+    if kf.psi.ndim == 1:
+        u = _as_input(u, B.shape[1])
+    P = K @ kf.P @ K.swapaxes(-1, -2) + kf.Q
+    kf.psi = (K @ kf.psi[..., None])[..., 0] + (B @ u[..., None])[..., 0]
+    kf.P = (P + P.swapaxes(-1, -2)) / 2.0
 
 
 @functools.lru_cache(maxsize=8)
-def _identity(N: int) -> np.ndarray:
-    """A read-only N x N identity, built once per size."""
-    eye = np.eye(N)
+def _identity(shape: tuple) -> np.ndarray:
+    """A read-only stack of N x N identities of the given shape (..., N,
+    N), built once per shape."""
+    eye = np.broadcast_to(np.eye(shape[-1]), shape).copy()
     eye.flags.writeable = False
     return eye
 
 
 def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
                y_meas: float) -> None:
-    """Measurement update with the scalar output y, in place.
+    """Measurement update with the scalar output y, in place; a stack of
+    filters takes one output per cell, y (C,).
 
     The measurement map is the output projection row, so the innovation
     covariance is the scalar P[i, i] + R and the gain a single column.
     """
     i = dictionary.output_index
-    innovation = float(y_meas) - kf.psi[i]
-    s = kf.P[i, i] + kf.R
-    L = kf.P[:, i] / s
-    psi = kf.psi + L * innovation
+    psi, P = kf.psi, kf.P
+    # gain P[:, i] / (P[i, i] + R) and innovation y - psi[i], per cell
+    L = P[..., i] / (P[..., i, i:i + 1] + kf.R)
+    psi = psi + L * (y_meas - psi[..., i])[..., None]
     if kf.joseph:
         # (I - L C) P (I - L C)^T + R L L^T with C the one-hot output row
-        ILC = _identity(kf.psi.shape[0]).copy()
-        ILC[:, i] -= L
-        P = ILC @ kf.P @ ILC.T + kf.R * (L[:, None] * L)
+        ILC = _identity(P.shape).copy()
+        ILC[..., i] -= L
+        P = (ILC @ P @ ILC.swapaxes(-1, -2)
+             + kf.R * (L[..., :, None] * L[..., None, :]))
     else:
-        P = kf.P - L[:, None] * kf.P[i, :]
+        P = P - L[..., :, None] * P[..., i, None, :]
     if kf.relift_after_correct:
-        psi = dictionary.lift(psi[: dictionary.n])
+        psi = dictionary.lift(psi[..., : dictionary.n])
     kf.psi = psi
-    kf.P = (P + P.T) / 2.0
+    kf.P = (P + P.swapaxes(-1, -2)) / 2.0
 
 
 def kf_estimate_state(kf: KalmanState,
                       dictionary: ObservableDictionary) -> np.ndarray:
-    """State estimate: the first n lifted coordinates."""
+    """State estimate: the first n lifted coordinates (of each cell)."""
     return dictionary.project_state(kf.psi)

@@ -133,7 +133,7 @@ class RecursiveEstimator:
         self.lam = settings.lambda0
         self.sigma_e = SIGMA_FLOOR
         self.Sigma0 = SIGMA_FLOOR * settings.n0
-        self.trace_max = settings.trace_max_factor * float(self.Gamma.trace())
+        self.trace_max = settings.trace_max_factor * self.trace_gamma
         scales = (np.ones(dictionary.n) if settings.state_scales is None
                   else np.asarray(settings.state_scales, dtype=float))
         if scales.shape != (dictionary.n,):
@@ -168,6 +168,17 @@ class RecursiveEstimator:
     @property
     def B(self) -> np.ndarray:
         return self.theta[:, self.size:]
+
+    @property
+    def Gamma(self) -> np.ndarray:
+        return self._Gamma
+
+    @Gamma.setter
+    def Gamma(self, G: np.ndarray) -> None:
+        # every change of Gamma comes through here, so its trace is taken
+        # once per change rather than once per step
+        self._Gamma = G
+        self.trace_gamma = float(G.trace())
 
     @property
     def model(self) -> KoopmanModel:
@@ -233,14 +244,17 @@ class RecursiveEstimator:
         """
         s = self.settings
         lift = self.dictionary.lift
+        n = self.dictionary.n
         x = np.asarray(x, dtype=float)
+        x_next = np.asarray(x_next, dtype=float)
+        if x.shape != (n,) or x_next.shape != (n,):
+            raise DimensionMismatch(
+                f"expected states of shape ({n},), got {x.shape} and "
+                f"{x_next.shape}")
         # a chained stream's x is the previous x_next: reuse its lift when
         # the two are equal bit for bit
-        reuse = (x.shape == (self.dictionary.n,)
-                 and x.tobytes() == self._next_key)
-        psi = self._psi_next if reuse else lift(x)
+        psi = self._psi_next if x.tobytes() == self._next_key else lift(x)
         phi = np.concatenate([psi, _as_input(u, self.p)])
-        x_next = np.asarray(x_next, dtype=float)
         psi_next = lift(x_next)
         if not (np.isfinite(phi).all() and np.isfinite(psi_next).all()):
             raise NonFiniteState("estimator sample contains NaN or Inf")
@@ -289,8 +303,8 @@ class RecursiveEstimator:
             self._err_buf.append(e_post)
             if not warm_up and s.adaptive_lambda:
                 self._set_lambda(q / denom, e_post, sigma_boost)
-        return StepReport(do_update, self.lam, float(self.Gamma.trace()),
-                          e_post, window_error)
+        return StepReport(do_update, self.lam, self.trace_gamma, e_post,
+                          window_error)
 
 
 def init_from_batch(snapshots: SnapshotSet, dictionary: ObservableDictionary,

@@ -1,11 +1,12 @@
 """What the benchmark (perfbench/) relies on in the library: every
 workload's config assembles, every layer boundary its tracer wraps still
-exists and is reached by a closed-loop run, and each cell of a comparison
-sweep is one traced closed-loop run."""
+exists and is reached by a closed-loop run, and a comparison sweep is one
+traced closed-loop run that counts what its cells run alone count."""
 
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from koopman_adapt import harness
@@ -57,11 +58,15 @@ def test_workload_traces_through_the_library(perfbench, tracer, name):
 
 def test_comparison_sweep_traces_one_run_per_cell(perfbench, tracer,
                                                   tmp_path):
-    """Each cell of a sweep, a resumed with-changes cell included, is one
-    traced run_closed_loop span holding that cell's plant steps, and the
-    per-layer split computes on the written trace."""
+    """A sweep runs its cells in lockstep: one traced run_closed_loop span
+    holds every cell's plant steps, a with-changes cell's from its first
+    change on. Its deterministic counts are the sum over its cells run one
+    at a time, less the prefix each with-changes cell shares with its
+    nominal twin, and the per-layer split computes on the written trace.
+    The sweep is saturating's scenario, whose input bounds bind, so that
+    no count is 0."""
     workloads = perfbench("workloads")
-    cfg = assemble(loads(workloads.config_text("compare-default", 12345)))
+    cfg = assemble(loads(workloads.config_text("saturating", 12345)))
     events = tuple((0.1, name, value)
                    for _, name, value in cfg.schedule.events)
     cfg = dataclasses.replace(
@@ -70,10 +75,17 @@ def test_comparison_sweep_traces_one_run_per_cell(perfbench, tracer,
     steps, fork = 30, 10
     spans = tracer.Tracer()
     tracer.install(spans)
+
+    def tally():
+        return np.array([spans.counts["redmd.updates"],
+                         spans.names.count("mpc.rebuild"),
+                         spans.counts["mpc.pg_iters"],
+                         spans.names.count("plants.step_plant")])
+
     comparison = harness.run_comparison(cfg)
     assert len(comparison.cells) == 16
     assert all(c.ok for c in comparison.cells)
-    assert spans.names.count(tracer.CELL) == 16
+    assert spans.names.count(tracer.CELL) == 1
     parents = [spans.names[spans.parent[i]]
                for i, name in enumerate(spans.names)
                if name == "plants.step_plant"]
@@ -83,9 +95,28 @@ def test_comparison_sweep_traces_one_run_per_cell(perfbench, tracer,
     spans.dump(path, values=[c.normalized_error for c in comparison.cells],
                wall_s=1.0)
     metrics = tracer.layer_metrics(json.loads(path.read_text()), 1.0, 1.0)
-    # sample intervals within each run: 8 full runs and 8 resumed ones
-    assert metrics["harness.samples"][0] == (8 * (steps - 1)
-                                             + 8 * (steps - fork - 1))
+    # intervals between successive plant steps of the one run
+    assert metrics["harness.samples"][0] == 16 * steps - 8 * fork - 1
+    # the same counts from the cells run one at a time
+    start = tally()
+    estimator = harness.prepare_estimator(cfg)
+    prefix = np.zeros(4, dtype=int)
+    for cell in comparison.cells:
+        cell_cfg = harness._cell_config(cfg, cell.variant, cell.with_changes,
+                                        cell.speed)
+        harness.run_closed_loop(cell_cfg, estimator=estimator)
+        if cell.with_changes:  # its first samples, which a sweep runs once
+            before = tally()
+            harness.run_closed_loop(dataclasses.replace(
+                cell_cfg, run=dataclasses.replace(
+                    cell_cfg.run, t_sim=fork * cfg.plant.dt)),
+                estimator=estimator)
+            prefix += tally() - before
+    alone = tally() - start - 2 * prefix
+    keys = ("redmd.updates", "mpc.rebuild.calls", "mpc.pg_iters",
+            "plants.step_plant.calls")
+    assert ({key: metrics[key][0] for key in keys}
+            == dict(zip(keys, alone.tolist())))
 
 
 @pytest.mark.parametrize("name, t_sim", [("saturating", None),

@@ -3,6 +3,7 @@ data, variants, and the comparison sweep."""
 
 import math
 import pickle
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -149,7 +150,8 @@ class TestRunBookkeeping:
             x_meas, y_meas = measure(plant, x, z, output_index)
             calls.append(None)
             if len(calls) == 5:
-                return np.full_like(x_meas, np.nan), math.nan
+                return np.full_like(x_meas, np.nan), np.full_like(y_meas,
+                                                                  np.nan)
             return x_meas, y_meas
 
         monkeypatch.setattr(harness, "measure", nan_on_fifth)
@@ -431,7 +433,7 @@ def sweep_spy(monkeypatch, short_estimator):
 
     def recording_run(cfg, *args, **kwargs):
         result = run(cfg, *args, **kwargs)
-        spy.runs.append((cfg, result))
+        spy.runs.append(result)
         return result
 
     def counting_step(*args):
@@ -477,7 +479,9 @@ class TestComparison:
         cfg = default_config()
         cfg = replace(cfg, run=replace(cfg.run, t_sim=t_sim))
         comparison = run_comparison(cfg)
-        assert len(sweep_spy.runs) == len(comparison.cells) == 8 * halves
+        # one run_closed_loop call runs every cell
+        assert len(sweep_spy.runs) == 1
+        assert len(sweep_spy.runs[0]) == len(comparison.cells) == 8 * halves
         assert all(c.ok for c in comparison.cells)
         assert ("chg@" in format_comparison_table(comparison)) == (halves > 1)
 
@@ -494,7 +498,8 @@ class TestComparison:
         assert {c.speed for c in comparison.cells} == {1.5}
         assert all(c.ok for c in comparison.cells)
 
-    # -- the with-changes cell resumes from its nominal twin --------------
+    # -- the cells run in lockstep; a with-changes cell starts as a copy of
+    # its nominal twin at the first change ----------------------------------
 
     @pytest.mark.parametrize("first_event, fork_k", [
         (FORK_K * SHORT_DT, FORK_K),                       # on the grid
@@ -508,37 +513,34 @@ class TestComparison:
         cfg = short_changes_config(first_event)
         steps = round(SHORT_T_SIM / SHORT_DT)
         halves = (False, True) if first_event < SHORT_T_SIM else (False,)
+        # fork_k: the prefix a with-changes cell shares with its twin
         assert (harness._first_change_sample(cfg) or None) == fork_k
         comparison = run_comparison(cfg)
         cells = 8 * len(halves)
         # closed-loop plant steps: the full cells less the shared prefixes
         assert sweep_spy.plant_steps == cells * steps - 8 * (fork_k or 0)
-        # one run_closed_loop call per cell
-        swept = {(c.run.variant, bool(c.schedule.events),
-                  c.run.reference.speed): result
-                 for c, result in sweep_spy.runs}
-        assert len(sweep_spy.runs) == len(swept) == cells
-        # reported by half, then speed, then variant
+        # one run_closed_loop call runs every cell, in reporting order:
+        # by half, then speed, then variant
+        assert len(sweep_spy.runs) == 1
+        swept = sweep_spy.runs[0]
         assert [(c.variant, c.with_changes, c.speed)
                 for c in comparison.cells] == [
             (v, h, s) for h in halves for s in cfg.run.speeds
             for v in VARIANTS]
+        assert len(swept) == cells
         assert all(c.ok for c in comparison.cells)
-        for cell in comparison.cells:
+        for cell, result in zip(comparison.cells, swept):
             scratch = sweep_spy.run_closed_loop(
                 _cell_config_of(cfg, cell), estimator=short_estimator)
             assert cell.normalized_error == normalized_error(scratch.records)
-            assert_same_trace(
-                swept[cell.variant, cell.with_changes, cell.speed].records,
-                scratch.records)
+            assert_same_trace(result.records, scratch.records)
 
     @pytest.mark.parametrize("nan_sample", [FORK_K - 10, FORK_K + 10])
     def test_abort_before_or_after_the_fork(self, sweep_spy, short_estimator,
                                             monkeypatch, nan_sample):
         """A NaN measurement at one sample aborts every cell, before the
-        fork (no state saved: the twin runs from scratch) or after it (the
-        twin resumes, then aborts), with the statuses of runs from
-        scratch."""
+        twins start (each twin ends with its nominal cell) or after (the
+        twin runs, then aborts), with the statuses of runs from scratch."""
         measure = harness.measure
         cfg = short_changes_config(FORK_K * SHORT_DT)
         # every cell draws its sensor noise from the one seeded stream
@@ -548,19 +550,56 @@ class TestComparison:
 
         def nan_measure(plant, x, z, output_index):
             x_meas, y_meas = measure(plant, x, z, output_index)
-            if np.array_equal(z, nan_draws):
+            if (z == nan_draws).all():
                 x_meas = x_meas * math.nan
             return x_meas, y_meas
 
         monkeypatch.setattr(harness, "measure", nan_measure)
         comparison = run_comparison(cfg)
-        assert len(sweep_spy.runs) == 16
-        for cell in comparison.cells:
+        assert len(sweep_spy.runs) == 1
+        for cell, result in zip(comparison.cells, sweep_spy.runs[0]):
             scratch = sweep_spy.run_closed_loop(
                 _cell_config_of(cfg, cell), estimator=short_estimator)
             assert scratch.aborted
             assert cell.status == f"aborted: {scratch.reason}"
             assert math.isnan(cell.normalized_error)
+            assert_same_trace(result.records, scratch.records)
+
+    def test_abort_in_some_cells_leaves_the_others(self, sweep_spy,
+                                                   short_estimator,
+                                                   monkeypatch):
+        """A plant failure on the changed plant (m = 0.8) five samples
+        after the twins start ends each with-changes cell alone, with the
+        status and rows of its run from scratch; the nominal cells run on
+        as in a clean sweep, bit for bit, and no NumPy warning is raised."""
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        clean = run_comparison(cfg)
+        (clean_runs,) = sweep_spy.runs
+        step = harness.step_plant
+        fail_after = (FORK_K + 4.5) * SHORT_DT  # fails at sample FORK_K + 5
+
+        def failing_step(plant, state, u):
+            if plant.params["m"] == 0.8 and state.t > fail_after:
+                raise NonFiniteState("plant state went non-finite")
+            return step(plant, state, u)
+
+        monkeypatch.setattr(harness, "step_plant", failing_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comparison = run_comparison(cfg)
+        runs = sweep_spy.runs[1]
+        for cell, result, before, clean_result in zip(
+                comparison.cells, runs, clean.cells, clean_runs):
+            if not cell.with_changes:
+                assert cell == before
+                assert_same_trace(result.records, clean_result.records)
+                continue
+            scratch = sweep_spy.run_closed_loop(
+                _cell_config_of(cfg, cell), estimator=short_estimator)
+            assert scratch.aborted and result.aborted
+            assert cell.status == f"aborted: {scratch.reason}"
+            assert len(result.records) == len(scratch.records) == FORK_K + 6
+            assert_same_trace(result.records, scratch.records)
 
     def test_sweep_leaves_no_state_behind(self, sweep_spy, short_estimator):
         """The shared estimator is never mutated and a second sweep repeats

@@ -1,12 +1,14 @@
 """Tests for the lifted-space Kalman filter."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koopman_adapt.edmd import KoopmanModel
+from koopman_adapt.errors import DimensionMismatch
 from koopman_adapt.observables import identity_dictionary, trig_dictionary
 from koopman_adapt.observer import (
     KalmanState,
@@ -285,3 +287,58 @@ class TestInPlaceEquivalence:
             # the state is rebound to new arrays, never written through
             np.testing.assert_array_equal(old_psi, snapshot[0])
             np.testing.assert_array_equal(old_P, snapshot[1])
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCellAxis:
+    """A stack of filters on a leading cell axis runs every cell as a call
+    on that cell alone does, to the bit; at C = 1 that is the 1-D call."""
+
+    @pytest.mark.parametrize("cells", [1, 5])
+    @pytest.mark.parametrize("joseph", [True, False])
+    @pytest.mark.parametrize("relift", [True, False])
+    def test_stack_matches_single_cells_bitwise(self, cells, joseph, relift):
+        rng = np.random.default_rng(100 * cells + 10 * joseph + relift)
+        d = trig_dictionary(2, output_index=1)
+        N, p, R = d.size, 1, 0.3
+        singles = []
+        for _ in range(cells):
+            A = rng.standard_normal((N, N))
+            singles.append(KalmanState(
+                d.lift(rng.uniform(-1.0, 1.0, size=d.n)),
+                np.eye(N) * rng.uniform(0.01, 2.0), 1e-3 * (A @ A.T), R,
+                joseph=joseph, relift_after_correct=relift))
+        stack = KalmanState(np.stack([f.psi for f in singles]),
+                            np.stack([f.P for f in singles]),
+                            np.stack([f.Q for f in singles]), R,
+                            joseph=joseph, relift_after_correct=relift)
+        for _ in range(20):
+            y = rng.standard_normal(cells)
+            kf_correct(stack, d, y)
+            x_hat = kf_estimate_state(stack, d)
+            for c, f in enumerate(singles):
+                kf_correct(f, d, y[c])
+                assert _same_bits(stack.psi[c], f.psi)
+                assert _same_bits(stack.P[c], f.P)
+                assert _same_bits(x_hat[c], kf_estimate_state(f, d))
+            # every cell predicts through a model of its own
+            models = [_random_model(rng, d, p) for _ in range(cells)]
+            stacked = SimpleNamespace(K=np.stack([m.K for m in models]),
+                                      B=np.stack([m.B for m in models]))
+            u = rng.standard_normal((cells, p))
+            kf_predict(stack, stacked, u)
+            for c, f in enumerate(singles):
+                kf_predict(f, models[c], u[c])
+                assert _same_bits(stack.psi[c], f.psi)
+                assert _same_bits(stack.P[c], f.P)
+
+    def test_stack_shapes_checked(self):
+        N = 3
+        with pytest.raises(DimensionMismatch):
+            KalmanState(np.zeros((2, N)), np.zeros((3, N, N)), np.eye(N), 1.0)
+        with pytest.raises(DimensionMismatch):
+            KalmanState(np.zeros((2, N)), np.zeros((2, N, N)),
+                        np.zeros((3, N, N)), 1.0)
