@@ -119,7 +119,7 @@ def cli_main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except KoopmanAdaptError as exc:
+    except (KoopmanAdaptError, OSError) as exc:  # an unwritable --out, say
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,6 +16,7 @@ lockstep, as one closed loop over a leading cell axis.
 
 import copy
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -48,16 +49,21 @@ class Trace(np.recarray):
     """A run's trace, one row per closed-loop sample: truth, measurements,
     estimate, action, reference, estimator diagnostics, and the running
     error metric. ``records.x`` is a column, ``records[k].x`` a row's
-    field."""
+    field. Its padding is zero, in a copy too, so that its bytes repeat."""
 
     @classmethod
     def empty(cls, steps: int, n: int, p: int) -> "Trace":
-        return cls((steps,), dtype=np.dtype([
+        return np.zeros(steps, dtype=np.dtype([
             ("t", float), ("x", float, (n,)), ("x_meas", float, (n,)),
             ("x_hat", float, (n,)), ("u", float, (p,)), ("w", float, (n,)),
             ("lam", float), ("trace_gamma", float), ("updated", bool),
             ("e_post", float), ("window_error", float), ("e_cum", float)],
-            align=True))
+            align=True)).view(cls)
+
+    def copy(self) -> "Trace":  # ndarray.copy leaves the padding undefined
+        out = np.zeros(self.shape, self.dtype).view(type(self))
+        out[...] = self
+        return out
 
     def __bool__(self) -> bool:  # as a list's: empty is false
         return len(self) > 0
@@ -120,12 +126,17 @@ def _steps(cfg: ExperimentConfig) -> int:
 
 class _Cell:
     """One cell of a lockstep run: its closed loop's state apart from its
-    rows of the run's stacked arrays (see _Rows), and its reference w."""
+    rows of the run's stacked arrays (see _Rows), its reference w and its
+    sensor draws z. It stands for its members, (slot, config) pairs with
+    the (cell, config) index of the result as slot, whose configs differ
+    only in their schedules and have applied the same events so far."""
 
-    def __init__(self, cfg: ExperimentConfig, est: RecursiveEstimator,
-                 w: np.ndarray, records: Trace):
-        self._set_config(cfg)
-        self.est, self.w, self.records = est, w, records
+    def __init__(self, members: list, est: RecursiveEstimator,
+                 w: np.ndarray, z: np.ndarray, records: Trace):
+        cfg = members[0][1]
+        self.members, self.cfg, self.pending = members, cfg, [-math.inf]
+        self.est, self.w, self.z, self.records = est, w, z, records
+        self.plant, self.applied = cfg.plant, 0  # events applied to it
         self.state = PlantState(w[:, 0].copy(), 0.0)
         self.adapt_ctrl = cfg.run.variant in ("adaptive-ctrl", "adaptive-both")
         self.adapt_obs = cfg.run.variant in ("adaptive-obs", "adaptive-both")
@@ -133,37 +144,37 @@ class _Cell:
         self.solver = CondensedMpc(self.initial_model, cfg.mpc)
         self.written = 0  # rows of records filled so far
         self.report = self.prev_meas = self.prev_u = None
-        self.result = None  # set when the cell ends
 
-    def _set_config(self, cfg: ExperimentConfig) -> None:
-        self.cfg, self.plant = cfg, cfg.plant
-        # event times not yet reached; the plant is rebuilt once per
-        # distinct time
-        self.pending = [e[0] for e in reversed(cfg.schedule.events)]
+    def split(self, t: float) -> list:
+        """At the top of the sample at time t, which reaches a pending
+        event time (the first sample reaches the initial -inf): keep the
+        members whose applied events (time <= t) are the first member's,
+        return a copy of this cell for each other set, and rebuild each
+        part's plant if its applied events grew. A copy is exact, as its
+        members' runs equal this cell's so far; it copies what the run
+        changes in place, the estimator and the trace's rows."""
+        groups = {}  # the members by applied events, first member's first
+        for member in self.members:
+            applied = tuple(e for e in member[1].schedule.events if e[0] <= t)
+            groups.setdefault(applied, []).append(member)
+        parts = [self] + [copy.copy(self) for _ in range(len(groups) - 1)]
+        for part, (applied, members) in zip(parts, groups.items()):
+            if part is not self:
+                part.est = copy.deepcopy(self.est)
+                part.records = self.records.copy()
+            part.members, part.cfg = members, members[0][1]
+            # the members' event times after t, the last first
+            part.pending = sorted({e[0] for _, c in members
+                                   for e in c.schedule.events if e[0] > t},
+                                  reverse=True)
+            if len(applied) > part.applied:
+                part.plant = apply_schedule(part.plant, part.cfg.schedule, t)
+                part.applied = len(applied)
+        return parts[1:]
 
-    def twin(self, cfg: ExperimentConfig) -> "_Cell":
-        """A copy of this cell running cfg from here on, exact when cfg
-        differs from this cell's config only by change events that act
-        from here on. It copies what the rest of the run changes in place:
-        the estimator and the trace's rows; the models, the solver and the
-        plant state are only ever rebound."""
-        twin = copy.copy(self)
-        twin._set_config(cfg)
-        if self.result is not None:  # ended here, so its twin ends here too
-            twin.result = replace(self.result,
-                                  records=self.result.records.copy())
-        else:
-            twin.est = copy.deepcopy(self.est)
-            twin.records = self.records.copy()
-        return twin
-
-    def update(self, k: int, t: float, x_meas) -> bool:
-        """Sample k's estimator step and model handover, on the plant in
-        force at time t; whether the observer took a new model."""
-        if self.pending and self.pending[-1] <= t:
-            self.plant = apply_schedule(self.plant, self.cfg.schedule, t)
-            while self.pending and self.pending[-1] <= t:
-                self.pending.pop()
+    def update(self, k: int, x_meas) -> bool:
+        """Sample k's estimator step and model handover; whether the
+        observer took a new model."""
         est = self.est
         if k:  # the transition into this sample
             report = est.step(self.prev_meas, self.prev_u, x_meas)
@@ -181,17 +192,19 @@ class _Cell:
             self.obs_model = model
         return self.adapt_obs
 
-    def end(self, exc: NumericalError | None = None) -> None:
-        """End the cell with the rows written, aborted when exc is given,
-        and fill in their running error: each row's err @ err as for one
-        vector, summed in order."""
+    def end(self, out: list, exc: NumericalError | None = None) -> None:
+        """End the cell with the rows written (aborted when exc is given),
+        fill in their running error, each row's err @ err summed in order,
+        and give each member its RunResult in out, with its own rows."""
         records = self.records[:self.written]
         err = records.w - records.x
         records.e_cum = np.cumsum((err[:, None, :] @ err[:, :, None])[:, 0, 0])
-        self.result = RunResult(
+        result = RunResult(
             records, exc is not None,
             f"{type(exc).__name__}: {exc}" if exc is not None else "",
             self.initial_model, self.ctrl_model, self.obs_model)
+        for m, ((i, j), _) in enumerate(self.members):
+            out[i][j] = replace(result, records=records.copy()) if m else result
 
 
 @dataclass
@@ -212,8 +225,16 @@ class _Rows:
                      self.K[rows], self.B[rows])
 
 
+def _drop(ended: list, live: list, rows: _Rows, *arrays) -> tuple:
+    """The live cells but the ended ones (indices into live), with their
+    rows of rows and of each array."""
+    keep = [j for j in range(len(live)) if j not in ended]
+    return ([live[j] for j in keep], rows.take(keep),
+            *(a[keep] for a in arrays))
+
+
 def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
-                    *, _cells: tuple | None = None):
+                    *, _cells: list | None = None):
     """Run one closed-loop scenario and return its trace.
 
     An already-initialized estimator may be passed to share one offline fit
@@ -228,80 +249,73 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
     its cell alone, with the rows it wrote, and the cell leaves the stacked
     arrays.
 
-    ``_cells`` (used by run_comparison) makes this one call run a sweep's
-    cells and return a list of their RunResults: given ``(pairs, k)``,
-    cfg's cell of each (variant, speed) pair without changes, then, when k
-    is not None, each with cfg's changes. A cell with changes starts at the
-    top of sample k as a copy of its nominal twin's loop state there, which
-    is exact when no change acts before sample k.
+    ``_cells`` (used by run_comparison) runs a list of cells in this one
+    call and returns, per cell, its configs' RunResults. A cell is
+    ``(configs, estimator, reference)``: a run's arguments with a list of
+    configs that differ only in their schedules, run as one until their
+    applied change events differ (see _Cell.split). Each cell draws its
+    noise from its configs' seed; all share cfg's plant shape, dictionary,
+    horizon, observer settings and length.
     """
-    if _cells is None:
-        cfgs, twin_k, twin_cfgs = [cfg], None, []
-    else:
-        pairs, twin_k = _cells
-        cfgs = [_cell_config(cfg, v, False, s) for v, s in pairs]
-        twin_cfgs = ([] if twin_k is None
-                     else [_cell_config(cfg, v, True, s) for v, s in pairs])
+    cells = [([cfg], estimator, reference)] if _cells is None else _cells
     plant, dictionary, H = cfg.plant, cfg.dictionary, cfg.mpc.horizon
     n, steps = plant.n, _steps(cfg)
-    if reference is None:  # each distinct reference once
-        refs = {spec: build_reference(spec, steps + H + 1, plant.dt)
-                for spec in {c.run.reference for c in cfgs}}
-        ws = [refs[c.run.reference] for c in cfgs]
-    else:
-        ws = [np.asarray(reference, dtype=float)]
-        if ws[0].shape[0] != n or ws[0].shape[1] < steps + H:
-            raise ValueError(f"reference override must be ({n}, >= "
-                             f"{steps + H})")
-    if estimator is None:
-        estimator = prepare_estimator(cfg)
-    cells = [_Cell(c, copy.deepcopy(estimator), w,
-                   Trace.empty(steps, n, plant.p))
-             for c, w in zip(cfgs, ws)]
-    filters = [init_kalman(dictionary, c.w[:, 0], c.cfg.observer,
-                           model=c.initial_model) for c in cells]
-    kf = filters[0]
-    rows = _Rows(replace(kf, psi=np.stack([f.psi for f in filters]),
+    # each distinct reference and seed once; n + 1 sensor draws per sample
+    reference_of = functools.cache(
+        lambda spec: build_reference(spec, steps + H + 1, plant.dt))
+    draws_of = functools.cache(lambda seed: default_rng(
+        [seed, _RUN_STREAM]).standard_normal((steps, n + 1)))
+    live, out = [], []
+    for i, (cfgs, est, w) in enumerate(cells):
+        run = cfgs[0].run
+        if w is None:
+            w = reference_of(run.reference)
+        else:
+            w = np.asarray(w, dtype=float)
+            if w.ndim != 2 or w.shape[0] != n or w.shape[1] < steps + H:
+                raise ValueError(f"reference override must be ({n}, >= "
+                                 f"{steps + H})")
+        if est is None:
+            est = prepare_estimator(cfgs[0])
+        live.append(_Cell([((i, j), c) for j, c in enumerate(cfgs)],
+                          copy.deepcopy(est), w, draws_of(run.seed),
+                          Trace.empty(steps, n, plant.p)))
+        out.append([None] * len(cfgs))
+    filters = [init_kalman(dictionary, c.w[:, 0], cfg.observer,
+                           model=c.initial_model) for c in live]
+    rows = _Rows(replace(filters[0], psi=np.stack([f.psi for f in filters]),
                          P=np.stack([f.P for f in filters]),
                          Q=np.stack([f.Q for f in filters])),
-                 np.stack([c.obs_model.K for c in cells]),
-                 np.stack([c.obs_model.B for c in cells]))
-    live = list(cells)  # the cells not ended, in the order of rows
-    # n + 1 sensor draws per sample, the same for every cell
-    draws = default_rng([cfg.run.seed, _RUN_STREAM]).standard_normal(
-        (steps, n + 1))
+                 np.stack([c.obs_model.K for c in live]),
+                 np.stack([c.obs_model.B for c in live]))
     for k in range(steps):
-        if k == twin_k:
-            twins = [c.twin(tc) for c, tc in zip(cells, twin_cfgs)]
-            cells = cells + twins
-            rows = rows.take(list(range(len(live))) * 2)
-            live = live + [c for c in twins if c.result is None]
         if not live:
-            continue
+            break
         t = k * plant.dt
+        parts = [(j, part) for j, c in enumerate(live)
+                 if c.pending and c.pending[-1] <= t for part in c.split(t)]
+        if parts:  # each part's rows are copies of its parent's
+            rows = rows.take([*range(len(live)), *(j for j, _ in parts)])
+            live += [part for _, part in parts]
         x_true = np.array([c.state.x for c in live])
         x_meas, y_meas = measure(plant, x_true,
-                                 draws[k:k + 1].repeat(len(live), 0),
+                                 np.array([c.z[k] for c in live]),
                                  dictionary.output_index)
-        ended = False
+        ended = []
         for j, c in enumerate(live):
             try:
-                if c.update(k, t, x_meas[j]):
+                if c.update(k, x_meas[j]):
                     rows.K[j], rows.B[j] = c.obs_model.K, c.obs_model.B
             except NumericalError as exc:
-                c.end(exc)
-                ended = True
-        if ended:
-            keep = [j for j, c in enumerate(live) if c.result is None]
-            live, rows = [live[j] for j in keep], rows.take(keep)
-            x_true, x_meas, y_meas = x_true[keep], x_meas[keep], y_meas[keep]
-            if not live:
-                continue
-            ended = False
+                c.end(out, exc)
+                ended.append(j)
+        if ended:  # the rest of the sample runs on the cells left, if any
+            live, rows, x_true, x_meas, y_meas = _drop(
+                ended, live, rows, x_true, x_meas, y_meas)
         kf = rows.kf
         kf_correct(kf, dictionary, y_meas)
         x_hat = kf_estimate_state(kf, dictionary)
-        u = []
+        u, ended = np.empty((len(live), plant.p)), []
         for j, c in enumerate(live):
             w = c.w
             u0, _ = c.solver.solve(kf.psi[j], w[:, k + 1: k + 1 + H])
@@ -311,24 +325,20 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
                             r.lam, r.trace_gamma, r.updated, r.e_post,
                             r.window_error, 0.0)
             c.written = k + 1
+            u[j] = u0
             try:
                 c.state = step_plant(c.plant, c.state, u0)
             except NumericalError as exc:
-                c.end(exc)
-                ended = True
-                continue
-            c.prev_meas, c.prev_u = x_meas[j], u0
-            u.append(u0)
+                c.end(out, exc)
+                ended.append(j)
+            else:
+                c.prev_meas, c.prev_u = x_meas[j], u0
         if ended:
-            keep = [j for j, c in enumerate(live) if c.result is None]
-            live, rows = [live[j] for j in keep], rows.take(keep)
-            if not live:
-                continue
-        kf_predict(rows.kf, rows, np.array(u))
+            live, rows, u = _drop(ended, live, rows, u)
+        kf_predict(rows.kf, rows, u)
     for c in live:
-        c.end()
-    results = [c.result for c in cells]
-    return results if _cells is not None else results[0]
+        c.end(out)
+    return out if _cells is not None else out[0][0]
 
 
 def compute_metric(records) -> float:
@@ -374,17 +384,6 @@ class ComparisonResult:
     cells: list
 
 
-def _first_change_sample(cfg: ExperimentConfig):
-    """The first sample k at which the loop applies cfg's first change
-    event (its test is event_time <= k * dt), or None when no sample
-    reaches one."""
-    if not cfg.schedule.events:
-        return None
-    first = cfg.schedule.events[0][0]
-    return next((k for k in range(_steps(cfg))
-                 if first <= k * cfg.plant.dt), None)
-
-
 def _cell_config(cfg: ExperimentConfig, variant: str, with_changes: bool,
                  speed: float) -> ExperimentConfig:
     run = replace(cfg.run, variant=variant,
@@ -393,13 +392,12 @@ def _cell_config(cfg: ExperimentConfig, variant: str, with_changes: bool,
     return replace(cfg, run=run, schedule=schedule)
 
 
-def _cell_result(variant: str, with_changes: bool, speed: float,
-                 result: RunResult) -> CellResult:
+def _cell_result(cfg: ExperimentConfig, result: RunResult) -> CellResult:
+    """The comparison cell of a run of cfg."""
+    key = (cfg.run.variant, bool(cfg.schedule.events), cfg.run.reference.speed)
     if result.aborted:
-        return CellResult(variant, with_changes, speed, math.nan,
-                          f"aborted: {result.reason}")
-    return CellResult(variant, with_changes, speed,
-                      normalized_error(result.records), "ok")
+        return CellResult(*key, math.nan, f"aborted: {result.reason}")
+    return CellResult(*key, normalized_error(result.records), "ok")
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
@@ -409,26 +407,27 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     the run.
 
     The offline fit is shared across cells (each gets a deep copy). All
-    cells run in lockstep in one run_closed_loop call: a cell with changes
-    repeats its nominal twin up to the first change event, so it starts
-    there from a copy of the twin's loop state. Cells are reported by
-    half, then speed, then variant.
+    cells run in lockstep in one run_closed_loop call, one cell per speed
+    and variant standing for its nominal and its with-changes config, so
+    that they run as one up to the first change event. Cells are reported
+    by half, then speed, then variant.
     """
     # only the rest-to-rest reference reads its speed; without a change
-    # that acts within the run the with-changes half would repeat the
-    # nominal one
-    reference = cfg.run.reference
+    # that acts within the run (by the last sample) the with-changes half
+    # would repeat the nominal one
+    reference, events = cfg.run.reference, cfg.schedule.events
     speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
               else (reference.speed,))
-    pairs = [(variant, speed) for speed in speeds for variant in VARIANTS]
-    change_k = _first_change_sample(cfg)
-    halves = (False,) if change_k is None else (False, True)
-    results = run_closed_loop(cfg, prepare_estimator(cfg),
-                              _cells=(pairs, change_k))
+    halves = ((False, True)
+              if events and events[0][0] <= (_steps(cfg) - 1) * cfg.plant.dt
+              else (False,))
+    estimator = prepare_estimator(cfg)
+    cells = [([_cell_config(cfg, variant, h, speed) for h in halves],
+              estimator, None) for speed in speeds for variant in VARIANTS]
+    results = run_closed_loop(cfg, _cells=cells)
     return ComparisonResult([
-        _cell_result(variant, with_changes, speed, result)
-        for (with_changes, (variant, speed)), result in zip(
-            [(h, pair) for h in halves for pair in pairs], results)])
+        _cell_result(cfgs[h], runs[h]) for h in range(len(halves))
+        for (cfgs, _, _), runs in zip(cells, results)])
 
 
 # -- reporting ----------------------------------------------------------------

@@ -61,8 +61,8 @@ def test_comparison_sweep_traces_one_run_per_cell(perfbench, tracer,
     """A sweep runs its cells in lockstep: one traced run_closed_loop span
     holds every cell's plant steps, a with-changes cell's from its first
     change on. Its deterministic counts are the sum over its cells run one
-    at a time, less the prefix each with-changes cell shares with its
-    nominal twin, and the per-layer split computes on the written trace.
+    at a time, less the prefix each with-changes config shares with its
+    nominal one, and the per-layer split computes on the written trace.
     The sweep is saturating's scenario, whose input bounds bind, so that
     no count is 0."""
     workloads = perfbench("workloads")

@@ -139,6 +139,15 @@ class TestSimulate:
         assert len(out.read_text().splitlines()) == 51
         assert "(normalized inf)" in capsys.readouterr().out
 
+    def test_unwritable_out_is_an_error(self, tiny_config_path, tmp_path,
+                                        capsys):
+        """An --out in a missing directory is reported as an error line
+        with exit 1, not a traceback."""
+        out = str(tmp_path / "missing" / "trace.csv")
+        assert cli_main(["simulate", tiny_config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+
 
 class TestCompare:
     def test_sixteen_data_rows(self, tmp_path, capsys):
@@ -153,6 +162,15 @@ class TestCompare:
         assert lines[0] == "variant,with_changes,speed,normalized_error,status"
         table = capsys.readouterr().out
         assert "static-static" in table and "adaptive-both" in table
+
+    def test_unwritable_out_is_an_error(self, tiny_config_path, tmp_path,
+                                        capsys):
+        """An --out in a missing directory is reported as an error line
+        with exit 1, not a traceback."""
+        out = str(tmp_path / "missing" / "summary.csv")
+        assert cli_main(["compare", tiny_config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
 
 
 class TestOracle:

@@ -117,6 +117,26 @@ class TestRunBookkeeping:
             assert (ra.u == rb.u).all()
             assert ra.e_cum == rb.e_cum
 
+    def test_same_bytes_padding_included(self, tiny_cfg, tiny_estimator):
+        """Two runs of one config give the same trace bytes, the padding
+        between fields included, and so the same pickle."""
+        a = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records
+        b = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records
+        assert a.dtype.itemsize > sum(
+            a.dtype.fields[name][0].itemsize for name in a.dtype.names)
+        assert a.tobytes() == b.tobytes()
+        assert pickle.dumps(a) == pickle.dumps(b)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 14), (1, 15)])
+    def test_reference_override_shape_checked(self, tiny_cfg, tiny_estimator,
+                                              shape):
+        """A reference override that is not a 2-D (n, >= steps + horizon)
+        array is refused with one message, whatever is wrong with it."""
+        with pytest.raises(ValueError,
+                           match=r"reference override must be \(2, >= 15\)"):
+            run_closed_loop(tiny_cfg, estimator=tiny_estimator,
+                            reference=np.zeros(shape))
+
     def test_each_measured_state_lifted_once(self, tiny_cfg, tiny_estimator,
                                              monkeypatch):
         """Two single-state lifts per sample: the estimator's newest
@@ -410,11 +430,13 @@ def _cell_config_of(cfg, cell):
 
 
 def assert_same_trace(a, b):
-    """Equal length, layout and bits in every column."""
+    """Equal length, layout and bits in every column and in the padding
+    between them."""
     assert len(a) == len(b)
     assert a.dtype == b.dtype
     for name in a.dtype.names:
         assert a[name].tobytes() == b[name].tobytes(), name
+    assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -424,17 +446,19 @@ def short_estimator():
 
 @pytest.fixture
 def sweep_spy(monkeypatch, short_estimator):
-    """Records each run_closed_loop call of a sweep and counts the plant
-    steps the harness takes; the sweep's offline fit is short_estimator,
-    so every counted step is a closed-loop one. ``run_closed_loop`` is the
+    """Records the RunResults of each run_closed_loop call of a sweep, in
+    reporting order (by half, then cell), and counts the plant steps the
+    harness takes; the sweep's offline fit is short_estimator, so every
+    counted step is a closed-loop one. ``run_closed_loop`` is the
     unwrapped function, for runs from scratch."""
     run, step = harness.run_closed_loop, harness.step_plant
     spy = SimpleNamespace(runs=[], plant_steps=0, run_closed_loop=run)
 
-    def recording_run(cfg, *args, **kwargs):
-        result = run(cfg, *args, **kwargs)
-        spy.runs.append(result)
-        return result
+    def recording_run(cfg, *, _cells):
+        results = run(cfg, _cells=_cells)
+        spy.runs.append([cell[h] for h in range(len(_cells[0][0]))
+                         for cell in results])
+        return results
 
     def counting_step(*args):
         spy.plant_steps += 1
@@ -498,8 +522,8 @@ class TestComparison:
         assert {c.speed for c in comparison.cells} == {1.5}
         assert all(c.ok for c in comparison.cells)
 
-    # -- the cells run in lockstep; a with-changes cell starts as a copy of
-    # its nominal twin at the first change ----------------------------------
+    # -- the cells run in lockstep; a cell runs its nominal and with-changes
+    # configs as one until the first change, then splits --------------------
 
     @pytest.mark.parametrize("first_event, fork_k", [
         (FORK_K * SHORT_DT, FORK_K),                       # on the grid
@@ -513,11 +537,11 @@ class TestComparison:
         cfg = short_changes_config(first_event)
         steps = round(SHORT_T_SIM / SHORT_DT)
         halves = (False, True) if first_event < SHORT_T_SIM else (False,)
-        # fork_k: the prefix a with-changes cell shares with its twin
-        assert (harness._first_change_sample(cfg) or None) == fork_k
         comparison = run_comparison(cfg)
         cells = 8 * len(halves)
-        # closed-loop plant steps: the full cells less the shared prefixes
+        # closed-loop plant steps: the full cells less the shared prefixes,
+        # fork_k samples each, which a with-changes cell shares with its
+        # nominal one
         assert sweep_spy.plant_steps == cells * steps - 8 * (fork_k or 0)
         # one run_closed_loop call runs every cell, in reporting order:
         # by half, then speed, then variant
@@ -539,11 +563,12 @@ class TestComparison:
     def test_abort_before_or_after_the_fork(self, sweep_spy, short_estimator,
                                             monkeypatch, nan_sample):
         """A NaN measurement at one sample aborts every cell, before the
-        twins start (each twin ends with its nominal cell) or after (the
-        twin runs, then aborts), with the statuses of runs from scratch."""
+        split (the unsplit cell ends both its configs) or after (each part
+        ends on its own), with the statuses of runs from scratch."""
         measure = harness.measure
         cfg = short_changes_config(FORK_K * SHORT_DT)
-        # every cell draws its sensor noise from the one seeded stream
+        # every cell draws its sensor noise from its configs' seed, one
+        # seeded stream for the whole sweep
         nan_draws = np.random.default_rng(
             [cfg.run.seed, harness._RUN_STREAM]).standard_normal(
             (round(SHORT_T_SIM / SHORT_DT), cfg.plant.n + 1))[nan_sample]
@@ -569,7 +594,7 @@ class TestComparison:
                                                    short_estimator,
                                                    monkeypatch):
         """A plant failure on the changed plant (m = 0.8) five samples
-        after the twins start ends each with-changes cell alone, with the
+        after the split ends each with-changes cell alone, with the
         status and rows of its run from scratch; the nominal cells run on
         as in a clean sweep, bit for bit, and no NumPy warning is raised."""
         cfg = short_changes_config(FORK_K * SHORT_DT)
@@ -600,6 +625,70 @@ class TestComparison:
             assert cell.status == f"aborted: {scratch.reason}"
             assert len(result.records) == len(scratch.records) == FORK_K + 6
             assert_same_trace(result.records, scratch.records)
+
+    def test_a_cell_splits_where_its_configs_applied_events_differ(
+            self, short_estimator, monkeypatch):
+        """One cell standing for three configs (no changes; a change at t1;
+        that change and a second at t2, both off the sample grid) runs as
+        one up to the first sample at or after t1, as two up to the first
+        at or after t2, then as three. Each config's trace is that of its
+        run from scratch."""
+        cfg = short_changes_config(0.305)  # events at 0.305 s and 0.555 s
+        e1, e2 = cfg.schedule.events
+        cfgs = [replace(cfg, schedule=ChangeSchedule(events))
+                for events in ((), (e1,), (e1, e2))]
+        k1, k2, steps = 31, 56, round(SHORT_T_SIM / SHORT_DT)
+        applied, plant_steps = [], []
+        schedule, step = harness.apply_schedule, harness.step_plant
+
+        def spy_schedule(plant, schedule_, t):
+            applied.append(t)
+            return schedule(plant, schedule_, t)
+
+        def counting_step(*args):
+            plant_steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(harness, "apply_schedule", spy_schedule)
+        monkeypatch.setattr(harness, "step_plant", counting_step)
+        (results,) = run_closed_loop(
+            cfg, _cells=[(cfgs, short_estimator, None)])
+        # the part with both changes rebuilds its plant once at k1; the
+        # part with the second change splits off at k2 and rebuilds there
+        assert applied == [k1 * SHORT_DT, k2 * SHORT_DT]
+        # three runs from scratch, less the prefixes they share
+        assert len(plant_steps) == 3 * steps - k1 - k2
+        assert len(results) == 3
+        for c, result in zip(cfgs, results):
+            assert not result.aborted
+            scratch = run_closed_loop(c, estimator=short_estimator)
+            assert_same_trace(result.records, scratch.records)
+
+    def test_cells_from_several_seeds_in_one_call(self, monkeypatch):
+        """The cells of the sweeps at two seeds, each with its own offline
+        fit and sensor noise, give in one call the results of their own
+        sweeps."""
+        run = harness.run_closed_loop
+        sweeps = []
+
+        def recording_run(cfg, *, _cells):
+            results = run(cfg, _cells=_cells)
+            sweeps.append((_cells, results))
+            return results
+
+        monkeypatch.setattr(harness, "run_closed_loop", recording_run)
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        for seed in (12345, 3009016):
+            run_comparison(replace(cfg, run=replace(cfg.run, seed=seed)))
+        (cells_a, alone_a), (cells_b, alone_b) = sweeps
+        assert cells_a[0][1] is not cells_b[0][1]  # one offline fit each
+        together = run(cfg, _cells=cells_a + cells_b)
+        assert len(together) == len(alone_a) + len(alone_b) == 16
+        for got, alone in zip(together, alone_a + alone_b):
+            assert len(got) == len(alone) == 2
+            for result, want in zip(got, alone):
+                assert result.aborted == want.aborted
+                assert_same_trace(result.records, want.records)
 
     def test_sweep_leaves_no_state_behind(self, sweep_spy, short_estimator):
         """The shared estimator is never mutated and a second sweep repeats
