@@ -68,10 +68,6 @@ class SnapshotSet:
     def p(self) -> int:
         return self.U.shape[0]
 
-    @property
-    def num_pairs(self) -> int:
-        return self.X.shape[1]
-
 
 def collect_snapshots(trajectory: Sequence) -> SnapshotSet:
     """Build a SnapshotSet from a sequence of (x_k, u_k) samples.

@@ -18,10 +18,6 @@ class DimensionMismatch(KoopmanAdaptError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class NotSquare(DimensionMismatch):
-    """A square matrix was required."""
-
-
 class TooFewSamples(KoopmanAdaptError, ValueError):
     """Not enough data points to build the requested structure."""
 

@@ -167,8 +167,7 @@ class CondensedMpc:
         against an (n, H) reference window; returns (u0, U_plan).
 
         With return_info, also a dict: "pg_iterations" (active-set
-        iterations, 0 when the unconstrained plan is feasible),
-        "pg_objectives" (the objective at each iterate, non-increasing) and
+        iterations, 0 when the unconstrained plan is feasible) and
         "converged" (the KKT conditions held to within pg_tol)."""
         cfg, n, H = self.cfg, self.model.dictionary.n, self.cfg.horizon
         psi0 = np.asarray(psi0, dtype=float)
@@ -181,18 +180,17 @@ class CondensedMpc:
                 f"reference window must be ({n}, {H}), got {w_window.shape}")
         f0 = self.F @ psi0 - w_window.T.ravel()
         U = -(self._law @ f0)
-        info = {"pg_iterations": 0, "pg_objectives": [], "converged": True}
+        info = {"pg_iterations": 0, "converged": True}
         s = cfg.structure
         if cfg.constrained and ((U < s.lo) | (U > s.hi)).any():
-            U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0), return_info)
+            U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0))
         plan = U.reshape(H, self.model.p).T
         return (plan[:, 0].copy(), plan, info) if return_info \
             else (plan[:, 0].copy(), plan)
 
-    def _box_qp(self, U, grad0, record: bool):
+    def _box_qp(self, U, grad0):
         """Primal active-set method for min 1/2 U'HU + grad0'U on the box,
-        from the unconstrained minimizer U, recording each iterate's
-        objective only when asked to.
+        from the unconstrained minimizer U.
 
         The working set starts as the entries U violates, fixed at their
         bounds. Each iteration minimizes over the free entries with the
@@ -209,11 +207,6 @@ class CondensedMpc:
         at_lo = U < lo
         free = ~(at_lo | (U > hi))
         U = U.clip(lo, hi)
-
-        def objective(U):
-            return 0.5 * float(U @ hess @ U) + float(grad0 @ U)
-
-        objectives = [objective(U)] if record else []
         converged = False
         for iters in range(1, self.cfg.max_pg_iters + 1):
             idx = free.nonzero()[0]
@@ -242,8 +235,6 @@ class CondensedMpc:
                     # working-set entries sit exactly on their bounds
                     U_free[j] = lo_free[j] if down[j] else hi_free[j]
                 U[idx] = U_free
-                if record:
-                    objectives.append(objective(U))
                 if blocked:
                     continue
             grad = hess @ U + grad0
@@ -257,5 +248,4 @@ class CondensedMpc:
                 break
             if mult[worst] < -tol:
                 free[worst] = True
-        return U, {"pg_iterations": iters, "pg_objectives": objectives,
-                   "converged": converged}
+        return U, {"pg_iterations": iters, "converged": converged}

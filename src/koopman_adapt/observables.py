@@ -103,12 +103,6 @@ class ObservableDictionary:
                 f"{psi.shape}")
         return psi[..., : self.n].copy()
 
-    def output_projection(self) -> np.ndarray:
-        """The (N,) one-hot row extracting the output from lifted coordinates."""
-        row = np.zeros(self.size)
-        row[self.output_index] = 1.0
-        return row
-
 
 def identity_dictionary(n: int, output_index: int = 0) -> ObservableDictionary:
     """The trivial dictionary: lifted space equals state space (N = n)."""

@@ -2,10 +2,10 @@
 
 The filter is linear in the lifted coordinates: prediction uses whatever
 model snapshot it is handed (swapping in a freshly adapted model changes
-subsequent predictions only), and correction extracts the scalar output
-through the dictionary's output projection. Predict and correct update
-one mutable filter state: they rebind its ``psi`` and ``P`` to new arrays
-and never write into the old ones.
+subsequent predictions only), and correction reads the scalar output as
+the lifted coordinate at the dictionary's output index. Predict and
+correct update one mutable filter state: they rebind its ``psi`` and ``P``
+to new arrays and never write into the old ones.
 
 A filter state may also stack several independent filters on a leading
 cell axis, psi (C, N) and P (C, N, N); every function then runs each cell
@@ -25,7 +25,7 @@ from .observables import ObservableDictionary
 
 @dataclass
 class ObserverSettings:
-    """Filter tuning: process noise q*I, measurement variance r, the
+    """Filter tuning: process noise scale q, measurement variance r, the
     Joseph-form toggle, optional re-lifting after correction, and the
     initial covariance p0*I."""
 
@@ -66,24 +66,20 @@ class KalmanState:
 
 
 def init_kalman(dictionary: ObservableDictionary, x0,
-                settings: ObserverSettings | None = None,
-                model: KoopmanModel | None = None) -> KalmanState:
+                settings: ObserverSettings | None = None, *,
+                model: KoopmanModel) -> KalmanState:
     """Start the filter at the lift of a known (or assumed) initial state.
 
-    Without a model the process noise is the isotropic q * I. Given a
-    model, it is shaped through the input channel, q * (B B^T + 1e-4 tr I),
-    so disturbances (and model errors, which enter as unmodeled torques)
-    are attributed to the actuated directions instead of the measured
-    coordinate's own noise.
+    The process noise is shaped through the model's input channel,
+    q * (B B^T + max(tr B B^T, 1) 1e-4 I), so disturbances (and model
+    errors, which enter as unmodeled torques) are attributed to the actuated
+    directions instead of the measured coordinate's own noise.
     """
     settings = settings if settings is not None else ObserverSettings()
     N = dictionary.size
-    if model is None:
-        Q = settings.q * np.eye(N)
-    else:
-        BBt = model.B @ model.B.T
-        floor = max(float(np.trace(BBt)), 1.0) * 1e-4
-        Q = settings.q * (BBt + floor * np.eye(N))
+    BBt = model.B @ model.B.T
+    floor = max(float(np.trace(BBt)), 1.0) * 1e-4
+    Q = settings.q * (BBt + floor * np.eye(N))
     return KalmanState(
         psi=dictionary.lift(np.asarray(x0, dtype=float)),
         P=settings.p0 * np.eye(N),
@@ -123,7 +119,7 @@ def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
     """Measurement update with the scalar output y, in place; a stack of
     filters takes one output per cell, y (C,).
 
-    The measurement map is the output projection row, so the innovation
+    The measurement map is the one-hot output row, so the innovation
     covariance is the scalar P[i, i] + R and the gain a single column.
     """
     i = dictionary.output_index

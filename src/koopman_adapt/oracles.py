@@ -1,16 +1,14 @@
 """Named verification oracles, runnable from the CLI and the test suite.
 
 Each oracle checks a recursion against an independent brute-force
-computation and returns its worst-case error. Three helpers the library
-never calls live here too: the matrix-inversion lemma (the estimator's
-covariance recursion is a rank-one case of it), the filter's Riccati fixed
-point, and the linear feedback gain the unconstrained controller realizes.
+computation and returns its worst-case error. Two helpers the library
+never calls live here too: the filter's Riccati fixed point and the linear
+feedback gain the unconstrained controller realizes.
 """
 
 import numpy as np
 
-from .edmd import COND_LIMIT, KoopmanModel, collect_snapshots, fit
-from .errors import NotSquare, NumericalError
+from .edmd import KoopmanModel, collect_snapshots, fit
 from .mpc import CondensedMpc, MpcConfig
 from .observables import (
     identity_dictionary,
@@ -18,53 +16,6 @@ from .observables import (
     trig_dictionary,
 )
 from .redmd import RedmdSettings, init_from_batch
-
-
-class SingularInner(NumericalError):
-    """The inner matrix of the inversion lemma is numerically singular."""
-
-
-def _as_matrix(A, name: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-D matrix with at least one row "
-                         f"and column, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
-    return A
-
-
-def _require_square(A, name: str) -> np.ndarray:
-    A = _as_matrix(A, name)
-    if A.shape[0] != A.shape[1]:
-        raise NotSquare(f"{name} must be square, got shape {A.shape}")
-    return A
-
-
-def woodbury(A, B, C, D) -> np.ndarray:
-    """Matrix-inversion lemma: (inv(A) + B @ inv(C) @ D)^-1.
-
-    Computed as ``A - A @ B @ inv(D @ A @ B + C) @ D @ A``, which requires
-    only the inner (small) inverse. A and C must be square and non-singular
-    and the dimensions conformable.
-    """
-    A = _require_square(A, "A")
-    C = _require_square(C, "C")
-    B = _as_matrix(B, "B")
-    D = _as_matrix(D, "D")
-    n, m = A.shape[0], C.shape[0]
-    if B.shape != (n, m) or D.shape != (m, n):
-        raise ValueError(
-            f"conformability: need B {n}x{m} and D {m}x{n}, "
-            f"got B {B.shape} and D {D.shape}")
-    DA = D @ A
-    inner = DA @ B + C
-    cond = np.linalg.cond(inner)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularInner(
-            f"(D @ A @ B + C) condition estimate {cond:.3e} exceeds "
-            f"{COND_LIMIT:.1e}")
-    return A - (A @ B) @ np.linalg.solve(inner, DA)
 
 
 def riccati_prior_fixed_point(model: KoopmanModel, output_row: np.ndarray,

@@ -195,22 +195,15 @@ class RecursiveEstimator:
     def prediction_error_window(self) -> float:
         """Max scaled one-step prediction error over the sample window.
 
+        Each state is predicted from the lift and input of its predecessor,
+        both read from the window, which keeps them; nothing is re-lifted.
         Returns +inf while the window holds fewer than m_op samples
-        (warm-up sentinel). This is the full recompute, which re-lifts every
-        state; step() instead reads the lifts the window keeps.
+        (warm-up sentinel).
         """
         if self._count < self.settings.m_op:
             return math.inf
-        n = self.dictionary.n
-        return self._window_error(
-            self.dictionary.lift_batch(self._phi_win[:n, :-1]))
-
-    def _window_error(self, psi_win: np.ndarray) -> float:
-        """The window error of predicting each state from its predecessor's
-        lift (a column of psi_win) and input, with the same operations
-        whether the window kept psi_win or the full recompute made it."""
         N, n = self.size, self.dictionary.n
-        pred = self.K @ psi_win
+        pred = self.K @ self._phi_win[:N, :-1]
         if self.p:
             pred = pred + self.B @ self._phi_win[N:, :-1]
         err = (self._phi_win[:n, 1:] - pred[:n]) / self._scales[:, None]
@@ -265,7 +258,7 @@ class RecursiveEstimator:
         self._count += 1
         warm_up = self._count < s.m_op
         window_error = (math.inf if warm_up
-                        else self._window_error(win[: self.size, :-1]))
+                        else self.prediction_error_window())
         do_update = warm_up or window_error >= s.eps_low
         e_post = math.nan
         if do_update:

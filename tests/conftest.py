@@ -48,7 +48,6 @@ class FunctionDictionary:
     lift = ObservableDictionary.lift
     lift_batch = ObservableDictionary.lift_batch
     project_state = ObservableDictionary.project_state
-    output_projection = ObservableDictionary.output_projection
 
     def __init__(self, n, funcs, output_index=0):
         self.n, self.funcs, self.output_index = n, tuple(funcs), output_index

@@ -25,7 +25,6 @@ from koopman_adapt.oracles import (
     mpc_gain_limit,
     recursive_batch_max_error,
     riccati_prior_fixed_point,
-    woodbury,
 )
 from koopman_adapt.plants import PlantState, make_linear2nd, measure, step_plant
 from koopman_adapt.redmd import (
@@ -66,22 +65,11 @@ def test_criterion_2_appendix_identities():
             np.linalg.norm(Ap @ A @ Ap - Ap) / npi,
             np.linalg.norm((A @ Ap).T - A @ Ap) / max(1.0, na * npi),
             np.linalg.norm((Ap @ A).T - Ap @ A) / max(1.0, na * npi))
-    worst_wood = 0.0
-    for _ in range(100):
-        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-        A = rng.standard_normal((n, n)) + 4 * np.eye(n)
-        C = rng.standard_normal((m, m)) + 4 * np.eye(m)
-        B = rng.standard_normal((n, m))
-        D = rng.standard_normal((m, n))
-        direct = np.linalg.inv(np.linalg.inv(A) + B @ np.linalg.inv(C) @ D)
-        worst_wood = max(worst_wood,
-                         np.max(np.abs(woodbury(A, B, C, D) - direct)))
     elapsed = time.perf_counter() - t0
     assert worst_penrose < 1e-8
-    assert worst_wood < 1e-10
     assert elapsed < 1.0
-    report(2, f"Penrose residual {worst_penrose:.3e} (< 1e-8), inversion "
-              f"lemma vs direct {worst_wood:.3e} (< 1e-10) in {elapsed:.2f} s")
+    report(2, f"Penrose residual {worst_penrose:.3e} (< 1e-8) in "
+              f"{elapsed:.2f} s")
 
 
 def test_criterion_3_covariance_recursion_consistency():
@@ -218,7 +206,8 @@ def test_criterion_8_kalman_steady_state():
         kf_correct(kf, d, rng.standard_normal() * 0.1)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(kf.P).min()))
         kf_predict(kf, model, rng.standard_normal(1))
-    P_star = riccati_prior_fixed_point(model, d.output_projection(), Q, R)
+    P_star = riccati_prior_fixed_point(model, np.eye(4)[d.output_index], Q,
+                                       R)
     gap = np.max(np.abs(kf.P - P_star))
     assert gap < 1e-6
     assert min_eig >= -1e-10

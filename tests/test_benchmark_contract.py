@@ -18,7 +18,8 @@ LAYERS = ("harness.run_closed_loop", "harness.prepare_estimator",
           "harness.generate_training_data", "plants.step_plant",
           "plants.measure", "observer.kf_correct", "observer.kf_predict",
           "observer.kf_estimate_state", "redmd.init_from_batch", "edmd.fit",
-          "redmd.step", "mpc.rebuild", "mpc.solve")
+          "redmd.step", "redmd.prediction_error_window", "mpc.rebuild",
+          "mpc.solve")
 
 
 @pytest.fixture
@@ -39,11 +40,14 @@ def tracer(perfbench, monkeypatch):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_traces_through_the_library(perfbench, tracer, name):
+    """A run ten samples longer than the gate window's warm-up reaches
+    every layer, the gate window once per estimator step after it."""
     workloads = perfbench("workloads")
     assert set(workloads.WORKLOADS) == set(WORKLOADS)
     cfg = assemble(loads(workloads.config_text(name, 12345)))
+    t_sim = (cfg.redmd.m_op + 10) * cfg.plant.dt
     cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run,
-                                                           t_sim=0.2))
+                                                           t_sim=t_sim))
     spans = tracer.Tracer()
     tracer.install(spans)
     result = harness.run_closed_loop(cfg)
@@ -51,6 +55,8 @@ def test_workload_traces_through_the_library(perfbench, tracer, name):
     missing = set(LAYERS) - set(spans.names)
     assert not missing, f"layers never traced: {sorted(missing)}"
     assert spans.names.count("mpc.solve") == len(result.records)
+    assert (spans.names.count("redmd.prediction_error_window")
+            == spans.names.count("redmd.step") - (cfg.redmd.m_op - 1))
     # the counters the per-layer split reads from the step and solve results
     assert {"redmd.updates", "mpc.pg_iters", "mpc.pg_active",
             "mpc.pg_capped"} <= set(spans.counts)

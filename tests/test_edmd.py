@@ -1,9 +1,16 @@
-"""Tests for snapshot handling and the batch EDMD fit."""
+"""Tests for snapshot handling, the full-row-rank pseudo-inverse and the
+batch EDMD fit."""
 
 import numpy as np
 import pytest
 
-from koopman_adapt.edmd import SnapshotSet, _as_input, collect_snapshots, fit
+from koopman_adapt.edmd import (
+    SnapshotSet,
+    _as_input,
+    collect_snapshots,
+    fit,
+    pinv_full_row_rank,
+)
 from koopman_adapt.errors import (
     DimensionMismatch,
     NonFiniteState,
@@ -72,7 +79,7 @@ class TestCollectSnapshots:
     def test_minimal_pair(self):
         s = collect_snapshots([(np.array([1.0]), np.array([0.5])),
                                (np.array([2.0]), np.array([0.7]))])
-        assert s.num_pairs == 1
+        assert s.X.shape[1] == 1
         np.testing.assert_array_equal(s.X, [[1.0]])
         np.testing.assert_array_equal(s.Xp, [[2.0]])
         np.testing.assert_array_equal(s.U, [[0.5]])
@@ -87,6 +94,51 @@ class TestCollectSnapshots:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             collect_snapshots([(np.array([1.0]), None)])
+
+
+def penrose_residuals(A, Ap):
+    """Max relative residual of the four Penrose conditions."""
+    na = np.linalg.norm(A)
+    np_ = np.linalg.norm(Ap)
+    return max(
+        np.linalg.norm(A @ Ap @ A - A) / max(na, 1e-300),
+        np.linalg.norm(Ap @ A @ Ap - Ap) / max(np_, 1e-300),
+        np.linalg.norm((A @ Ap).T - A @ Ap) / max(1.0, np_ * na),
+        np.linalg.norm((Ap @ A).T - Ap @ A) / max(1.0, np_ * na),
+    )
+
+
+class TestPinvFullRowRank:
+    def test_identity(self):
+        np.testing.assert_allclose(pinv_full_row_rank(np.eye(2)), np.eye(2))
+
+    def test_diagonal_wide(self):
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        expected = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]])
+        np.testing.assert_allclose(pinv_full_row_rank(A), expected)
+
+    def test_residual_oracle_random(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            A = rng.standard_normal((3, 5))
+            Ap = pinv_full_row_rank(A)
+            assert np.linalg.norm(A @ Ap @ A - A) < 1e-10
+
+    def test_penrose_conditions(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            A = rng.standard_normal((4, 7))
+            assert penrose_residuals(A, pinv_full_row_rank(A)) < 1e-8
+
+    def test_rank_deficient_raises(self):
+        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(RankDeficientRegressor) as info:
+            pinv_full_row_rank(A)
+        assert info.value.cond > 1e12
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(NonFiniteState):
+            pinv_full_row_rank(np.array([[1.0, np.nan]]))
 
 
 class TestFit:
@@ -146,7 +198,7 @@ class TestFit:
     def test_column_reordering_invariance(self, invariant_subspace_dict):
         snapshots, _ = invariant_subspace_data(seed=5)
         rng = np.random.default_rng(17)
-        perm = rng.permutation(snapshots.num_pairs)
+        perm = rng.permutation(snapshots.X.shape[1])
         shuffled = type(snapshots)(snapshots.X[:, perm], snapshots.Xp[:, perm],
                                    snapshots.U[:, perm])
         m1, _ = fit(snapshots, invariant_subspace_dict)

@@ -378,9 +378,10 @@ class TestSolve:
             assert (plan >= cfg.u_min[:, None]).all()
             assert (plan <= cfg.u_max[:, None]).all()
 
-    def test_projected_gradient_monotone(self):
-        """The box QP's objective never rises from the clipped warm start
-        to the converged plan."""
+    def test_box_plan_beats_clipped_plan(self):
+        """The box QP returns a feasible plan whose objective is no higher
+        than that of the clipped unconstrained plan, its warm start, and
+        reports only its iteration count and convergence."""
         rng = np.random.default_rng(7)
         model = random_model(seed=8)
         cfg = MpcConfig(horizon=6, Qy=np.eye(3), Ru=0.05 * np.eye(2),
@@ -389,11 +390,20 @@ class TestSolve:
         solver = CondensedMpc(model, cfg)
         psi0 = rng.standard_normal(3)
         w = rng.standard_normal((3, 6))
-        _, _, info = solver.solve(psi0, w, return_info=True)
-        objs = info["pg_objectives"]
-        assert len(objs) >= 2
-        assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-        assert info["converged"]
+        _, plan, info = solver.solve(psi0, w, return_info=True)
+        hess = solver.hessian
+        grad = 2.0 * solver.GtQ @ (solver.F @ psi0 - w.T.ravel())
+
+        def objective(U):
+            return 0.5 * U @ hess @ U + grad @ U
+
+        U = plan.T.ravel()
+        lo, hi = cfg.structure.lo, cfg.structure.hi
+        assert ((lo <= U) & (U <= hi)).all()
+        clipped = np.linalg.solve(hess, -grad).clip(lo, hi)
+        assert objective(U) <= objective(clipped) + 1e-12
+        assert set(info) == {"pg_iterations", "converged"}
+        assert info["converged"] and info["pg_iterations"] >= 1
 
     def test_ill_conditioned_hessian_raises(self):
         d = identity_dictionary(1)

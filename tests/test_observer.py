@@ -36,6 +36,30 @@ def stable_lifted_model(seed=0, N=4):
     return d, KoopmanModel(K, B, d)
 
 
+def held_model(d):
+    """A model that holds the lifted state and has no input authority."""
+    return KoopmanModel(np.eye(d.size), np.zeros((d.size, 1)), d)
+
+
+class TestInit:
+    @pytest.mark.parametrize("b, floor", [(0.5, 1e-4), (2.0, 8e-4)])
+    def test_process_noise_shaped_through_input_channel(self, b, floor):
+        """Q = q (B B^T + max(tr B B^T, 1) 1e-4 I): the floor is 1e-4 while
+        tr B B^T = 2 b^2 stays below 1 and scales with it above."""
+        d = identity_dictionary(3)
+        B = np.array([[b], [b], [0.0]])
+        kf = init_kalman(d, np.zeros(3), ObserverSettings(q=0.5),
+                         model=KoopmanModel(np.eye(3), B, d))
+        expected = 0.5 * (np.array([[b * b, b * b, 0.0],
+                                    [b * b, b * b, 0.0],
+                                    [0.0, 0.0, 0.0]]) + floor * np.eye(3))
+        np.testing.assert_allclose(kf.Q, expected, rtol=1e-15, atol=0.0)
+
+    def test_model_is_required(self):
+        with pytest.raises(TypeError):
+            init_kalman(identity_dictionary(1), np.zeros(1))
+
+
 class TestPredict:
     def test_identity_dynamics_fixed_point(self):
         d = identity_dictionary(2)
@@ -81,7 +105,8 @@ class TestCorrect:
     def test_correct_pulls_toward_measurement(self):
         d = trig_dictionary(2)
         kf = init_kalman(d, np.array([0.0, 0.0]),
-                         ObserverSettings(p0=1.0, r=0.01))
+                         ObserverSettings(p0=1.0, r=0.01),
+                         model=held_model(d))
         P00 = kf.P[0, 0]
         kf_correct(kf, d, 0.5)
         assert 0.0 < kf.psi[0] <= 0.5 + 1e-12
@@ -96,7 +121,8 @@ class TestCorrect:
         for _ in range(4000):
             kf_correct(kf, d, rng.standard_normal() * 0.1)
             kf_predict(kf, model, [0.0])
-        P_star = riccati_prior_fixed_point(model, d.output_projection(), Q, R)
+        P_star = riccati_prior_fixed_point(model, np.eye(4)[d.output_index], Q,
+                                           R)
         assert np.max(np.abs(kf.P - P_star)) < 1e-6
 
     def test_covariance_converges(self):
@@ -164,7 +190,7 @@ class TestEstimateState:
     def test_lift_round_trip(self):
         d = trig_dictionary(2)
         x = np.array([0.3, -1.1])
-        kf = init_kalman(d, x)
+        kf = init_kalman(d, x, model=held_model(d))
         np.testing.assert_array_equal(kf_estimate_state(kf, d), x)
 
     def test_identity_dictionary_returns_psi(self):
@@ -177,7 +203,8 @@ class TestEstimateState:
         d, model = stable_lifted_model(seed=9)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(4) * 0.1
-        kf = init_kalman(d, x, ObserverSettings(q=0.0, r=1e-6, p0=0.0))
+        kf = init_kalman(d, x, ObserverSettings(q=0.0, r=1e-6, p0=0.0),
+                         model=model)
         for _ in range(50):
             u = rng.standard_normal(1)
             x = model.K @ x + model.B @ u  # identity dictionary: state = lifted

@@ -54,6 +54,21 @@ def rls_stream(rng, n=2, p=1, steps=120, k_scale=0.6):
     return out
 
 
+def window_error_oracle(est):
+    """The gate's window error from a fresh lift of the window's states,
+    with the operations prediction_error_window applies to the lifts the
+    window keeps (+inf during warm-up)."""
+    if est._count < est.settings.m_op:
+        return math.inf
+    N, n = est.size, est.dictionary.n
+    win = est._phi_win
+    pred = est.K @ est.dictionary.lift_batch(win[:n, :-1])
+    if est.p:
+        pred = pred + est.B @ win[N:, :-1]
+    err = (win[:n, 1:] - pred[:n]) / est._scales[:, None]
+    return float(np.abs(err).max())
+
+
 class TestCorrectionVector:
     """The gain k = Gamma phi / (phi^T Gamma phi + lambda), read off the
     model change of one step."""
@@ -556,7 +571,7 @@ def test_incremental_window_equals_full_recompute(seed, n, p, family, degree,
         report = est.step(x, u[:p] if p else None, x_next)
         ref = copy.deepcopy(est)
         ref.theta = theta
-        assert report.window_error == ref.prediction_error_window()
+        assert report.window_error == window_error_oracle(ref)
         if est._count >= m_op:
             # the lifted window step() keeps equals a fresh lift of its
             # state rows
@@ -566,22 +581,33 @@ def test_incremental_window_equals_full_recompute(seed, n, p, family, degree,
 
 @pytest.mark.parametrize("eps_low", [0.0, np.inf])
 def test_step_never_relifts_the_window(monkeypatch, eps_low):
-    """step() lifts only the newest sample, gate open or closed: from the
-    first sample on it calls neither the full window recompute nor the batch
-    lift. The full recompute only reads the estimator."""
-    calls = []
+    """step() lifts only the newest sample, gate open or closed: it never
+    calls the batch lift, and it calls prediction_error_window once per
+    sample from the window's first full one on. Each reported window error
+    equals the full recompute on a copy holding the Theta the gate saw, bit
+    for bit, and reading the window error leaves the estimator as it was."""
+    calls = {"prediction_error_window": 0, "lift_batch": 0}
     for owner, name in ((RecursiveEstimator, "prediction_error_window"),
                         (ObservableDictionary, "lift_batch")):
         def counted(*args, _name=name, _fn=getattr(owner, name)):
-            calls.append(_name)
+            calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     s = RedmdSettings(m_op=5, eps_low=eps_low, eps_high=np.inf)
     est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
                              identity_dictionary(2), s)
-    for x, u, x_next in rls_stream(np.random.default_rng(8), steps=30):
-        est.step(x, u, x_next)
-    assert calls == []
+    stream = rls_stream(np.random.default_rng(8), steps=30)
+    for k, (x, u, x_next) in enumerate(stream, 1):
+        theta, before = est.theta, dict(calls)
+        report = est.step(x, u, x_next)
+        assert calls == {
+            "prediction_error_window": (before["prediction_error_window"]
+                                        + (k >= s.m_op)),
+            "lift_batch": before["lift_batch"]}
+        ref = copy.deepcopy(est)
+        ref.theta = theta
+        assert report.window_error == window_error_oracle(ref)
+    assert calls["prediction_error_window"] == len(stream) - (s.m_op - 1)
     before = copy.deepcopy(vars(est))
     assert math.isfinite(est.prediction_error_window())
     np.testing.assert_equal(vars(est), before)
