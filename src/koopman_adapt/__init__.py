@@ -21,7 +21,7 @@ from .harness import (
     write_summary_csv,
     write_trace_csv,
 )
-from .observables import trig_dictionary
+from .observables import ObservableDictionary
 from .redmd import RecursiveEstimator, RedmdSettings, StepReport, init_from_batch
 
 __version__ = "0.1.0"
@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "KoopmanAdaptError",
     "KoopmanModel",
+    "ObservableDictionary",
     "RecursiveEstimator",
     "RedmdSettings",
     "RunResult",
@@ -45,7 +46,6 @@ __all__ = [
     "prepare_estimator",
     "run_closed_loop",
     "run_comparison",
-    "trig_dictionary",
     "write_summary_csv",
     "write_trace_csv",
 ]

@@ -37,7 +37,7 @@ from .observer import (
     kf_estimate_state,
     kf_predict,
 )
-from .plants import PlantState, apply_schedule, measure, step_plant
+from .plants import apply_schedule, measure, step_plant
 from .redmd import RecursiveEstimator, StepReport, init_from_batch
 from .references import build_reference
 
@@ -103,11 +103,9 @@ def generate_training_data(cfg: ExperimentConfig) -> SnapshotSet:
     t = np.arange(steps) * plant.dt
     tones = np.sin(2.0 * np.pi * freqs * t[:, None] + phases).sum(axis=1) / 6.0
     U = (run.train_amplitude * (tones + 0.25 * z[:-1, 0]))[None, :]
-    state = PlantState(np.zeros(n))
-    states = [state.x]
+    states = [np.zeros(n)]
     for k in range(steps):
-        state = step_plant(plant, state, U[:, k])
-        states.append(state.x)
+        states.append(step_plant(plant, states[-1], U[:, k]))
     x_meas, _ = measure(plant, np.array(states),
                         np.concatenate((z[:-1, 1:], z[-1:, :-1])),
                         cfg.dictionary.output_index)
@@ -126,18 +124,19 @@ def _steps(cfg: ExperimentConfig) -> int:
 
 class _Cell:
     """One cell of a lockstep run: its closed loop's state apart from its
-    rows of the run's stacked arrays (see _Rows), its reference w and its
-    sensor draws z. It stands for its members, (slot, config) pairs with
-    the (cell, config) index of the result as slot, whose configs differ
-    only in their schedules and have applied the same events so far."""
+    rows of the run's stacked arrays (see _Rows), its plant state x, its
+    reference w and its sensor draws z. It stands for its members, (slot,
+    config) pairs with the (cell, config) index of the result as slot,
+    whose configs differ only in their schedules and have applied the same
+    events so far; next_event is the first event time after those."""
 
     def __init__(self, members: list, est: RecursiveEstimator,
                  w: np.ndarray, z: np.ndarray, records: Trace):
         cfg = members[0][1]
-        self.members, self.cfg, self.pending = members, cfg, [-math.inf]
+        self.members, self.cfg, self.next_event = members, cfg, -math.inf
         self.est, self.w, self.z, self.records = est, w, z, records
         self.plant, self.applied = cfg.plant, 0  # events applied to it
-        self.state = PlantState(w[:, 0].copy(), 0.0)
+        self.x = w[:, 0].copy()
         self.adapt_ctrl = cfg.run.variant in ("adaptive-ctrl", "adaptive-both")
         self.adapt_obs = cfg.run.variant in ("adaptive-obs", "adaptive-both")
         self.initial_model = self.ctrl_model = self.obs_model = est.model
@@ -146,27 +145,25 @@ class _Cell:
         self.report = self.prev_meas = self.prev_u = None
 
     def split(self, t: float) -> list:
-        """At the top of the sample at time t, which reaches a pending
-        event time (the first sample reaches the initial -inf): keep the
-        members whose applied events (time <= t) are the first member's,
-        return a copy of this cell for each other set, and rebuild each
-        part's plant if its applied events grew. A copy is exact, as its
-        members' runs equal this cell's so far; it copies what the run
-        changes in place, the estimator and the trace's rows."""
+        """At the top of the sample at time t, which reaches next_event
+        (the first sample reaches the initial -inf): keep the members
+        whose applied events at t are the first member's, return a copy of
+        this cell for each other set, and rebuild each part's plant if its
+        applied events grew. A copy is exact, as its members' runs equal
+        this cell's so far; it copies what the run changes in place, the
+        estimator and the trace's rows."""
         groups = {}  # the members by applied events, first member's first
         for member in self.members:
-            applied = tuple(e for e in member[1].schedule.events if e[0] <= t)
-            groups.setdefault(applied, []).append(member)
+            groups.setdefault(member[1].schedule.applied(t), []).append(member)
         parts = [self] + [copy.copy(self) for _ in range(len(groups) - 1)]
         for part, (applied, members) in zip(parts, groups.items()):
             if part is not self:
                 part.est = copy.deepcopy(self.est)
                 part.records = self.records.copy()
             part.members, part.cfg = members, members[0][1]
-            # the members' event times after t, the last first
-            part.pending = sorted({e[0] for _, c in members
-                                   for e in c.schedule.events if e[0] > t},
-                                  reverse=True)
+            part.next_event = min((e[0] for _, c in members
+                                   for e in c.schedule.events[len(applied):]),
+                                  default=math.inf)
             if len(applied) > part.applied:
                 part.plant = apply_schedule(part.plant, part.cfg.schedule, t)
                 part.applied = len(applied)
@@ -192,17 +189,19 @@ class _Cell:
             self.obs_model = model
         return self.adapt_obs
 
-    def end(self, out: list, exc: NumericalError | None = None) -> None:
-        """End the cell with the rows written (aborted when exc is given),
-        fill in their running error, each row's err @ err summed in order,
-        and give each member its RunResult in out, with its own rows."""
+    def end(self, out: list, exc: NumericalError | None = None,
+            t: float = 0.0) -> None:
+        """End the cell with the rows written (aborted by exc in the sample
+        at time t when exc is given), fill in their running error, each
+        row's err @ err summed in order, and give each member its RunResult
+        in out, with its own rows."""
         records = self.records[:self.written]
         err = records.w - records.x
         records.e_cum = np.cumsum((err[:, None, :] @ err[:, :, None])[:, 0, 0])
-        result = RunResult(
-            records, exc is not None,
-            f"{type(exc).__name__}: {exc}" if exc is not None else "",
-            self.initial_model, self.ctrl_model, self.obs_model)
+        reason = (f"{type(exc).__name__} at t={t:.6g}: {exc}"
+                  if exc is not None else "")
+        result = RunResult(records, exc is not None, reason,
+                           self.initial_model, self.ctrl_model, self.obs_model)
         for m, ((i, j), _) in enumerate(self.members):
             out[i][j] = replace(result, records=records.copy()) if m else result
 
@@ -239,7 +238,8 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
 
     An already-initialized estimator may be passed to share one offline fit
     across runs (it is deep-copied, never mutated). A reference array
-    (n, >= steps + horizon) overrides the configured reference generator.
+    (n, >= steps + horizon) of finite values overrides the configured
+    reference generator.
 
     The loop runs over a leading axis of cells, one cell here. Per sample,
     the sensor and the Kalman filter run once for all live cells; the
@@ -247,7 +247,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
     running error is summed over its whole trace when it ends. Each cell's
     numbers are those of its run alone, to the bit. A NumericalError ends
     its cell alone, with the rows it wrote, and the cell leaves the stacked
-    arrays.
+    arrays; its reason says the time of the sample it ended in.
 
     ``_cells`` (used by run_comparison) runs a list of cells in this one
     call and returns, per cell, its configs' RunResults. A cell is
@@ -272,9 +272,10 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
             w = reference_of(run.reference)
         else:
             w = np.asarray(w, dtype=float)
-            if w.ndim != 2 or w.shape[0] != n or w.shape[1] < steps + H:
+            if (w.ndim != 2 or w.shape[0] != n or w.shape[1] < steps + H
+                    or not np.isfinite(w).all()):
                 raise ValueError(f"reference override must be ({n}, >= "
-                                 f"{steps + H})")
+                                 f"{steps + H}) and finite")
         if est is None:
             est = prepare_estimator(cfgs[0])
         live.append(_Cell([((i, j), c) for j, c in enumerate(cfgs)],
@@ -293,11 +294,11 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
             break
         t = k * plant.dt
         parts = [(j, part) for j, c in enumerate(live)
-                 if c.pending and c.pending[-1] <= t for part in c.split(t)]
+                 if c.next_event <= t for part in c.split(t)]
         if parts:  # each part's rows are copies of its parent's
             rows = rows.take([*range(len(live)), *(j for j, _ in parts)])
             live += [part for _, part in parts]
-        x_true = np.array([c.state.x for c in live])
+        x_true = np.array([c.x for c in live])
         x_meas, y_meas = measure(plant, x_true,
                                  np.array([c.z[k] for c in live]),
                                  dictionary.output_index)
@@ -307,7 +308,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
                 if c.update(k, x_meas[j]):
                     rows.K[j], rows.B[j] = c.obs_model.K, c.obs_model.B
             except NumericalError as exc:
-                c.end(out, exc)
+                c.end(out, exc, t)
                 ended.append(j)
         if ended:  # the rest of the sample runs on the cells left, if any
             live, rows, x_true, x_meas, y_meas = _drop(
@@ -327,9 +328,9 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
             c.written = k + 1
             u[j] = u0
             try:
-                c.state = step_plant(c.plant, c.state, u0)
+                c.x = step_plant(c.plant, c.x, u0)
             except NumericalError as exc:
-                c.end(out, exc)
+                c.end(out, exc, t)
                 ended.append(j)
             else:
                 c.prev_meas, c.prev_u = x_meas[j], u0
@@ -415,11 +416,11 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     # only the rest-to-rest reference reads its speed; without a change
     # that acts within the run (by the last sample) the with-changes half
     # would repeat the nominal one
-    reference, events = cfg.run.reference, cfg.schedule.events
+    reference = cfg.run.reference
     speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
               else (reference.speed,))
     halves = ((False, True)
-              if events and events[0][0] <= (_steps(cfg) - 1) * cfg.plant.dt
+              if cfg.schedule.applied((_steps(cfg) - 1) * cfg.plant.dt)
               else (False,))
     estimator = prepare_estimator(cfg)
     cells = [([_cell_config(cfg, variant, h, speed) for h in halves],

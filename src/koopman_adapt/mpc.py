@@ -60,10 +60,11 @@ class MpcConfig:
         if not (np.isfinite(self.Ru).all()
                 and np.linalg.eigvalsh(self.Ru).min() > 0):
             raise ValueError("Ru must be finite and positive definite")
-        for name in ("u_min", "u_max"):
-            if getattr(self, name) is not None \
-                    and np.isnan(getattr(self, name)).any():
-                raise ValueError(f"{name} must not be NaN")
+        # an unbounded side is -inf below or +inf above, never the reverse
+        for name, wrong in (("u_min", math.inf), ("u_max", -math.inf)):
+            v = getattr(self, name)
+            if v is not None and (np.isnan(v) | (v == wrong)).any():
+                raise ValueError(f"{name} must not be NaN or {wrong}")
         if self.u_min is not None and self.u_max is not None:
             if self.u_min.shape != self.u_max.shape:
                 raise ValueError(

@@ -1,5 +1,4 @@
-"""Lifting dictionaries: the map from plant states to lifted coordinates and
-the projections back to state and output space.
+"""Lifting dictionaries: the map from plant states to lifted coordinates.
 
 A dictionary is one of three closed-form families over the state x:
 identity (x), trig (x, then sin x_i and cos x_i per coordinate) and monomial
@@ -92,29 +91,3 @@ class ObservableDictionary:
             raise DimensionMismatch(
                 f"expected snapshots of shape ({self.n}, M), got {X.shape}")
         return self._lift(X)
-
-    def project_state(self, psi) -> np.ndarray:
-        """First n components of a lifted vector, or of each lifted vector
-        of a stack (P_x = [I | 0])."""
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape[-1:] != (self.size,):
-            raise DimensionMismatch(
-                f"expected lifted vectors of shape (..., {self.size}), got "
-                f"{psi.shape}")
-        return psi[..., : self.n].copy()
-
-
-def identity_dictionary(n: int, output_index: int = 0) -> ObservableDictionary:
-    """The trivial dictionary: lifted space equals state space (N = n)."""
-    return ObservableDictionary(n, "identity", output_index=output_index)
-
-
-def trig_dictionary(n: int, output_index: int = 0) -> ObservableDictionary:
-    """Identity maps plus sin and cos of every coordinate (N = 3n)."""
-    return ObservableDictionary(n, "trig", output_index=output_index)
-
-
-def monomial_dictionary(n: int, degree: int,
-                        output_index: int = 0) -> ObservableDictionary:
-    """Identity maps plus all monomials of total degree 2..degree."""
-    return ObservableDictionary(n, "monomial", degree, output_index)

@@ -144,4 +144,4 @@ def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
 def kf_estimate_state(kf: KalmanState,
                       dictionary: ObservableDictionary) -> np.ndarray:
     """State estimate: the first n lifted coordinates (of each cell)."""
-    return dictionary.project_state(kf.psi)
+    return kf.psi[..., :dictionary.n].copy()

@@ -10,11 +10,7 @@ import numpy as np
 
 from .edmd import KoopmanModel, collect_snapshots, fit
 from .mpc import CondensedMpc, MpcConfig
-from .observables import (
-    identity_dictionary,
-    monomial_dictionary,
-    trig_dictionary,
-)
+from .observables import ObservableDictionary
 from .redmd import RedmdSettings, init_from_batch
 
 
@@ -61,13 +57,7 @@ def _random_system(rng):
         family = rng.choice(["identity", "trig", "monomial"])
     else:
         family = "identity"
-    if family == "trig":
-        dictionary = trig_dictionary(n)
-    elif family == "monomial":
-        dictionary = monomial_dictionary(n, 2)
-    else:
-        dictionary = identity_dictionary(n)
-    return A, B, dictionary
+    return A, B, ObservableDictionary(n, str(family), 2)
 
 
 def _simulate(A, B, rng, steps):

@@ -96,12 +96,6 @@ class PlantModel:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    x: np.ndarray
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
 class ChangeSchedule:
     """Timed parameter steps (time, name, new value), time-sorted."""
 
@@ -114,16 +108,14 @@ class ChangeSchedule:
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("schedule events must be time-sorted")
 
+    def applied(self, t: float) -> tuple:
+        """The events of time <= t, in order."""
+        return tuple(e for e in self.events if e[0] <= t)
+
 
 def make_pendulum(m=0.4, l=0.5, g=9.81, d=0.04, c=0.0, **kwargs) -> PlantModel:
     return PlantModel("pendulum", {"m": m, "l": l, "g": g, "d": d, "c": c},
                       **kwargs)
-
-
-def make_linear2nd(A, B, **kwargs) -> PlantModel:
-    return PlantModel("linear2nd",
-                      {"A": np.asarray(A, dtype=float),
-                       "B": np.asarray(B, dtype=float)}, **kwargs)
 
 
 def _pendulum_rk4(coeffs, theta: float, omega: float, u: float, h: float,
@@ -164,16 +156,13 @@ def _pendulum_rk4(coeffs, theta: float, omega: float, u: float, h: float,
     return theta, omega
 
 
-def _blow_up(plant: PlantModel, state: PlantState) -> NonFiniteState:
-    return NonFiniteState(
-        f"plant state became non-finite at t={state.t + plant.dt:.6g}")
-
-
-def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
-    """Advance one sample time under zero-order-hold input via RK4."""
+def step_plant(plant: PlantModel, x, u) -> np.ndarray:
+    """The state one sample time after x, under zero-order-hold input u,
+    via RK4."""
     u = _as_input(u, plant.p)
-    x = np.asarray(state.x, dtype=float)
+    x = np.asarray(x, dtype=float)
     h = plant.dt / plant.substeps
+    blow_up = "plant state became non-finite"
     if plant.kind == "pendulum":
         theta, omega = x.tolist()
         try:
@@ -181,41 +170,39 @@ def step_plant(plant: PlantModel, state: PlantState, u) -> PlantState:
                                          float(u[0]), h, plant.substeps)
         except (ValueError, ZeroDivisionError) as exc:
             # math.sin(inf) and a zero m l^2 raise where arrays give inf/NaN
-            raise _blow_up(plant, state) from exc
+            raise NonFiniteState(blow_up) from exc
         if not (math.isfinite(theta) and math.isfinite(omega)):
-            raise _blow_up(plant, state)
-        return PlantState(np.array((theta, omega)), state.t + plant.dt)
-    else:
-        # dx/dt = A x + B u; blow-up surfaces as NonFiniteState below, not
-        # as overflow warnings
-        A, B = plant.params["A"], plant.params["B"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(plant.substeps):
-                k1 = A @ x + B @ u
-                k2 = A @ (x + 0.5 * h * k1) + B @ u
-                k3 = A @ (x + 0.5 * h * k2) + B @ u
-                k4 = A @ (x + h * k3) + B @ u
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            raise NonFiniteState(blow_up)
+        return np.array((theta, omega))
+    # dx/dt = A x + B u; blow-up surfaces as NonFiniteState below, not as
+    # overflow warnings
+    A, B = plant.params["A"], plant.params["B"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(plant.substeps):
+            k1 = A @ x + B @ u
+            k2 = A @ (x + 0.5 * h * k1) + B @ u
+            k3 = A @ (x + 0.5 * h * k2) + B @ u
+            k4 = A @ (x + h * k3) + B @ u
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(x).all():
-        raise _blow_up(plant, state)
-    return PlantState(x, state.t + plant.dt)
+        raise NonFiniteState(blow_up)
+    return x
 
 
 def apply_schedule(plant: PlantModel, schedule: ChangeSchedule,
                    t: float) -> PlantModel:
     """Plant with all events of time <= t applied, in order (idempotent)."""
+    events = schedule.applied(t)
+    if not events:
+        return plant
     allowed = _PENDULUM_PARAMS if plant.kind == "pendulum" else _LINEAR_PARAMS
     params = dict(plant.params)
-    changed = False
-    for time, name, value in schedule.events:
-        if time > t:
-            break
+    for _, name, value in events:
         if name not in allowed:
             raise UnknownParameter(
                 f"plant kind {plant.kind!r} has no parameter {name!r}")
         params[name] = value
-        changed = True
-    return replace(plant, params=params) if changed else plant
+    return replace(plant, params=params)
 
 
 def measure(plant: PlantModel, x: np.ndarray, z: np.ndarray,

@@ -42,12 +42,11 @@ class FunctionDictionary:
     """Test fake: a lifting dictionary over n states whose observables are
     explicit callables, each taking an (n, M) state batch and broadcasting
     over M; the first n must be the coordinate maps x[i]. It borrows the
-    library dictionary's lift paths, shape checks and projections; only
-    its rows differ."""
+    library dictionary's lift paths and shape checks; only its rows
+    differ."""
 
     lift = ObservableDictionary.lift
     lift_batch = ObservableDictionary.lift_batch
-    project_state = ObservableDictionary.project_state
 
     def __init__(self, n, funcs, output_index=0):
         self.n, self.funcs, self.output_index = n, tuple(funcs), output_index

@@ -19,14 +19,14 @@ from koopman_adapt.edmd import (
 )
 from koopman_adapt.harness import default_config, generate_training_data
 from koopman_adapt.mpc import CondensedMpc, MpcConfig
-from koopman_adapt.observables import identity_dictionary, trig_dictionary
+from koopman_adapt.observables import ObservableDictionary
 from koopman_adapt.observer import KalmanState, kf_correct, kf_predict
 from koopman_adapt.oracles import (
     mpc_gain_limit,
     recursive_batch_max_error,
     riccati_prior_fixed_point,
 )
-from koopman_adapt.plants import PlantState, make_linear2nd, measure, step_plant
+from koopman_adapt.plants import measure, step_plant
 from koopman_adapt.redmd import (
     RecursiveEstimator,
     RedmdSettings,
@@ -74,7 +74,7 @@ def test_criterion_2_appendix_identities():
 
 def test_criterion_3_covariance_recursion_consistency():
     rng = np.random.default_rng(33)
-    d = identity_dictionary(3)
+    d = ObservableDictionary(3, "identity")
     worst = 0.0
     for _ in range(100):
         A = rng.standard_normal((4, 4))
@@ -91,7 +91,7 @@ def test_criterion_3_covariance_recursion_consistency():
 
 
 def test_criterion_4_forgetting_factor_tracking():
-    d = identity_dictionary(1)
+    d = ObservableDictionary(1, "identity")
     worst_recovery = 0
     for seed in range(10):
         rng = np.random.default_rng([4, seed])
@@ -143,20 +143,20 @@ def test_criterion_6_constant_trace_bound():
     est = init_from_batch(generate_training_data(cfg), cfg.dictionary,
                           settings)
     plant = cfg.plant
-    state = PlantState(np.zeros(2))
+    x = np.zeros(2)
     x_prev, u_prev = None, None
     hit_bound = False
     worst_excess = -math.inf
     for k in range(10_000):
         u = np.array([1.2 * math.sin(2 * math.pi * 0.6 * k * plant.dt)
                       + 0.3 * rng.standard_normal()])
-        x_meas, _ = measure(plant, state.x, rng.standard_normal(3))
+        x_meas, _ = measure(plant, x, rng.standard_normal(3))
         if x_prev is not None:
             rep = est.step(x_prev, u_prev, x_meas)
             worst_excess = max(worst_excess, rep.trace_gamma - est.trace_max)
             hit_bound = hit_bound or rep.trace_gamma > 0.5 * est.trace_max
         x_prev, u_prev = x_meas, u
-        state = step_plant(plant, state, u)
+        x = step_plant(plant, x, u)
     assert worst_excess <= 1e-12
     assert hit_bound, "trace never came under pressure; test is vacuous"
     report(6, f"tr(Gamma) - bound max excess {worst_excess:.3e} "
@@ -166,7 +166,7 @@ def test_criterion_6_constant_trace_bound():
 def test_criterion_7_gate_soundness():
     A = np.array([[0.9, 0.08], [-0.05, 0.85]])
     B = np.array([[0.0], [0.1]])
-    d = identity_dictionary(2)
+    d = ObservableDictionary(2, "identity")
     rng = np.random.default_rng(77)
     # exact training data from the discrete generator
     x = rng.standard_normal(2)
@@ -193,7 +193,7 @@ def test_criterion_7_gate_soundness():
 
 
 def test_criterion_8_kalman_steady_state():
-    d = identity_dictionary(4)
+    d = ObservableDictionary(4, "identity")
     rng = np.random.default_rng(8)
     K = rng.standard_normal((4, 4))
     K *= 0.85 / max(abs(np.linalg.eigvals(K)))
@@ -218,7 +218,7 @@ def test_criterion_8_kalman_steady_state():
 
 def test_criterion_9_mpc_oracles():
     # (a) unconstrained solve vs independently assembled stacked LSQ
-    d = identity_dictionary(3)
+    d = ObservableDictionary(3, "identity")
     rng = np.random.default_rng(9)
     K = rng.standard_normal((3, 3))
     K *= 0.8 / max(abs(np.linalg.eigvals(K)))
@@ -256,7 +256,7 @@ def test_criterion_9_mpc_oracles():
     assert worst < 1e-8
 
     # (b) long-horizon gain vs scalar DARE fixed point
-    d1 = identity_dictionary(1)
+    d1 = ObservableDictionary(1, "identity")
     scalar = KoopmanModel(np.array([[0.9]]), np.array([[1.0]]), d1)
     cfg_lqr = MpcConfig(horizon=200, Qy=np.eye(1), Ru=np.eye(1))
     G_mpc = mpc_gain_limit(scalar, cfg_lqr)

@@ -61,7 +61,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting", ["max_pg_iters = 2.5",
                                          "pg_tol = nan",
-                                         "terminal_weight = nan"])
+                                         "terminal_weight = nan",
+                                         "u_min = inf\nu_max = inf",
+                                         "u_min = -inf\nu_max = -inf"])
     def test_bad_solver_setting_is_a_config_error(self, tmp_path, capsys,
                                                   setting):
         path = tmp_path / "bad.cfg"

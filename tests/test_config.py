@@ -168,7 +168,7 @@ class TestAssemble:
     @pytest.mark.parametrize("setting", [
         "max_pg_iters = 2.5", "max_pg_iters = 0", "max_pg_iters = -3",
         "max_pg_iters = true", "pg_tol = -1", "pg_tol = 0", "pg_tol = nan",
-        "pg_tol = inf",
+        "pg_tol = inf", "u_min = inf", "u_max = -inf",
     ])
     def test_bad_solver_settings_rejected(self, setting):
         with pytest.raises(ConfigError, match=setting.split()[0]):

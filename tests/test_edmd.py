@@ -17,7 +17,7 @@ from koopman_adapt.errors import (
     RankDeficientRegressor,
     TooFewSamples,
 )
-from koopman_adapt.observables import identity_dictionary, monomial_dictionary
+from koopman_adapt.observables import ObservableDictionary
 
 from conftest import FunctionDictionary
 
@@ -144,7 +144,7 @@ class TestPinvFullRowRank:
 class TestFit:
     def test_scalar_autonomous_decay(self):
         s = collect_snapshots(scalar_decay_trajectory())
-        model, _ = fit(s, identity_dictionary(1))
+        model, _ = fit(s, ObservableDictionary(1, "identity"))
         np.testing.assert_allclose(model.K, [[0.9]], rtol=1e-12)
         assert model.B.shape == (1, 0)
 
@@ -157,7 +157,8 @@ class TestFit:
             pairs.append((x.copy(), u))
             x = 0.5 * x + 0.2 * u
         pairs.append((x.copy(), np.zeros(1)))
-        model, _ = fit(collect_snapshots(pairs), identity_dictionary(1))
+        model, _ = fit(collect_snapshots(pairs),
+                       ObservableDictionary(1, "identity"))
         np.testing.assert_allclose(model.K, [[0.5]], atol=1e-10)
         np.testing.assert_allclose(model.B, [[0.2]], atol=1e-10)
 
@@ -172,7 +173,7 @@ class TestFit:
         # constant trajectory: regressor rows are collinear
         pairs = [(np.array([1.0, 1.0]), None)] * 10
         with pytest.raises(RankDeficientRegressor) as info:
-            fit(collect_snapshots(pairs), identity_dictionary(2))
+            fit(collect_snapshots(pairs), ObservableDictionary(2, "identity"))
         assert info.value.cond > 1e12
 
     def test_overflowing_successor_lift_is_nonfinite_state(self):
@@ -185,7 +186,8 @@ class TestFit:
         U = rng.standard_normal((1, 20))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
-                fit(SnapshotSet(X, Xp, U), monomial_dictionary(1, 2))
+                fit(SnapshotSet(X, Xp, U),
+                    ObservableDictionary(1, "monomial", 2))
 
     def test_returns_the_stacked_regressor(self, invariant_subspace_dict):
         """The second result is the regressor [lift(X); U] the model was

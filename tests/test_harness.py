@@ -21,6 +21,7 @@ from koopman_adapt.config import (
 from koopman_adapt.edmd import KoopmanModel, collect_snapshots, fit
 from koopman_adapt.errors import (
     EmptyTrace,
+    IllConditionedHessian,
     NonFiniteState,
     RankDeficientRegressor,
 )
@@ -37,13 +38,12 @@ from koopman_adapt.harness import (
     write_trace_csv,
 )
 from koopman_adapt.mpc import MpcConfig
-from koopman_adapt.observables import ObservableDictionary, identity_dictionary
+from koopman_adapt.observables import ObservableDictionary
 from koopman_adapt.observer import ObserverSettings
 from koopman_adapt.plants import (
     ChangeSchedule,
-    PlantState,
+    PlantModel,
     apply_schedule,
-    make_linear2nd,
     measure,
     step_plant,
 )
@@ -85,11 +85,12 @@ def linear_matched_config():
     """Exact-lifted-space plant: linear dynamics with identity dictionary."""
     A = np.array([[0.0, 1.0], [-4.0, -0.8]])
     B = np.array([[0.0], [1.5]])
-    plant = make_linear2nd(A, B, noise_y=0.0, noise_x=0.0, dt=0.01, substeps=8)
+    plant = PlantModel("linear2nd", {"A": A, "B": B}, noise_y=0.0,
+                       noise_x=0.0, dt=0.01, substeps=8)
     return ExperimentConfig(
         plant=plant,
         schedule=ChangeSchedule(()),
-        dictionary=identity_dictionary(2),
+        dictionary=ObservableDictionary(2, "identity"),
         redmd=RedmdSettings(m_op=10, eps_low=1e-9, adaptive_lambda=False),
         mpc=MpcConfig(horizon=20, Qy=np.eye(2), Ru=1e-9 * np.eye(1)),
         observer=ObserverSettings(q=0.0, r=1e-12, p0=0.0),
@@ -127,15 +128,20 @@ class TestRunBookkeeping:
         assert a.tobytes() == b.tobytes()
         assert pickle.dumps(a) == pickle.dumps(b)
 
-    @pytest.mark.parametrize("shape", [(2,), (2, 14), (1, 15)])
+    @pytest.mark.parametrize("shape", [(2,), (2, 14), (1, 15), "nan", "inf"])
     def test_reference_override_shape_checked(self, tiny_cfg, tiny_estimator,
                                               shape):
-        """A reference override that is not a 2-D (n, >= steps + horizon)
-        array is refused with one message, whatever is wrong with it."""
+        """A reference override that is not a finite 2-D (n, >= steps +
+        horizon) array is refused with one message, whatever is wrong with
+        it: its shape, or a NaN or an inf in column 10 ("nan", "inf")."""
+        if isinstance(shape, str):
+            w = np.zeros((2, 15))
+            w[0, 10] = float(shape)
+        else:
+            w = np.zeros(shape)
         with pytest.raises(ValueError,
                            match=r"reference override must be \(2, >= 15\)"):
-            run_closed_loop(tiny_cfg, estimator=tiny_estimator,
-                            reference=np.zeros(shape))
+            run_closed_loop(tiny_cfg, estimator=tiny_estimator, reference=w)
 
     def test_each_measured_state_lifted_once(self, tiny_cfg, tiny_estimator,
                                              monkeypatch):
@@ -177,29 +183,50 @@ class TestRunBookkeeping:
         monkeypatch.setattr(harness, "measure", nan_on_fifth)
         result = run_closed_loop(tiny_cfg, estimator=tiny_estimator)
         assert result.aborted
-        assert result.reason.startswith("NonFiniteState")
+        assert result.reason.startswith("NonFiniteState at t=0.004: ")
         assert len(result.records) == 4
 
     def test_error_after_the_row_keeps_that_sample(
             self, tiny_cfg, tiny_estimator, monkeypatch):
         """A plant step that fails at sample 3 comes after that sample's
-        row is written, so the partial trace ends with it."""
+        row is written, so the partial trace ends with it; the reason
+        says the sample's time."""
         full = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records
         calls = []
 
-        def fail_on_fourth(plant, state, u):
+        def fail_on_fourth(plant, x, u):
             calls.append(None)
             if len(calls) == 4:
                 raise NonFiniteState("plant state went non-finite")
-            return step_plant(plant, state, u)
+            return step_plant(plant, x, u)
 
         monkeypatch.setattr(harness, "step_plant", fail_on_fourth)
         result = run_closed_loop(tiny_cfg, estimator=tiny_estimator)
         assert result.aborted
-        assert result.reason.startswith("NonFiniteState")
+        assert result.reason == ("NonFiniteState at t=0.003: plant state "
+                                 "went non-finite")
         assert len(result.records) == 4
         assert result.records[-1].t == 3 * tiny_cfg.plant.dt
         assert_same_trace(result.records, full[:4])
+
+    def test_mpc_rebuild_abort_says_its_time(self, tiny_cfg, tiny_estimator,
+                                             monkeypatch):
+        """A controller rebuild that fails on the first model update, at
+        sample 1, ends the run before that sample's row, with its time."""
+        mpc, built = harness.CondensedMpc, []
+
+        def fail_on_second(model, cfg):
+            built.append(None)
+            if len(built) == 2:
+                raise IllConditionedHessian("Hessian too ill-conditioned")
+            return mpc(model, cfg)
+
+        monkeypatch.setattr(harness, "CondensedMpc", fail_on_second)
+        result = run_closed_loop(tiny_cfg, estimator=tiny_estimator)
+        assert result.aborted
+        assert result.reason == ("IllConditionedHessian at t=0.001: Hessian "
+                                 "too ill-conditioned")
+        assert len(result.records) == 1
 
     def test_schedule_applied_once_per_event_time(
             self, tiny_cfg, tiny_estimator, monkeypatch):
@@ -216,9 +243,9 @@ class TestRunBookkeeping:
             applied.append(t)
             return apply_schedule(plant, schedule, t)
 
-        def spy_step(plant, state, u):
+        def spy_step(plant, x, u):
             stepped.append(dict(plant.params))
-            return step_plant(plant, state, u)
+            return step_plant(plant, x, u)
 
         monkeypatch.setattr(harness, "apply_schedule", spy_schedule)
         monkeypatch.setattr(harness, "step_plant", spy_step)
@@ -236,12 +263,10 @@ class TestModelMatchedClosedLoop:
         steps = round(cfg.run.t_sim / cfg.plant.dt)
         H = cfg.mpc.horizon
         # achievable reference: an actual trajectory of the plant
-        state = PlantState(np.zeros(2))
         w = np.zeros((2, steps + H + 1))
         for k in range(1, steps + H + 1):
             u = np.array([1.2 * np.sin(2.0 * np.pi * 0.4 * (k - 1) * cfg.plant.dt)])
-            state = step_plant(cfg.plant, state, u)
-            w[:, k] = state.x
+            w[:, k] = step_plant(cfg.plant, w[:, k - 1], u)
         result = run_closed_loop(cfg, reference=w)
         assert not result.aborted
         tail = result.records[steps // 2:]
@@ -306,18 +331,18 @@ def reference_training_data(cfg):
     steps = max(2, round(run.train_duration / plant.dt))
     freqs = np.geomspace(0.3, 4.0, 6)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
-    state = PlantState(np.zeros(plant.n))
+    x = np.zeros(plant.n)
     pairs = []
     for k in range(steps):
         t = k * plant.dt
         tone = np.sum(np.sin(2.0 * np.pi * freqs * t + phases)) / 6.0
         u = np.array([run.train_amplitude
                       * (tone + 0.25 * rng.standard_normal())])
-        x_meas, _ = measure(plant, state.x, sensor_draws(),
+        x_meas, _ = measure(plant, x, sensor_draws(),
                             cfg.dictionary.output_index)
         pairs.append((x_meas, u))
-        state = step_plant(plant, state, u)
-    x_meas, _ = measure(plant, state.x, sensor_draws(),
+        x = step_plant(plant, x, u)
+    x_meas, _ = measure(plant, x, sensor_draws(),
                         cfg.dictionary.output_index)
     pairs.append((x_meas, np.zeros(plant.p)))
     return collect_snapshots(pairs)
@@ -601,12 +626,17 @@ class TestComparison:
         clean = run_comparison(cfg)
         (clean_runs,) = sweep_spy.runs
         step = harness.step_plant
-        fail_after = (FORK_K + 4.5) * SHORT_DT  # fails at sample FORK_K + 5
+        # each changed plant's steps so far, by id; the plant is held, so
+        # that its id stays its own. Its sixth step is at sample FORK_K + 5
+        steps_on = {}
 
-        def failing_step(plant, state, u):
-            if plant.params["m"] == 0.8 and state.t > fail_after:
-                raise NonFiniteState("plant state went non-finite")
-            return step(plant, state, u)
+        def failing_step(plant, x, u):
+            if plant.params["m"] == 0.8:
+                _, count = steps_on.get(id(plant), (plant, 0))
+                steps_on[id(plant)] = (plant, count + 1)
+                if count + 1 == 6:
+                    raise NonFiniteState("plant state went non-finite")
+            return step(plant, x, u)
 
         monkeypatch.setattr(harness, "step_plant", failing_step)
         with warnings.catch_warnings():

@@ -14,19 +14,19 @@ from koopman_adapt.config import assemble, loads
 from koopman_adapt.edmd import KoopmanModel
 from koopman_adapt.errors import DimensionMismatch, IllConditionedHessian
 from koopman_adapt.mpc import CondensedMpc, MpcConfig
-from koopman_adapt.observables import identity_dictionary
+from koopman_adapt.observables import ObservableDictionary
 from koopman_adapt.oracles import mpc_gain_limit
 
 from conftest import FunctionDictionary, no_runtime_warnings
 
 
 def scalar_model(k=0.5, b=1.0):
-    d = identity_dictionary(1)
+    d = ObservableDictionary(1, "identity")
     return KoopmanModel(np.array([[k]]), np.array([[b]]), d)
 
 
 def random_model(seed=0, n=3, p=2, radius=0.8):
-    d = identity_dictionary(n)
+    d = ObservableDictionary(n, "identity")
     rng = np.random.default_rng(seed)
     K = rng.standard_normal((n, n))
     K *= radius / max(np.abs(np.linalg.eigvals(K)))
@@ -229,7 +229,7 @@ class TestPredictionMatrices:
         np.testing.assert_array_equal(G, model.B)
 
     def test_nilpotent_k(self):
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         model = KoopmanModel(np.zeros((2, 2)), np.eye(2), d)
         F, G = condensed(model, 3)
         np.testing.assert_array_equal(F[2:], np.zeros((4, 2)))
@@ -406,7 +406,7 @@ class TestSolve:
         assert info["converged"] and info["pg_iterations"] >= 1
 
     def test_ill_conditioned_hessian_raises(self):
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         model = KoopmanModel(np.array([[0.5]]), np.array([[1.0, 0.0]]), d)
         cfg = MpcConfig(horizon=3, Qy=np.eye(1),
                         Ru=np.diag([1.0, 1e-14]))
@@ -441,6 +441,20 @@ class TestSolve:
         cfg = MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1), **bounds)
         with pytest.raises(DimensionMismatch):
             CondensedMpc(model, cfg)
+
+    @pytest.mark.parametrize("bounds", [
+        {"u_min": [np.inf]}, {"u_max": [-np.inf]},
+        {"u_min": [np.inf], "u_max": [np.inf]},
+        {"u_min": [-np.inf], "u_max": [-np.inf]},
+        {"u_min": [-1.0, np.inf], "u_max": [1.0, np.inf]},
+    ])
+    def test_bound_at_the_wrong_infinity_rejected(self, bounds):
+        """A lower bound of +inf or an upper bound of -inf leaves no input
+        (every plan would be infinite); the other infinities mean none."""
+        with pytest.raises(ValueError, match="must not be NaN or"):
+            MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1), **bounds)
+        MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1),
+                  u_min=[-np.inf], u_max=[np.inf])
 
     def test_bounds_of_different_lengths_rejected(self):
         with pytest.raises(ValueError):

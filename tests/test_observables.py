@@ -9,15 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from koopman_adapt.errors import DimensionMismatch
-from koopman_adapt.observables import (
-    ObservableDictionary,
-    identity_dictionary,
-    monomial_dictionary,
-    trig_dictionary,
-)
+from koopman_adapt.observables import ObservableDictionary
 
-FAMILIES = [identity_dictionary(2), trig_dictionary(2),
-            monomial_dictionary(2, 3)]
+FAMILIES = [ObservableDictionary(2, "identity"), ObservableDictionary(2),
+            ObservableDictionary(2, "monomial", 3)]
 
 
 def callable_observables(family, n, degree):
@@ -70,15 +65,16 @@ def test_closed_forms_equal_the_callables_bit_for_bit(seed, n, family, degree,
 class TestLift:
     def test_at_origin(self):
         np.testing.assert_array_equal(
-            monomial_dictionary(2, 2).lift(np.zeros(2)), np.zeros(5))
+            ObservableDictionary(2, "monomial", 2).lift(np.zeros(2)),
+            np.zeros(5))
 
     def test_analytic_point(self):
-        psi = trig_dictionary(2).lift(np.array([np.pi / 2, 0.0]))
+        psi = ObservableDictionary(2).lift(np.array([np.pi / 2, 0.0]))
         np.testing.assert_allclose(psi, [np.pi / 2, 0.0, 1.0, 0.0, 0.0, 1.0],
                                    atol=1e-15)
 
     def test_identity_dictionary_is_identity(self):
-        d = identity_dictionary(3)
+        d = ObservableDictionary(3, "identity")
         rng = np.random.default_rng(1)
         x = rng.standard_normal(3)
         np.testing.assert_array_equal(d.lift(x), x)
@@ -110,7 +106,7 @@ class TestLiftBatch:
                                           d.lift_batch(X)[:, perm])
 
     def test_identity_dictionary_passthrough(self):
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         rng = np.random.default_rng(4)
         X = rng.standard_normal((2, 5))
         np.testing.assert_array_equal(d.lift_batch(X), X)
@@ -123,36 +119,16 @@ class TestLiftBatch:
 
 
 class TestProjections:
-    def test_state_round_trip(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(2)
-        for d in FAMILIES:
-            np.testing.assert_array_equal(d.project_state(d.lift(x)), x)
-
-    def test_identity_case(self):
-        d = identity_dictionary(3)
-        psi = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(d.project_state(psi), psi)
-
-    def test_truncation(self):
-        d = monomial_dictionary(2, 2)
-        np.testing.assert_array_equal(
-            d.project_state(np.array([1.0, 2.0, 3.0, 4.0, 5.0])), [1.0, 2.0])
-
-    def test_project_state_shape_check(self):
-        with pytest.raises(DimensionMismatch):
-            trig_dictionary(2).project_state(np.zeros(5))
-
     def test_output_first_coordinate(self):
-        d = trig_dictionary(2)
+        d = ObservableDictionary(2)
         assert d.lift(np.array([3.0, -1.0]))[d.output_index] == 3.0
 
     def test_output_arbitrary_index(self):
-        d = monomial_dictionary(2, 2, output_index=1)
+        d = ObservableDictionary(2, "monomial", 2, 1)
         assert d.lift(np.array([5.0, 7.0]))[d.output_index] == 7.0
 
     def test_output_matches_state_coordinate(self):
-        d = trig_dictionary(2, output_index=1)
+        d = ObservableDictionary(2, output_index=1)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2)
         assert d.lift(x)[d.output_index] == x[1]
@@ -160,25 +136,25 @@ class TestProjections:
 
 class TestFamilies:
     def test_trig_size(self):
-        assert trig_dictionary(2).size == 6
+        assert ObservableDictionary(2).size == 6
 
     def test_trig_values(self):
-        d = trig_dictionary(1)
+        d = ObservableDictionary(1)
         np.testing.assert_allclose(
             d.lift(np.array([np.pi])), [np.pi, np.sin(np.pi), -1.0], atol=1e-15)
 
     def test_monomial_size_n2_d2(self):
         # x1, x2, x1^2, x1*x2, x2^2
-        assert monomial_dictionary(2, 2).size == 5
+        assert ObservableDictionary(2, "monomial", 2).size == 5
 
     def test_monomial_values(self):
-        d = monomial_dictionary(2, 2)
+        d = ObservableDictionary(2, "monomial", 2)
         np.testing.assert_allclose(
             d.lift(np.array([2.0, 3.0])), [2.0, 3.0, 4.0, 6.0, 9.0])
 
     def test_monomial_row_order(self):
         # x1, x2, then x1^2, x1*x2, x2^2, then x1^3, x1^2*x2, x1*x2^2, x2^3
-        d = monomial_dictionary(2, 3)
+        d = ObservableDictionary(2, "monomial", 3)
         np.testing.assert_array_equal(
             d.lift(np.array([2.0, 3.0])),
             [2.0, 3.0, 4.0, 6.0, 9.0, 8.0, 12.0, 18.0, 27.0])
@@ -195,6 +171,6 @@ class TestFamilies:
 
     def test_output_index_range(self):
         with pytest.raises(ValueError):
-            identity_dictionary(2, output_index=5)
+            ObservableDictionary(2, "identity", output_index=5)
         with pytest.raises(ValueError):
-            trig_dictionary(2, output_index=-1)
+            ObservableDictionary(2, output_index=-1)

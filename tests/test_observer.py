@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from koopman_adapt.edmd import KoopmanModel
 from koopman_adapt.errors import DimensionMismatch
-from koopman_adapt.observables import identity_dictionary, trig_dictionary
+from koopman_adapt.observables import ObservableDictionary
 from koopman_adapt.observer import (
     KalmanState,
     ObserverSettings,
@@ -23,12 +23,12 @@ from koopman_adapt.oracles import riccati_prior_fixed_point
 
 @pytest.fixture
 def scalar_model():
-    d = identity_dictionary(1)
+    d = ObservableDictionary(1, "identity")
     return d, KoopmanModel(np.array([[0.5]]), np.zeros((1, 1)), d)
 
 
 def stable_lifted_model(seed=0, N=4):
-    d = identity_dictionary(N)
+    d = ObservableDictionary(N, "identity")
     rng = np.random.default_rng(seed)
     K = rng.standard_normal((N, N))
     K *= 0.85 / max(np.abs(np.linalg.eigvals(K)))
@@ -46,7 +46,7 @@ class TestInit:
     def test_process_noise_shaped_through_input_channel(self, b, floor):
         """Q = q (B B^T + max(tr B B^T, 1) 1e-4 I): the floor is 1e-4 while
         tr B B^T = 2 b^2 stays below 1 and scales with it above."""
-        d = identity_dictionary(3)
+        d = ObservableDictionary(3, "identity")
         B = np.array([[b], [b], [0.0]])
         kf = init_kalman(d, np.zeros(3), ObserverSettings(q=0.5),
                          model=KoopmanModel(np.eye(3), B, d))
@@ -57,12 +57,12 @@ class TestInit:
 
     def test_model_is_required(self):
         with pytest.raises(TypeError):
-            init_kalman(identity_dictionary(1), np.zeros(1))
+            init_kalman(ObservableDictionary(1, "identity"), np.zeros(1))
 
 
 class TestPredict:
     def test_identity_dynamics_fixed_point(self):
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         model = KoopmanModel(np.eye(2), np.zeros((2, 1)), d)
         kf = KalmanState(np.array([1.0, -2.0]), np.eye(2), np.zeros((2, 2)), 0.1)
         kf_predict(kf, model, [0.0])
@@ -103,7 +103,7 @@ class TestCorrect:
         np.testing.assert_allclose(kf.psi, [1.0], atol=1e-200)
 
     def test_correct_pulls_toward_measurement(self):
-        d = trig_dictionary(2)
+        d = ObservableDictionary(2)
         kf = init_kalman(d, np.array([0.0, 0.0]),
                          ObserverSettings(p0=1.0, r=0.01),
                          model=held_model(d))
@@ -154,7 +154,7 @@ class TestJosephForm:
     def test_identity_built_once_per_size(self, monkeypatch):
         """Corrections copy one cached identity instead of building
         np.eye(N) each time, and still give the textbook Joseph form."""
-        d = identity_dictionary(7)
+        d = ObservableDictionary(7, "identity")
         kf = KalmanState(np.zeros(7), np.eye(7), 1e-5 * np.eye(7), 1e-4,
                          joseph=True)
         eye, calls = np.eye, []
@@ -176,7 +176,7 @@ class TestJosephForm:
         assert len(calls) <= 1
 
     def test_joseph_and_simple_agree_in_exact_arithmetic(self):
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         kf_j = KalmanState(np.zeros(2), np.eye(2), np.zeros((2, 2)), 0.5,
                            joseph=True)
         kf_s = KalmanState(np.zeros(2), np.eye(2), np.zeros((2, 2)), 0.5,
@@ -188,16 +188,28 @@ class TestJosephForm:
 
 class TestEstimateState:
     def test_lift_round_trip(self):
-        d = trig_dictionary(2)
+        d = ObservableDictionary(2)
         x = np.array([0.3, -1.1])
         kf = init_kalman(d, x, model=held_model(d))
         np.testing.assert_array_equal(kf_estimate_state(kf, d), x)
 
     def test_identity_dictionary_returns_psi(self):
-        d = identity_dictionary(3)
+        d = ObservableDictionary(3, "identity")
         kf = KalmanState(np.array([1.0, 2.0, 3.0]), np.eye(3),
                          np.zeros((3, 3)), 1.0)
         np.testing.assert_array_equal(kf_estimate_state(kf, d), kf.psi)
+
+    def test_truncation_is_a_copy(self):
+        """Each cell's estimate is its first n lifted coordinates, (C, n),
+        in a new array: writing to it leaves the filter alone."""
+        d = ObservableDictionary(2, "monomial", 2)
+        psi = np.arange(10.0).reshape(2, 5)
+        kf = KalmanState(psi.copy(), np.stack([np.eye(5)] * 2),
+                         np.zeros((2, 5, 5)), 1.0)
+        x_hat = kf_estimate_state(kf, d)
+        np.testing.assert_array_equal(x_hat, [[0.0, 1.0], [5.0, 6.0]])
+        x_hat[...] = -1.0
+        np.testing.assert_array_equal(kf.psi, psi)
 
     def test_noise_free_cycle_tracks_truth(self):
         d, model = stable_lifted_model(seed=9)
@@ -215,7 +227,7 @@ class TestEstimateState:
 
 class TestAdaptivityContract:
     def test_model_swap_affects_future_only(self):
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         slow = KoopmanModel(0.5 * np.eye(2), np.zeros((2, 1)), d)
         fast = KoopmanModel(0.9 * np.eye(2), np.zeros((2, 1)), d)
         a = KalmanState(np.array([1.0, 1.0]), np.eye(2), np.zeros((2, 2)), 1.0)
@@ -229,7 +241,7 @@ class TestAdaptivityContract:
 
 class TestRelift:
     def test_relift_restores_consistency(self):
-        d = trig_dictionary(1)
+        d = ObservableDictionary(1)
         kf = KalmanState(np.array([0.2, 0.9, 0.1]), np.eye(3),
                          np.zeros((3, 3)), 0.1, relift_after_correct=True)
         kf_correct(kf, d, 0.25)
@@ -265,9 +277,10 @@ def functional_correct(psi, P, R, joseph, relift, dictionary, y_meas):
 def _random_dictionary(rng, family):
     if family == "identity":
         n = int(rng.integers(1, 9))
-        return identity_dictionary(n, int(rng.integers(0, n)))
+        return ObservableDictionary(n, "identity",
+                                    output_index=int(rng.integers(0, n)))
     n = int(rng.integers(1, 3))  # trig: N = 3n <= 6
-    return trig_dictionary(n, int(rng.integers(0, n)))
+    return ObservableDictionary(n, output_index=int(rng.integers(0, n)))
 
 
 def _random_model(rng, d, p):
@@ -329,7 +342,7 @@ class TestCellAxis:
     @pytest.mark.parametrize("relift", [True, False])
     def test_stack_matches_single_cells_bitwise(self, cells, joseph, relift):
         rng = np.random.default_rng(100 * cells + 10 * joseph + relift)
-        d = trig_dictionary(2, output_index=1)
+        d = ObservableDictionary(2, output_index=1)
         N, p, R = d.size, 1, 0.3
         singles = []
         for _ in range(cells):

@@ -12,9 +12,8 @@ from koopman_adapt.errors import (
 from koopman_adapt.plants import (
     EPS_COULOMB,
     ChangeSchedule,
-    PlantState,
+    PlantModel,
     apply_schedule,
-    make_linear2nd,
     make_pendulum,
     measure,
     step_plant,
@@ -53,10 +52,8 @@ def reference_pendulum_rk4(plant, x, u):
 class TestStepPlant:
     def test_stable_equilibrium_fixed_point(self):
         plant = make_pendulum(dt=0.01, substeps=4)
-        state = PlantState(np.zeros(2))
-        out = step_plant(plant, state, [0.0])
-        np.testing.assert_array_equal(out.x, np.zeros(2))
-        assert out.t == pytest.approx(0.01)
+        np.testing.assert_array_equal(step_plant(plant, np.zeros(2), [0.0]),
+                                      np.zeros(2))
 
     def test_energy_conservation_vs_fine_reference(self):
         """Frictionless unforced pendulum: coarse-step energy drift over
@@ -65,19 +62,18 @@ class TestStepPlant:
         fine = make_pendulum(d=0.0, c=0.0, dt=1e-3, substeps=10)
         x0 = np.array([1.2, 0.0])
         e0 = pendulum_energy(coarse, x0)
-        s_c = PlantState(x0)
-        s_f = PlantState(x0)
+        x_c = x_f = x0
         for _ in range(1000):
-            s_c = step_plant(coarse, s_c, [0.0])
-            s_f = step_plant(fine, s_f, [0.0])
-        e_c = pendulum_energy(coarse, s_c.x)
-        e_f = pendulum_energy(fine, s_f.x)
+            x_c = step_plant(coarse, x_c, [0.0])
+            x_f = step_plant(fine, x_f, [0.0])
+        e_c = pendulum_energy(coarse, x_c)
+        e_f = pendulum_energy(fine, x_f)
         assert abs(e_c - e_f) / e0 < 1e-6
 
     def test_linear_matches_exact_zoh_discretization(self):
         A = np.array([[0.0, 1.0], [-4.0, -0.8]])
         B = np.array([[0.0], [1.5]])
-        plant = make_linear2nd(A, B, dt=1e-3, substeps=1)
+        plant = PlantModel("linear2nd", {"A": A, "B": B}, dt=1e-3, substeps=1)
         # exact ZOH: matrix exponential of the augmented system
         M = expm(np.block([[A, B], [np.zeros((1, 3))]]) * plant.dt)
         Ad, Bd = M[:2, :2], M[:2, 2:]
@@ -85,29 +81,28 @@ class TestStepPlant:
         for _ in range(10):
             x = rng.standard_normal(2)
             u = rng.standard_normal(1)
-            stepped = step_plant(plant, PlantState(x), u)
-            np.testing.assert_allclose(stepped.x, Ad @ x + Bd @ u.reshape(-1),
-                                       atol=1e-8)
+            np.testing.assert_allclose(step_plant(plant, x, u),
+                                       Ad @ x + Bd @ u.reshape(-1), atol=1e-8)
 
     def test_rk4_order_four(self):
         """Halving the substep shrinks the one-step error about 16x."""
         x0 = np.array([1.3, 2.0])
         errors = []
         reference = make_pendulum(d=0.0, dt=0.1, substeps=256)
-        ref = step_plant(reference, PlantState(x0), [0.0]).x
+        ref = step_plant(reference, x0, [0.0])
         for substeps in (1, 2):
             plant = make_pendulum(d=0.0, dt=0.1, substeps=substeps)
-            got = step_plant(plant, PlantState(x0), [0.0]).x
+            got = step_plant(plant, x0, [0.0])
             errors.append(np.linalg.norm(got - ref))
         ratio = errors[0] / errors[1]
         assert 12.0 <= ratio <= 20.0
 
     def test_nonfinite_state_raises(self):
-        plant = make_linear2nd(np.array([[100.0, 0.0], [0.0, 100.0]]),
-                               np.zeros((2, 1)), dt=1.0, substeps=1)
-        state = PlantState(np.array([1e307, 1e307]))
+        plant = PlantModel("linear2nd", {"A": 100.0 * np.eye(2),
+                                         "B": np.zeros((2, 1))},
+                           dt=1.0, substeps=1)
         with pytest.raises(NonFiniteState):
-            step_plant(plant, state, [0.0])
+            step_plant(plant, np.array([1e307, 1e307]), [0.0])
 
     @pytest.mark.parametrize("substeps", [1, 3, 8])
     def test_pendulum_matches_array_rk4_bitwise(self, substeps):
@@ -122,7 +117,7 @@ class TestStepPlant:
             if trial % 5 == 0:
                 x[1] *= 1e-4  # inside the smoothed-friction band
             u = rng.standard_normal(1) * 5.0
-            got = step_plant(plant, PlantState(x), u).x
+            got = step_plant(plant, x, u)
             np.testing.assert_array_equal(
                 got, reference_pendulum_rk4(plant, x, u))
             if trial % 10 == 0:
@@ -132,7 +127,7 @@ class TestStepPlant:
                           18.9, -18.9):
                     xv = np.array([x[0], v * EPS_COULOMB])
                     np.testing.assert_array_equal(
-                        step_plant(plant, PlantState(xv), u).x,
+                        step_plant(plant, xv, u),
                         reference_pendulum_rk4(plant, xv, u))
 
     def test_tanh_saturates_exactly(self):
@@ -154,19 +149,18 @@ class TestStepPlant:
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_pendulum_nonfinite_raises(self, params, x, u):
         plant = make_pendulum(c=0.002, dt=0.01, substeps=8, **params)
-        with pytest.raises(NonFiniteState, match="non-finite at t=0.01"):
-            step_plant(plant, PlantState(np.array(x)), u)
+        with pytest.raises(NonFiniteState,
+                           match="^plant state became non-finite$"):
+            step_plant(plant, np.array(x), u)
 
     def test_determinism_bitwise(self):
         plant = make_pendulum(dt=0.01, substeps=3)
         rng = np.random.default_rng(1)
         us = rng.standard_normal((1, 50))
         def run():
-            s = PlantState(np.array([0.1, 0.0]))
-            xs = []
+            xs = [np.array([0.1, 0.0])]
             for k in range(50):
-                s = step_plant(plant, s, us[:, k])
-                xs.append(s.x)
+                xs.append(step_plant(plant, xs[-1], us[:, k]))
             return np.stack(xs)
         np.testing.assert_array_equal(run(), run())
 
@@ -176,21 +170,29 @@ class TestStepPlant:
         """A float64 (p,) input is used as it is; scalars, lists and other
         dtypes are converted first, to the same step."""
         plant = make_pendulum(dt=0.01, substeps=2)
-        state = PlantState(np.array([0.1, 0.2]))
-        want = step_plant(plant, state,
-                          np.asarray(u, dtype=np.float64).reshape(1)).x
-        np.testing.assert_array_equal(step_plant(plant, state, u).x, want)
+        x = np.array([0.1, 0.2])
+        want = step_plant(plant, x, np.asarray(u, dtype=np.float64).reshape(1))
+        np.testing.assert_array_equal(step_plant(plant, x, u), want)
 
     @pytest.mark.parametrize("u", [np.zeros(2), np.zeros((1, 1)), None])
     def test_wrong_input_shape_rejected(self, u):
         with pytest.raises(DimensionMismatch, match="input of shape"):
-            step_plant(make_pendulum(), PlantState(np.zeros(2)), u)
+            step_plant(make_pendulum(), np.zeros(2), u)
 
 
 class TestSchedule:
     def test_empty_schedule_identity(self):
         plant = make_pendulum()
         assert apply_schedule(plant, ChangeSchedule(), 100.0) is plant
+
+    def test_applied_events_are_those_up_to_t(self):
+        events = ((1.0, "d", 0.2), (2.0, "d", 0.3), (2.0, "m", 0.5))
+        schedule = ChangeSchedule(events)
+        assert schedule.applied(0.5) == ()
+        assert schedule.applied(1.0) == events[:1]
+        assert schedule.applied(1.999) == events[:1]
+        assert schedule.applied(2.0) == events
+        assert ChangeSchedule().applied(np.inf) == ()
 
     def test_boundary_inclusive(self):
         plant = make_pendulum(m=0.4)
@@ -218,10 +220,10 @@ class TestSchedule:
         schedule = ChangeSchedule(((1.0, "m", 0.8), (1.0, "d", 0.12)))
         changed = apply_schedule(plant, schedule, 1.0)
         x, u = np.array([0.3, -0.7]), np.array([1.5])
-        got = step_plant(changed, PlantState(x), u).x
+        got = step_plant(changed, x, u)
         np.testing.assert_array_equal(
             got, reference_pendulum_rk4(changed, x, u))
-        assert (got != step_plant(plant, PlantState(x), u).x).any()
+        assert (got != step_plant(plant, x, u)).any()
 
     def test_unknown_parameter(self):
         plant = make_pendulum()

@@ -20,7 +20,7 @@ from koopman_adapt.errors import (
     NonFiniteState,
     RankDeficientRegressor,
 )
-from koopman_adapt.observables import ObservableDictionary, identity_dictionary
+from koopman_adapt.observables import ObservableDictionary
 from koopman_adapt.redmd import (
     RecursiveEstimator,
     RedmdSettings,
@@ -35,7 +35,7 @@ def scalar_estimator(gamma=2.0, lam=1.0, k=0.0, **kwargs):
     settings = RedmdSettings(lambda0=lam, adaptive_lambda=False,
                              eps_low=0.0, eps_high=np.inf,
                              trace_max_factor=np.inf, m_op=2, **kwargs)
-    d = identity_dictionary(1)
+    d = ObservableDictionary(1, "identity")
     return RecursiveEstimator(np.array([[k]]), np.array([[gamma]]), d, settings)
 
 
@@ -90,7 +90,7 @@ class TestCorrectionVector:
         """At lambda=1, the gain equals phi^T Gamma_next with Gamma_next
         recomputed from scratch."""
         rng = np.random.default_rng(31)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         phis = rng.standard_normal((3, 8))  # N+p = 3 with p=1
         gram = phis @ phis.T
         settings = RedmdSettings(lambda0=1.0, adaptive_lambda=False, m_op=2)
@@ -106,7 +106,7 @@ class TestCorrectionVector:
 class TestApplyUpdate:
     def test_zero_innovation_fixed_point(self):
         rng = np.random.default_rng(5)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         theta = rng.standard_normal((2, 3))
         settings = RedmdSettings(lambda0=0.95, adaptive_lambda=False, m_op=2)
         est = RecursiveEstimator(theta, np.eye(3), d, settings)
@@ -130,7 +130,7 @@ class TestUpdateCovariance:
 
     def test_direct_inversion_oracle(self):
         rng = np.random.default_rng(77)
-        d = identity_dictionary(3)
+        d = ObservableDictionary(3, "identity")
         for _ in range(100):
             A = rng.standard_normal((4, 4))
             gamma0 = A @ A.T + 0.5 * np.eye(4)
@@ -143,7 +143,7 @@ class TestUpdateCovariance:
 
     def test_symmetry_after_update(self):
         rng = np.random.default_rng(13)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         A = rng.standard_normal((3, 3))
         settings = RedmdSettings(lambda0=0.92, adaptive_lambda=False, m_op=2,
                                  eps_low=0.0)
@@ -161,7 +161,7 @@ class TestPredictionErrorWindow:
 
     def test_exact_model_zero_error(self):
         rng = np.random.default_rng(3)
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(m_op=5, adaptive_lambda=False)
         est = RecursiveEstimator(np.array([[0.9, 0.2]]), np.zeros((2, 2)), d,
                                  settings)
@@ -182,7 +182,7 @@ class TestPredictionErrorWindow:
 
     def test_two_step_hand_case(self):
         """Model K=0.9 on data from K=0.8 starting at x0=1, m_op=2."""
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(m_op=2, adaptive_lambda=False)
         est = RecursiveEstimator(np.array([[0.9]]), np.zeros((1, 1)), d,
                                  settings)
@@ -192,7 +192,7 @@ class TestPredictionErrorWindow:
         assert est.prediction_error_window() == pytest.approx(0.1)
 
     def test_state_scales_normalize(self):
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         settings = RedmdSettings(m_op=2, state_scales=(1.0, 10.0),
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.eye(2), np.zeros((2, 2)), d, settings)
@@ -232,7 +232,7 @@ class TestTraceBound:
     zero-regressor step isolates the scaling from the downdate."""
 
     def test_scaling_to_bound(self):
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(trace_max_factor=1.0, m_op=2,
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.zeros((1, 1)), np.eye(1), d, settings)
@@ -241,7 +241,7 @@ class TestTraceBound:
         np.testing.assert_allclose(est.Gamma, [[1.0]])
 
     def test_under_bound_unchanged(self):
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(trace_max_factor=10.0, m_op=2,
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.zeros((1, 1)), np.eye(1), d, settings)
@@ -251,7 +251,7 @@ class TestTraceBound:
 
     def test_scaling_preserves_directions(self):
         rng = np.random.default_rng(4)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         A = rng.standard_normal((2, 2))
         gamma0 = A @ A.T + np.eye(2)
         settings = RedmdSettings(trace_max_factor=0.5, m_op=2,
@@ -266,7 +266,7 @@ class TestTraceBound:
     def test_bound_applied_before_gain(self):
         """After warm-up, the gain is computed from the bounded Gamma:
         2 -> 1 gives gain 1/2, not 2/3."""
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(trace_max_factor=1.0, m_op=2, eps_low=0.0,
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.zeros((1, 1)), np.eye(1), d, settings)
@@ -282,7 +282,7 @@ class TestStep:
     def test_gate_closed_model_bitwise_unchanged(self):
         """Perfect model, full buffer: no update, model untouched."""
         rng = np.random.default_rng(21)
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(m_op=5, eps_low=1e-6, adaptive_lambda=False)
         est = RecursiveEstimator(np.array([[0.9, 0.2]]), np.eye(2), d, settings)
         x = np.array([1.0])
@@ -299,7 +299,7 @@ class TestStep:
 
     def test_warmup_updates_unconditionally(self):
         rng = np.random.default_rng(2)
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(m_op=10, eps_low=1e9, eps_high=1e9,
                                  adaptive_lambda=False)
         est = RecursiveEstimator(np.array([[0.0, 0.0]]), 100 * np.eye(2), d,
@@ -316,7 +316,7 @@ class TestStep:
     def test_tracks_parameter_change(self):
         """Scalar plant K: 0.9 -> 0.6 at sample 500 with fixed forgetting."""
         rng = np.random.default_rng(123)
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(lambda0=0.95, adaptive_lambda=False,
                                  eps_low=0.0, eps_high=np.inf,
                                  trace_max_factor=np.inf, m_op=10)
@@ -337,7 +337,7 @@ class TestStep:
 
     def test_lambda_constant_when_gate_closed(self):
         rng = np.random.default_rng(6)
-        d = identity_dictionary(1)
+        d = ObservableDictionary(1, "identity")
         settings = RedmdSettings(m_op=4, eps_low=1e-3, adaptive_lambda=True,
                                  lambda0=0.97)
         est = RecursiveEstimator(np.array([[0.9, 0.2]]), np.eye(2), d, settings)
@@ -359,7 +359,8 @@ class TestInitFromBatch:
         for _ in range(30):
             xs.append(0.9 * xs[-1])
         pairs = [(np.array([v]), None) for v in xs]
-        est = init_from_batch(collect_snapshots(pairs), identity_dictionary(1))
+        est = init_from_batch(collect_snapshots(pairs),
+                              ObservableDictionary(1, "identity"))
         np.testing.assert_allclose(est.theta, [[0.9]], rtol=1e-12)
         gram = sum(v * v for v in xs[:-1])
         np.testing.assert_allclose(est.Gamma, [[1.0 / gram]], rtol=1e-12)
@@ -393,8 +394,8 @@ class TestInitFromBatch:
     def test_diagonal_init_ignores_data(self):
         pairs = [(np.array([1.0, 1.0]), None)] * 10  # rank deficient
         settings = RedmdSettings(gamma_init=1e3, m_op=2)
-        est = init_from_batch(collect_snapshots(pairs), identity_dictionary(2),
-                              settings)
+        est = init_from_batch(collect_snapshots(pairs),
+                              ObservableDictionary(2, "identity"), settings)
         np.testing.assert_array_equal(est.Gamma, 1e3 * np.eye(2))
 
     def test_float_gamma_fallback_is_min_norm_lstsq(self):
@@ -406,8 +407,8 @@ class TestInitFromBatch:
         U = rng.standard_normal((1, 30))
         snapshots = SnapshotSet(X, rng.standard_normal((2, 30)), U)
         with pytest.raises(RankDeficientRegressor):
-            fit(snapshots, identity_dictionary(2))
-        est = init_from_batch(snapshots, identity_dictionary(2),
+            fit(snapshots, ObservableDictionary(2, "identity"))
+        est = init_from_batch(snapshots, ObservableDictionary(2, "identity"),
                               RedmdSettings(gamma_init=1e3, m_op=2))
         G = np.vstack([X, U])
         expected = np.linalg.lstsq(G.T, snapshots.Xp.T, rcond=None)[0].T
@@ -419,14 +420,15 @@ class TestInitFromBatch:
         rng = np.random.default_rng(14)
         stream = rls_stream(rng, n=2, p=1, steps=60)
         pairs = [(x, u) for x, u, _ in stream] + [(stream[-1][2], np.zeros(1))]
-        est = init_from_batch(collect_snapshots(pairs), identity_dictionary(2))
+        est = init_from_batch(collect_snapshots(pairs),
+                              ObservableDictionary(2, "identity"))
         np.linalg.cholesky(est.Gamma)  # raises if not SPD
 
 
 class TestInvariants:
     def test_lambda_bounds_over_run(self):
         rng = np.random.default_rng(19)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         settings = RedmdSettings(m_op=8, eps_low=1e-9, eps_high=1e-3,
                                  lambda_min=0.9, adaptive_lambda=True)
         est = RecursiveEstimator(np.zeros((2, 3)), 10 * np.eye(3), d, settings)
@@ -436,7 +438,7 @@ class TestInvariants:
 
     def test_trace_bound_after_every_step(self):
         rng = np.random.default_rng(29)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         settings = RedmdSettings(m_op=8, eps_low=0.0, lambda0=0.9,
                                  adaptive_lambda=False, trace_max_factor=2.0)
         est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3), d, settings)
@@ -446,7 +448,7 @@ class TestInvariants:
 
     def test_gamma_symmetric_through_run(self):
         rng = np.random.default_rng(39)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         settings = RedmdSettings(m_op=8, eps_low=0.0, lambda0=0.95,
                                  adaptive_lambda=True, check_spd=True)
         est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3), d, settings)
@@ -472,7 +474,7 @@ class TestAtomicStep:
     @pytest.fixture
     def warm_estimator(self):
         rng = np.random.default_rng(41)
-        d = identity_dictionary(2)
+        d = ObservableDictionary(2, "identity")
         settings = RedmdSettings(m_op=4, eps_low=0.0, lambda0=0.97,
                                  adaptive_lambda=True)
         est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3), d, settings)
@@ -527,7 +529,7 @@ def test_step_invariants_over_random_streams(seed, lambda_min, m_op, eps_low,
                       eps_high=max(eps_low, 0.05), n0=10.0,
                       trace_max_factor=trace_max_factor, adaptive_lambda=True)
     est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
-                             identity_dictionary(2), s)
+                             ObservableDictionary(2, "identity"), s)
     stream = rls_stream(rng, steps=30) + rls_stream(rng, steps=30)
     for x, u, x_next in stream:
         x_next = x_next + noise * rng.standard_normal(2)
@@ -595,7 +597,7 @@ def test_step_never_relifts_the_window(monkeypatch, eps_low):
         monkeypatch.setattr(owner, name, counted)
     s = RedmdSettings(m_op=5, eps_low=eps_low, eps_high=np.inf)
     est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
-                             identity_dictionary(2), s)
+                             ObservableDictionary(2, "identity"), s)
     stream = rls_stream(np.random.default_rng(8), steps=30)
     for k, (x, u, x_next) in enumerate(stream, 1):
         theta, before = est.theta, dict(calls)
@@ -665,7 +667,8 @@ def test_lift_reuse_keeps_the_shape_check():
     """A start state with the previous successor's bytes but the wrong
     shape is still rejected."""
     est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3),
-                             identity_dictionary(2), RedmdSettings(m_op=4))
+                             ObservableDictionary(2, "identity"),
+                             RedmdSettings(m_op=4))
     x_next = np.array([0.1, 0.4])
     est.step(np.array([0.3, -0.2]), np.array([0.5]), x_next)
     with pytest.raises(DimensionMismatch):
