@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .mpc import MpcConfig
 from .observables import ObservableDictionary
 from .observer import ObserverSettings
-from .plants import ChangeSchedule, PlantModel, apply_schedule, make_pendulum
+from .plants import ChangeSchedule, PlantModel, apply_schedule
 from .redmd import RedmdSettings
 from .references import ReferenceSpec
 
@@ -164,6 +164,8 @@ class RunSettings:
             raise ConfigError("train_duration must be finite and > 0")
         if not all(map(math.isfinite, (self.train_amplitude, *self.speeds))):
             raise ConfigError("train_amplitude and speeds must be finite")
+        if not self.speeds:
+            raise ConfigError("speeds must not be empty")
         if len(set(self.speeds)) < len(self.speeds):
             raise ConfigError(f"speeds must not repeat, got {self.speeds}")
 
@@ -197,9 +199,9 @@ def assemble(sections: dict) -> ExperimentConfig:
     kind = plant_sec.pop("kind", "pendulum")
     if kind != "pendulum":
         raise ConfigError(
-            f"config files support only the pendulum plant, got {kind!r}")
+            f"the only plant kind is pendulum, got {kind!r}")
     events = tuple(plant_sec.pop("schedule", ()))
-    plant = _build("plant", make_pendulum, **plant_sec)
+    plant = _build("plant", PlantModel, **plant_sec)
     schedule = _build("plant", ChangeSchedule, events)
     for time, _, _ in events:  # every parameter set the run will reach
         _build("plant", apply_schedule, plant, schedule, time)

@@ -183,8 +183,8 @@ class _Cell:
             return False
         model = est.model  # one snapshot serves both consumers
         if self.adapt_ctrl:
-            self.ctrl_model = model
             self.solver = CondensedMpc(model, self.cfg.mpc)
+            self.ctrl_model = model  # only once its solver is built
         if self.adapt_obs:
             self.obs_model = model
         return self.adapt_obs

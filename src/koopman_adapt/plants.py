@@ -1,14 +1,13 @@
-"""Ground-truth continuous-time plants with scheduled parameter changes.
-
-Two kinds: a friction-damped pendulum (the nonlinear benchmark) and a
-generic linear second-order system kept as the oracle-friendly test plant.
+"""The ground-truth plant: a friction-damped pendulum with named parameters
+(mass m, length l, gravity g, viscous damping d, Coulomb friction c).
 Integration is fixed-step RK4 under zero-order-hold input; mid-run changes
 are timed parameter steps applied between samples.
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from numbers import Integral
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -21,60 +20,53 @@ EPS_COULOMB = 1e-3
 # the friction term c * tanh(v) is exactly +-c without the call.
 _TANH_SATURATES = 20.0
 
-_PENDULUM_PARAMS = ("m", "l", "g", "d", "c")
-_LINEAR_PARAMS = ("A", "B")
+_PARAMS = ("m", "l", "g", "d", "c")
 
 
 @dataclass(frozen=True)
 class PlantModel:
-    """A plant kind plus its named parameters and sensor/integration setup.
+    """The pendulum's parameters and its sensor/integration setup.
 
-    noise_x is the per-state measurement noise std (used by the
-    identification path), a scalar or one value per state; noise_y the
-    scalar output noise std (observer path). dt is the controller sample
-    time, integrated in `substeps` RK4 steps. noise_x_vector holds noise_x
-    as a read-only length-n vector, validated once here, and
-    pendulum_coeffs a pendulum's (d, c, m g l, m l^2) as floats.
+    State (theta, omega), one torque input. noise_x is the per-state
+    measurement noise std (used by the identification path), a scalar or
+    one value per state; noise_y the scalar output noise std (observer
+    path). dt is the controller sample time, integrated in `substeps` RK4
+    steps. noise_x_vector holds noise_x as a read-only length-n vector,
+    validated once here, and pendulum_coeffs (d, c, m g l, m l^2) as floats.
     """
 
-    kind: str
-    params: Mapping
+    n: ClassVar[int] = 2
+    p: ClassVar[int] = 1
+
+    m: float = 0.4
+    l: float = 0.5
+    g: float = 9.81
+    d: float = 0.04
+    c: float = 0.0
     noise_y: float = 0.0
     noise_x: Sequence[float] | float = 0.0
     dt: float = 1e-3
     substeps: int = 1
     noise_x_vector: np.ndarray = field(init=False, repr=False, compare=False)
-    pendulum_coeffs: tuple | None = field(default=None, init=False,
-                                          repr=False, compare=False)
+    pendulum_coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("pendulum", "linear2nd"):
-            raise ValueError(f"unknown plant kind {self.kind!r}")
-        if not 0 < self.dt < math.inf or self.substeps < 1:
-            raise ValueError("need a finite dt > 0 and substeps >= 1")
+        s = self.substeps
+        if not (0 < self.dt < math.inf and isinstance(s, Integral)
+                and not isinstance(s, bool) and s >= 1):
+            raise ValueError("need a finite dt > 0 and integer substeps >= 1")
         if not 0 <= self.noise_y < math.inf:
             raise ValueError("noise_y must be finite and >= 0")
-        if self.kind == "pendulum":
-            p = self.params
-            missing = [k for k in _PENDULUM_PARAMS if k not in p]
-            if missing:
-                raise ValueError(f"pendulum params missing {missing}")
-            if not all(math.isfinite(p[k]) for k in _PENDULUM_PARAMS):
-                raise ValueError("pendulum params must be finite")
-            if p["m"] <= 0 or p["l"] <= 0 or p["g"] <= 0:
-                raise ValueError("m, l, g must be positive")
-            if p["d"] < 0 or p["c"] < 0:
-                raise ValueError("d and c must be >= 0")
-            m, l, g, d, c = (float(p[k]) for k in _PENDULUM_PARAMS)
-            object.__setattr__(self, "pendulum_coeffs",
-                               (d, c, m * g * l, m * l * l))
-        else:
-            A = np.asarray(self.params["A"], dtype=float)
-            B = np.asarray(self.params["B"], dtype=float)
-            if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0]:
-                raise DimensionMismatch(
-                    f"linear2nd needs square A and conformable B, got "
-                    f"{A.shape} and {B.shape}")
+        values = [getattr(self, k) for k in _PARAMS]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("pendulum params must be finite")
+        m, l, g, d, c = map(float, values)
+        if m <= 0 or l <= 0 or g <= 0:
+            raise ValueError("m, l, g must be positive")
+        if d < 0 or c < 0:
+            raise ValueError("d and c must be >= 0")
+        object.__setattr__(self, "pendulum_coeffs",
+                           (d, c, m * g * l, m * l * l))
         v = np.array(self.noise_x, dtype=float)
         if v.ndim == 0:
             v = np.full(self.n, float(v))
@@ -83,16 +75,6 @@ class PlantModel:
                              f"or length-{self.n} list")
         v.flags.writeable = False
         object.__setattr__(self, "noise_x_vector", v)
-
-    @property
-    def n(self) -> int:
-        return 2 if self.kind == "pendulum" else \
-            np.asarray(self.params["A"]).shape[0]
-
-    @property
-    def p(self) -> int:
-        return 1 if self.kind == "pendulum" else \
-            np.asarray(self.params["B"]).shape[1]
 
 
 @dataclass(frozen=True)
@@ -111,11 +93,6 @@ class ChangeSchedule:
     def applied(self, t: float) -> tuple:
         """The events of time <= t, in order."""
         return tuple(e for e in self.events if e[0] <= t)
-
-
-def make_pendulum(m=0.4, l=0.5, g=9.81, d=0.04, c=0.0, **kwargs) -> PlantModel:
-    return PlantModel("pendulum", {"m": m, "l": l, "g": g, "d": d, "c": c},
-                      **kwargs)
 
 
 def _pendulum_rk4(coeffs, theta: float, omega: float, u: float, h: float,
@@ -160,49 +137,31 @@ def step_plant(plant: PlantModel, x, u) -> np.ndarray:
     """The state one sample time after x, under zero-order-hold input u,
     via RK4."""
     u = _as_input(u, plant.p)
-    x = np.asarray(x, dtype=float)
-    h = plant.dt / plant.substeps
+    theta, omega = np.asarray(x, dtype=float).tolist()
     blow_up = "plant state became non-finite"
-    if plant.kind == "pendulum":
-        theta, omega = x.tolist()
-        try:
-            theta, omega = _pendulum_rk4(plant.pendulum_coeffs, theta, omega,
-                                         float(u[0]), h, plant.substeps)
-        except (ValueError, ZeroDivisionError) as exc:
-            # math.sin(inf) and a zero m l^2 raise where arrays give inf/NaN
-            raise NonFiniteState(blow_up) from exc
-        if not (math.isfinite(theta) and math.isfinite(omega)):
-            raise NonFiniteState(blow_up)
-        return np.array((theta, omega))
-    # dx/dt = A x + B u; blow-up surfaces as NonFiniteState below, not as
-    # overflow warnings
-    A, B = plant.params["A"], plant.params["B"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(plant.substeps):
-            k1 = A @ x + B @ u
-            k2 = A @ (x + 0.5 * h * k1) + B @ u
-            k3 = A @ (x + 0.5 * h * k2) + B @ u
-            k4 = A @ (x + h * k3) + B @ u
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(x).all():
+    try:
+        theta, omega = _pendulum_rk4(plant.pendulum_coeffs, theta, omega,
+                                     float(u[0]), plant.dt / plant.substeps,
+                                     plant.substeps)
+    except (ValueError, ZeroDivisionError) as exc:
+        # math.sin(inf) and a zero m l^2 raise where arrays give inf/NaN
+        raise NonFiniteState(blow_up) from exc
+    if not (math.isfinite(theta) and math.isfinite(omega)):
         raise NonFiniteState(blow_up)
-    return x
+    return np.array((theta, omega))
 
 
 def apply_schedule(plant: PlantModel, schedule: ChangeSchedule,
                    t: float) -> PlantModel:
-    """Plant with all events of time <= t applied, in order (idempotent)."""
+    """Plant with all events of time <= t applied, in order (idempotent);
+    an event changes one of m, l, g, d, c, never the sensor or timing."""
     events = schedule.applied(t)
     if not events:
         return plant
-    allowed = _PENDULUM_PARAMS if plant.kind == "pendulum" else _LINEAR_PARAMS
-    params = dict(plant.params)
-    for _, name, value in events:
-        if name not in allowed:
-            raise UnknownParameter(
-                f"plant kind {plant.kind!r} has no parameter {name!r}")
-        params[name] = value
-    return replace(plant, params=params)
+    for _, name, _ in events:
+        if name not in _PARAMS:
+            raise UnknownParameter(f"the pendulum has no parameter {name!r}")
+    return replace(plant, **{name: value for _, name, value in events})
 
 
 def measure(plant: PlantModel, x: np.ndarray, z: np.ndarray,

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from koopman_adapt.config import _KEYS, assemble, loads
+from koopman_adapt.config import _KEYS, RunSettings, assemble, loads
 from koopman_adapt.errors import ConfigError
 from koopman_adapt.harness import default_config
+from koopman_adapt.plants import PlantModel
 
 SAMPLE = """\
 # comment line
@@ -120,8 +121,10 @@ def test_any_value_assembles_or_is_a_config_error(section, key):
 
 class TestAssemble:
     def test_default_config_assembles(self):
-        cfg = default_config()
-        assert cfg.plant.kind == "pendulum"
+        cfg = default_config()  # its [plant] section says kind = pendulum
+        assert cfg.plant == PlantModel(c=0.002, noise_y=0.0005,
+                                       noise_x=[0.0005, 0.005], dt=0.01,
+                                       substeps=8)
         assert cfg.dictionary.family == "trig"
         assert cfg.dictionary.size == 6
         assert cfg.run.variant == "adaptive-both"
@@ -232,6 +235,12 @@ class TestAssemble:
         with pytest.raises(ConfigError, match="speeds"):
             assemble(loads(f"[run]\nspeeds = {speeds}\n"))
 
+    def test_empty_speeds_rejected(self):
+        """The config grammar cannot write an empty speed list, but the
+        library API can; the sweep would then have no cell to run."""
+        with pytest.raises(ConfigError, match="speeds must not be empty"):
+            RunSettings(speeds=())
+
     @pytest.mark.parametrize("seed", ["-1", "-12345"])
     def test_negative_seed_rejected(self, seed):
         """A negative seed would pass here and fail in the run's
@@ -254,4 +263,4 @@ class TestAssemble:
     def test_empty_sections_give_defaults(self):
         cfg = assemble({})
         assert cfg.run.t_sim > 0
-        assert cfg.plant.kind == "pendulum"
+        assert cfg.plant == PlantModel()

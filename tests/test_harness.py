@@ -81,14 +81,29 @@ def tiny_estimator(tiny_cfg):
     return prepare_estimator(tiny_cfg)
 
 
-def linear_matched_config():
-    """Exact-lifted-space plant: linear dynamics with identity dictionary."""
+def linear_step(plant, x, u):
+    """A stand-in for step_plant: RK4 of dx/dt = A x + B u over one sample
+    time in the plant's substeps, a plant the identity dictionary lifts
+    exactly."""
     A = np.array([[0.0, 1.0], [-4.0, -0.8]])
     B = np.array([[0.0], [1.5]])
-    plant = PlantModel("linear2nd", {"A": A, "B": B}, noise_y=0.0,
-                       noise_x=0.0, dt=0.01, substeps=8)
+    u = np.asarray(u, dtype=float).reshape(1)
+    h = plant.dt / plant.substeps
+    for _ in range(plant.substeps):
+        k1 = A @ x + B @ u
+        k2 = A @ (x + 0.5 * h * k1) + B @ u
+        k3 = A @ (x + 0.5 * h * k2) + B @ u
+        k4 = A @ (x + h * k3) + B @ u
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def linear_matched_config():
+    """Exact-lifted-space scenario: with linear_step as the plant, the
+    identity dictionary, no noise; the pendulum plant gives the shapes and
+    timing."""
     return ExperimentConfig(
-        plant=plant,
+        plant=PlantModel(dt=0.01, substeps=8),
         schedule=ChangeSchedule(()),
         dictionary=ObservableDictionary(2, "identity"),
         redmd=RedmdSettings(m_op=10, eps_low=1e-9, adaptive_lambda=False),
@@ -227,6 +242,8 @@ class TestRunBookkeeping:
         assert result.reason == ("IllConditionedHessian at t=0.001: Hessian "
                                  "too ill-conditioned")
         assert len(result.records) == 1
+        # the controller model is the one whose solver was built
+        assert result.controller_model is result.initial_model
 
     def test_schedule_applied_once_per_event_time(
             self, tiny_cfg, tiny_estimator, monkeypatch):
@@ -244,7 +261,7 @@ class TestRunBookkeeping:
             return apply_schedule(plant, schedule, t)
 
         def spy_step(plant, x, u):
-            stepped.append(dict(plant.params))
+            stepped.append(plant)
             return step_plant(plant, x, u)
 
         monkeypatch.setattr(harness, "apply_schedule", spy_schedule)
@@ -253,12 +270,14 @@ class TestRunBookkeeping:
         assert not result.aborted
         assert applied == [3 * dt, 6 * dt]
         assert stepped == [
-            dict(apply_schedule(cfg.plant, schedule, k * dt).params)
+            apply_schedule(cfg.plant, schedule, k * dt)
             for k in range(len(stepped))]
 
 
 class TestModelMatchedClosedLoop:
-    def test_tracks_achievable_reference_tightly(self):
+    def test_tracks_achievable_reference_tightly(self, monkeypatch):
+        # the training run and the loop both step harness.step_plant
+        monkeypatch.setattr(harness, "step_plant", linear_step)
         cfg = linear_matched_config()
         steps = round(cfg.run.t_sim / cfg.plant.dt)
         H = cfg.mpc.horizon
@@ -266,7 +285,7 @@ class TestModelMatchedClosedLoop:
         w = np.zeros((2, steps + H + 1))
         for k in range(1, steps + H + 1):
             u = np.array([1.2 * np.sin(2.0 * np.pi * 0.4 * (k - 1) * cfg.plant.dt)])
-            w[:, k] = step_plant(cfg.plant, w[:, k - 1], u)
+            w[:, k] = linear_step(cfg.plant, w[:, k - 1], u)
         result = run_closed_loop(cfg, reference=w)
         assert not result.aborted
         tail = result.records[steps // 2:]
@@ -631,7 +650,7 @@ class TestComparison:
         steps_on = {}
 
         def failing_step(plant, x, u):
-            if plant.params["m"] == 0.8:
+            if plant.m == 0.8:
                 _, count = steps_on.get(id(plant), (plant, 0))
                 steps_on[id(plant)] = (plant, count + 1)
                 if count + 1 == 6:

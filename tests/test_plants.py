@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from koopman_adapt.errors import (
     DimensionMismatch,
@@ -14,29 +13,26 @@ from koopman_adapt.plants import (
     ChangeSchedule,
     PlantModel,
     apply_schedule,
-    make_pendulum,
     measure,
     step_plant,
 )
 
 
 def pendulum_energy(plant, x):
-    p = plant.params
     theta, omega = x
-    return (0.5 * p["m"] * p["l"] ** 2 * omega ** 2
-            + p["m"] * p["g"] * p["l"] * (1.0 - np.cos(theta)))
+    return (0.5 * plant.m * plant.l ** 2 * omega ** 2
+            + plant.m * plant.g * plant.l * (1.0 - np.cos(theta)))
 
 
 def reference_pendulum_rk4(plant, x, u):
     """The array-form pendulum RK4 the scalar integrator must reproduce."""
-    p = plant.params
+    m, l, g, d, c = plant.m, plant.l, plant.g, plant.d, plant.c
 
     def f(x):
         theta, omega = x
-        ml2 = p["m"] * p["l"] * p["l"]
-        torque = (u[0] - p["d"] * omega
-                  - p["c"] * np.tanh(omega / EPS_COULOMB)
-                  - p["m"] * p["g"] * p["l"] * np.sin(theta))
+        ml2 = m * l * l
+        torque = (u[0] - d * omega - c * np.tanh(omega / EPS_COULOMB)
+                  - m * g * l * np.sin(theta))
         return np.array([omega, torque / ml2])
 
     h = plant.dt / plant.substeps
@@ -49,17 +45,26 @@ def reference_pendulum_rk4(plant, x, u):
     return x
 
 
+class TestPlantModel:
+    @pytest.mark.parametrize("substeps", [2.5, True])
+    def test_non_integer_substeps_rejected(self, substeps):
+        """A float count of substeps would fail only at the first step, and
+        True would run as one substep."""
+        with pytest.raises(ValueError, match="integer substeps"):
+            PlantModel(substeps=substeps)
+
+
 class TestStepPlant:
     def test_stable_equilibrium_fixed_point(self):
-        plant = make_pendulum(dt=0.01, substeps=4)
+        plant = PlantModel(dt=0.01, substeps=4)
         np.testing.assert_array_equal(step_plant(plant, np.zeros(2), [0.0]),
                                       np.zeros(2))
 
     def test_energy_conservation_vs_fine_reference(self):
         """Frictionless unforced pendulum: coarse-step energy drift over
         1000 steps stays within 1e-6 relative of a 10x-finer reference."""
-        coarse = make_pendulum(d=0.0, c=0.0, dt=1e-3, substeps=1)
-        fine = make_pendulum(d=0.0, c=0.0, dt=1e-3, substeps=10)
+        coarse = PlantModel(d=0.0, c=0.0, dt=1e-3, substeps=1)
+        fine = PlantModel(d=0.0, c=0.0, dt=1e-3, substeps=10)
         x0 = np.array([1.2, 0.0])
         e0 = pendulum_energy(coarse, x0)
         x_c = x_f = x0
@@ -70,45 +75,24 @@ class TestStepPlant:
         e_f = pendulum_energy(fine, x_f)
         assert abs(e_c - e_f) / e0 < 1e-6
 
-    def test_linear_matches_exact_zoh_discretization(self):
-        A = np.array([[0.0, 1.0], [-4.0, -0.8]])
-        B = np.array([[0.0], [1.5]])
-        plant = PlantModel("linear2nd", {"A": A, "B": B}, dt=1e-3, substeps=1)
-        # exact ZOH: matrix exponential of the augmented system
-        M = expm(np.block([[A, B], [np.zeros((1, 3))]]) * plant.dt)
-        Ad, Bd = M[:2, :2], M[:2, 2:]
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            x = rng.standard_normal(2)
-            u = rng.standard_normal(1)
-            np.testing.assert_allclose(step_plant(plant, x, u),
-                                       Ad @ x + Bd @ u.reshape(-1), atol=1e-8)
-
     def test_rk4_order_four(self):
         """Halving the substep shrinks the one-step error about 16x."""
         x0 = np.array([1.3, 2.0])
         errors = []
-        reference = make_pendulum(d=0.0, dt=0.1, substeps=256)
+        reference = PlantModel(d=0.0, dt=0.1, substeps=256)
         ref = step_plant(reference, x0, [0.0])
         for substeps in (1, 2):
-            plant = make_pendulum(d=0.0, dt=0.1, substeps=substeps)
+            plant = PlantModel(d=0.0, dt=0.1, substeps=substeps)
             got = step_plant(plant, x0, [0.0])
             errors.append(np.linalg.norm(got - ref))
         ratio = errors[0] / errors[1]
         assert 12.0 <= ratio <= 20.0
 
-    def test_nonfinite_state_raises(self):
-        plant = PlantModel("linear2nd", {"A": 100.0 * np.eye(2),
-                                         "B": np.zeros((2, 1))},
-                           dt=1.0, substeps=1)
-        with pytest.raises(NonFiniteState):
-            step_plant(plant, np.array([1e307, 1e307]), [0.0])
-
     @pytest.mark.parametrize("substeps", [1, 3, 8])
     def test_pendulum_matches_array_rk4_bitwise(self, substeps):
         rng = np.random.default_rng(substeps)
         for trial in range(200):
-            plant = make_pendulum(
+            plant = PlantModel(
                 m=rng.uniform(0.1, 2.0), l=rng.uniform(0.2, 1.5),
                 g=rng.uniform(1.0, 20.0), d=rng.uniform(0.0, 0.5),
                 c=0.0 if trial % 4 == 0 else rng.uniform(0.0, 0.05),
@@ -148,13 +132,13 @@ class TestStepPlant:
     ], ids=["u_inf", "state_overflow", "state_nan", "inertia_underflow"])
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_pendulum_nonfinite_raises(self, params, x, u):
-        plant = make_pendulum(c=0.002, dt=0.01, substeps=8, **params)
+        plant = PlantModel(c=0.002, dt=0.01, substeps=8, **params)
         with pytest.raises(NonFiniteState,
                            match="^plant state became non-finite$"):
             step_plant(plant, np.array(x), u)
 
     def test_determinism_bitwise(self):
-        plant = make_pendulum(dt=0.01, substeps=3)
+        plant = PlantModel(dt=0.01, substeps=3)
         rng = np.random.default_rng(1)
         us = rng.standard_normal((1, 50))
         def run():
@@ -169,7 +153,7 @@ class TestStepPlant:
     def test_input_forms_agree(self, u):
         """A float64 (p,) input is used as it is; scalars, lists and other
         dtypes are converted first, to the same step."""
-        plant = make_pendulum(dt=0.01, substeps=2)
+        plant = PlantModel(dt=0.01, substeps=2)
         x = np.array([0.1, 0.2])
         want = step_plant(plant, x, np.asarray(u, dtype=np.float64).reshape(1))
         np.testing.assert_array_equal(step_plant(plant, x, u), want)
@@ -177,12 +161,12 @@ class TestStepPlant:
     @pytest.mark.parametrize("u", [np.zeros(2), np.zeros((1, 1)), None])
     def test_wrong_input_shape_rejected(self, u):
         with pytest.raises(DimensionMismatch, match="input of shape"):
-            step_plant(make_pendulum(), np.zeros(2), u)
+            step_plant(PlantModel(), np.zeros(2), u)
 
 
 class TestSchedule:
     def test_empty_schedule_identity(self):
-        plant = make_pendulum()
+        plant = PlantModel()
         assert apply_schedule(plant, ChangeSchedule(), 100.0) is plant
 
     def test_applied_events_are_those_up_to_t(self):
@@ -195,28 +179,28 @@ class TestSchedule:
         assert ChangeSchedule().applied(np.inf) == ()
 
     def test_boundary_inclusive(self):
-        plant = make_pendulum(m=0.4)
+        plant = PlantModel(m=0.4)
         schedule = ChangeSchedule(((5.0, "m", 0.8),))
-        assert apply_schedule(plant, schedule, 4.9).params["m"] == 0.4
-        assert apply_schedule(plant, schedule, 5.0).params["m"] == 0.8
+        assert apply_schedule(plant, schedule, 4.9).m == 0.4
+        assert apply_schedule(plant, schedule, 5.0).m == 0.8
 
     def test_later_event_wins(self):
-        plant = make_pendulum(d=0.1)
+        plant = PlantModel(d=0.1)
         schedule = ChangeSchedule(((1.0, "d", 0.2), (2.0, "d", 0.3)))
-        assert apply_schedule(plant, schedule, 1.5).params["d"] == 0.2
-        assert apply_schedule(plant, schedule, 2.0).params["d"] == 0.3
+        assert apply_schedule(plant, schedule, 1.5).d == 0.2
+        assert apply_schedule(plant, schedule, 2.0).d == 0.3
 
     def test_idempotent(self):
-        plant = make_pendulum()
+        plant = PlantModel()
         schedule = ChangeSchedule(((1.0, "m", 0.9),))
         once = apply_schedule(plant, schedule, 3.0)
         twice = apply_schedule(once, schedule, 3.0)
-        assert once.params == twice.params
+        assert once == twice
 
     def test_step_uses_the_scheduled_parameters(self):
         """After a change, the integrator runs on the new parameters, not
         on coefficients cached from the old ones."""
-        plant = make_pendulum(m=0.4, d=0.04, c=0.002, dt=0.01, substeps=8)
+        plant = PlantModel(m=0.4, d=0.04, c=0.002, dt=0.01, substeps=8)
         schedule = ChangeSchedule(((1.0, "m", 0.8), (1.0, "d", 0.12)))
         changed = apply_schedule(plant, schedule, 1.0)
         x, u = np.array([0.3, -0.7]), np.array([1.5])
@@ -226,9 +210,13 @@ class TestSchedule:
         assert (got != step_plant(plant, x, u)).any()
 
     def test_unknown_parameter(self):
-        plant = make_pendulum()
-        with pytest.raises(UnknownParameter):
-            apply_schedule(plant, ChangeSchedule(((0.0, "mass", 1.0),)), 1.0)
+        """A schedule changes only the pendulum's parameters, not its
+        sensor or integration setup, though the plant has those fields."""
+        plant = PlantModel()
+        for name in ("mass", "dt", "noise_y", "substeps"):
+            with pytest.raises(UnknownParameter, match=repr(name)):
+                apply_schedule(plant, ChangeSchedule(((0.0, name, 1.0),)),
+                               1.0)
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
@@ -237,7 +225,7 @@ class TestSchedule:
 
 class TestMeasure:
     def test_noise_free_exact(self):
-        plant = make_pendulum(noise_y=0.0, noise_x=0.0)
+        plant = PlantModel(noise_y=0.0, noise_x=0.0)
         x = np.array([0.3, -0.7])
         x_meas, y_meas = measure(plant, x,
                                  np.random.default_rng(0).standard_normal(3))
@@ -248,7 +236,7 @@ class TestMeasure:
         """measure is a pure function of the states and the draws, the
         noise scaled per channel; one call over a trajectory equals one
         call per sample, bit for bit."""
-        plant = make_pendulum(noise_y=0.01, noise_x=(0.01, 0.02))
+        plant = PlantModel(noise_y=0.01, noise_x=(0.01, 0.02))
         rng = np.random.default_rng(42)
         X, Z = rng.standard_normal((50, 2)), rng.standard_normal((50, 3))
         xs, ys = measure(plant, X, Z, output_coord=1)
@@ -263,14 +251,14 @@ class TestMeasure:
         np.testing.assert_array_equal(again[1], ys)
 
     def test_sample_variance_matches_config(self):
-        plant = make_pendulum(noise_y=0.2, noise_x=0.0)
+        plant = PlantModel(noise_y=0.2, noise_x=0.0)
         rng = np.random.default_rng(7)
         _, ys = measure(plant, np.zeros((100_000, 2)),
                         rng.standard_normal((100_000, 3)))
         assert np.var(ys) == pytest.approx(0.04, rel=0.05)
 
     def test_output_coordinate_selectable(self):
-        plant = make_pendulum(noise_y=0.0)
+        plant = PlantModel(noise_y=0.0)
         _, y = measure(plant, np.array([0.3, -0.7]), np.zeros(3),
                        output_coord=1)
         assert y == -0.7
@@ -279,9 +267,9 @@ class TestMeasure:
         ((2,), (2,)), ((3,), (4,)), ((5, 2), (3,)), ((5, 2), (4, 3))])
     def test_mismatched_shapes_rejected(self, x_shape, z_shape):
         with pytest.raises(DimensionMismatch):
-            measure(make_pendulum(), np.zeros(x_shape), np.zeros(z_shape))
+            measure(PlantModel(), np.zeros(x_shape), np.zeros(z_shape))
 
     def test_output_coordinate_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="output_coord"):
-            measure(make_pendulum(), np.zeros(2), np.zeros(3),
+            measure(PlantModel(), np.zeros(2), np.zeros(3),
                     output_coord=2)
