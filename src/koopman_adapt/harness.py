@@ -124,11 +124,11 @@ def _steps(cfg: ExperimentConfig) -> int:
 
 class _Cell:
     """One cell of a lockstep run: its closed loop's state apart from its
-    rows of the run's stacked arrays (see _Rows), its plant state x, its
-    reference w and its sensor draws z. It stands for its members, (slot,
-    config) pairs with the (cell, config) index of the result as slot,
-    whose configs differ only in their schedules and have applied the same
-    events so far; next_event is the first event time after those."""
+    row of the run's stacked filter, its plant state x, its reference w
+    and its sensor draws z. It stands for its members, (slot, config)
+    pairs with the (cell, config) index of the result as slot, whose
+    configs differ only in their schedules and have applied the same events
+    so far; next_event is the first event time after those."""
 
     def __init__(self, members: list, est: RecursiveEstimator,
                  w: np.ndarray, z: np.ndarray, records: Trace):
@@ -139,7 +139,7 @@ class _Cell:
         self.x = w[:, 0].copy()
         self.adapt_ctrl = cfg.run.variant in ("adaptive-ctrl", "adaptive-both")
         self.adapt_obs = cfg.run.variant in ("adaptive-obs", "adaptive-both")
-        self.initial_model = self.ctrl_model = self.obs_model = est.model
+        self.initial_model = self.obs_model = est.model
         self.solver = CondensedMpc(self.initial_model, cfg.mpc)
         self.written = 0  # rows of records filled so far
         self.report = self.prev_meas = self.prev_u = None
@@ -184,7 +184,6 @@ class _Cell:
         model = est.model  # one snapshot serves both consumers
         if self.adapt_ctrl:
             self.solver = CondensedMpc(model, self.cfg.mpc)
-            self.ctrl_model = model  # only once its solver is built
         if self.adapt_obs:
             self.obs_model = model
         return self.adapt_obs
@@ -201,34 +200,17 @@ class _Cell:
         reason = (f"{type(exc).__name__} at t={t:.6g}: {exc}"
                   if exc is not None else "")
         result = RunResult(records, exc is not None, reason,
-                           self.initial_model, self.ctrl_model, self.obs_model)
+                           self.initial_model, self.solver.model,
+                           self.obs_model)
         for m, ((i, j), _) in enumerate(self.members):
             out[i][j] = replace(result, records=records.copy()) if m else result
 
 
-@dataclass
-class _Rows:
-    """The live cells' rows of a lockstep run, stacked on a leading cell
-    axis in the order of its live cells: the filter and the observer models
-    (K, B, in the shape kf_predict takes)."""
-
-    kf: KalmanState
-    K: np.ndarray
-    B: np.ndarray
-
-    def take(self, rows) -> "_Rows":
-        """Copies of the given rows, in order."""
-        kf = self.kf
-        return _Rows(replace(kf, psi=kf.psi[rows], P=kf.P[rows],
-                             Q=kf.Q[rows]),
-                     self.K[rows], self.B[rows])
-
-
-def _drop(ended: list, live: list, rows: _Rows, *arrays) -> tuple:
+def _drop(ended: list, live: list, kf: KalmanState, *arrays) -> tuple:
     """The live cells but the ended ones (indices into live), with their
-    rows of rows and of each array."""
+    rows of the filter kf and of each array."""
     keep = [j for j in range(len(live)) if j not in ended]
-    return ([live[j] for j in keep], rows.take(keep),
+    return ([live[j] for j in keep], kf.take(keep),
             *(a[keep] for a in arrays))
 
 
@@ -247,7 +229,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
     running error is summed over its whole trace when it ends. Each cell's
     numbers are those of its run alone, to the bit. A NumericalError ends
     its cell alone, with the rows it wrote, and the cell leaves the stacked
-    arrays; its reason says the time of the sample it ended in.
+    filter and arrays; its reason says the time of the sample it ended in.
 
     ``_cells`` (used by run_comparison) runs a list of cells in this one
     call and returns, per cell, its configs' RunResults. A cell is
@@ -282,13 +264,8 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
                           copy.deepcopy(est), w, draws_of(run.seed),
                           Trace.empty(steps, n, plant.p)))
         out.append([None] * len(cfgs))
-    filters = [init_kalman(dictionary, c.w[:, 0], cfg.observer,
-                           model=c.initial_model) for c in live]
-    rows = _Rows(replace(filters[0], psi=np.stack([f.psi for f in filters]),
-                         P=np.stack([f.P for f in filters]),
-                         Q=np.stack([f.Q for f in filters])),
-                 np.stack([c.obs_model.K for c in live]),
-                 np.stack([c.obs_model.B for c in live]))
+    kf = KalmanState.stack([init_kalman(dictionary, c.w[:, 0], cfg.observer,
+                                        model=c.initial_model) for c in live])
     for k in range(steps):
         if not live:
             break
@@ -296,7 +273,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         parts = [(j, part) for j, c in enumerate(live)
                  if c.next_event <= t for part in c.split(t)]
         if parts:  # each part's rows are copies of its parent's
-            rows = rows.take([*range(len(live)), *(j for j, _ in parts)])
+            kf = kf.take([*range(len(live)), *(j for j, _ in parts)])
             live += [part for _, part in parts]
         x_true = np.array([c.x for c in live])
         x_meas, y_meas = measure(plant, x_true,
@@ -306,14 +283,13 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         for j, c in enumerate(live):
             try:
                 if c.update(k, x_meas[j]):
-                    rows.K[j], rows.B[j] = c.obs_model.K, c.obs_model.B
+                    kf.K[j], kf.B[j] = c.obs_model.K, c.obs_model.B
             except NumericalError as exc:
                 c.end(out, exc, t)
                 ended.append(j)
         if ended:  # the rest of the sample runs on the cells left, if any
-            live, rows, x_true, x_meas, y_meas = _drop(
-                ended, live, rows, x_true, x_meas, y_meas)
-        kf = rows.kf
+            live, kf, x_true, x_meas, y_meas = _drop(
+                ended, live, kf, x_true, x_meas, y_meas)
         kf_correct(kf, dictionary, y_meas)
         x_hat = kf_estimate_state(kf, dictionary)
         u, ended = np.empty((len(live), plant.p)), []
@@ -335,8 +311,8 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
             else:
                 c.prev_meas, c.prev_u = x_meas[j], u0
         if ended:
-            live, rows, u = _drop(ended, live, rows, u)
-        kf_predict(rows.kf, rows, u)
+            live, kf, u = _drop(ended, live, kf, u)
+        kf_predict(kf, u)
     for c in live:
         c.end(out)
     return out if _cells is not None else out[0][0]

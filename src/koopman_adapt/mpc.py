@@ -47,8 +47,10 @@ class MpcConfig:
     pg_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        for name in ("horizon", "max_pg_iters"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         for name, ndmin in (("Qy", 2), ("Ru", 2), ("u_min", 1), ("u_max", 1)):
             v = getattr(self, name)
             if v is not None:  # a read-only copy, as the structure reads it
@@ -57,6 +59,8 @@ class MpcConfig:
                 object.__setattr__(self, name, v)
         if not 0 < self.terminal_weight < math.inf:
             raise ValueError("terminal_weight must be finite and positive")
+        if not np.isfinite(self.Qy).all():
+            raise ValueError("Qy must be finite")
         if not (np.isfinite(self.Ru).all()
                 and np.linalg.eigvalsh(self.Ru).min() > 0):
             raise ValueError("Ru must be finite and positive definite")
@@ -72,11 +76,6 @@ class MpcConfig:
                     f"vs {self.u_max.shape}")
             if (self.u_min > self.u_max).any():
                 raise ValueError("u_min must be <= u_max elementwise")
-        if isinstance(self.max_pg_iters, bool) \
-                or not isinstance(self.max_pg_iters, Integral) \
-                or self.max_pg_iters < 1:
-            raise ValueError(f"max_pg_iters must be an integer >= 1, got "
-                             f"{self.max_pg_iters!r}")
         if not (math.isfinite(self.pg_tol) and self.pg_tol > 0):
             raise ValueError(f"pg_tol must be finite and > 0, got "
                              f"{self.pg_tol!r}")

@@ -1,20 +1,22 @@
 """Lifted-space Kalman filter with a scalar measurement.
 
-The filter is linear in the lifted coordinates: prediction uses whatever
-model snapshot it is handed (swapping in a freshly adapted model changes
-subsequent predictions only), and correction reads the scalar output as
-the lifted coordinate at the dictionary's output index. Predict and
-correct update one mutable filter state: they rebind its ``psi`` and ``P``
-to new arrays and never write into the old ones.
+The filter is linear in the lifted coordinates and carries the model it
+predicts with, K and B: handing it a freshly adapted model (rebinding or
+writing its K and B) changes subsequent predictions only. Correction reads
+the scalar output as the lifted coordinate at the dictionary's output
+index and updates the covariance in Joseph form (Bucy & Joseph, 1968),
+which keeps it symmetric and positive semidefinite under rounding. Predict
+and correct update one mutable filter state: they rebind its ``psi`` and
+``P`` to new arrays and never write into the old ones.
 
 A filter state may also stack several independent filters on a leading
-cell axis, psi (C, N) and P (C, N, N); every function then runs each cell
-as one call on that cell alone would, to the bit.
+cell axis, psi (C, N), P, Q and K (C, N, N) and B (C, N, p); every function
+then runs each cell as one call on that cell alone would, to the bit.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,16 +24,18 @@ from .edmd import KoopmanModel, _as_input
 from .errors import DimensionMismatch
 from .observables import ObservableDictionary
 
+# the fields a stack of filters holds one row of per cell
+_CELL_FIELDS = ("psi", "P", "Q", "K", "B")
+
 
 @dataclass
 class ObserverSettings:
-    """Filter tuning: process noise scale q, measurement variance r, the
-    Joseph-form toggle, optional re-lifting after correction, and the
-    initial covariance p0*I."""
+    """Filter tuning: process noise scale q, measurement variance r,
+    optional re-lifting after correction, and the initial covariance
+    p0*I."""
 
     q: float = 1e-6
     r: float = 1e-4
-    joseph: bool = True
     relift_after_correct: bool = False
     p0: float = 1.0
 
@@ -45,30 +49,48 @@ class ObserverSettings:
 
 @dataclass
 class KalmanState:
-    """Lifted state estimate, its covariance, and the noise model, of one
-    filter (psi (N,), P and Q (N, N)) or of a stack of filters that share R
-    and the toggles (psi (C, N), P and Q (C, N, N)). Shapes are checked
-    once, here; R is checked in ObserverSettings."""
+    """One filter: the lifted state estimate psi (N,), its covariance P and
+    the process noise Q (N, N), and the model it predicts with, K (N, N)
+    and B (N, p). Or a stack of filters that share R and the re-lift
+    toggle, each field with a leading cell axis (psi (C, N), ...). Shapes
+    are checked once, here; R is checked in ObserverSettings."""
 
     psi: np.ndarray
     P: np.ndarray
     Q: np.ndarray
+    K: np.ndarray
+    B: np.ndarray
     R: float
-    joseph: bool = True
     relift_after_correct: bool = False
 
     def __post_init__(self):
         shape = self.psi.shape + self.psi.shape[-1:]
-        if self.P.shape != shape or self.Q.shape != shape:
+        if ({self.P.shape, self.Q.shape, self.K.shape} != {shape}
+                or self.B.shape[:-1] != self.psi.shape):
             raise DimensionMismatch(
-                f"P and Q must be {shape}, got {self.P.shape} and "
-                f"{self.Q.shape}")
+                f"P, Q and K must be {shape} and B {self.psi.shape} + (p,), "
+                f"got {self.P.shape}, {self.Q.shape}, {self.K.shape} and "
+                f"{self.B.shape}")
+
+    @classmethod
+    def stack(cls, filters) -> "KalmanState":
+        """The given filters stacked on a leading cell axis, in order; the
+        stack takes the first one's R and re-lift toggle."""
+        return replace(filters[0], **{
+            name: np.stack([getattr(f, name) for f in filters])
+            for name in _CELL_FIELDS})
+
+    def take(self, rows) -> "KalmanState":
+        """A stack of copies of the given cells' rows, in order."""
+        return replace(self, **{name: getattr(self, name)[rows]
+                                for name in _CELL_FIELDS})
 
 
 def init_kalman(dictionary: ObservableDictionary, x0,
                 settings: ObserverSettings | None = None, *,
                 model: KoopmanModel) -> KalmanState:
-    """Start the filter at the lift of a known (or assumed) initial state.
+    """Start the filter, predicting through model, at the lift of a known
+    (or assumed) initial state.
 
     The process noise is shaped through the model's input channel,
     q * (B B^T + max(tr B B^T, 1) 1e-4 I), so disturbances (and model
@@ -84,20 +106,17 @@ def init_kalman(dictionary: ObservableDictionary, x0,
         psi=dictionary.lift(np.asarray(x0, dtype=float)),
         P=settings.p0 * np.eye(N),
         Q=Q,
+        K=model.K,
+        B=model.B,
         R=settings.r,
-        joseph=settings.joseph,
         relift_after_correct=settings.relift_after_correct,
     )
 
 
-def kf_predict(kf: KalmanState, model: KoopmanModel, u=None) -> None:
-    """Time update through the lifted model, in place: psi <- K psi + B u,
-    P <- K P K^T + Q. A stack of filters takes its cells' models stacked
-    alike (any object with K (C, N, N) and B (C, N, p)) and u as (C, p)."""
-    K, B = model.K, model.B
-    if K.shape[-1] != kf.psi.shape[-1]:
-        raise DimensionMismatch(
-            f"model size {K.shape[-1]} != filter size {kf.psi.shape[-1]}")
+def kf_predict(kf: KalmanState, u=None) -> None:
+    """Time update through the filter's model, in place: psi <- K psi + B u,
+    P <- K P K^T + Q. A stack of filters takes u as (C, p)."""
+    K, B = kf.K, kf.B
     if kf.psi.ndim == 1:
         u = _as_input(u, B.shape[1])
     P = K @ kf.P @ K.swapaxes(-1, -2) + kf.Q
@@ -127,14 +146,11 @@ def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
     # gain P[:, i] / (P[i, i] + R) and innovation y - psi[i], per cell
     L = P[..., i] / (P[..., i, i:i + 1] + kf.R)
     psi = psi + L * (y_meas - psi[..., i])[..., None]
-    if kf.joseph:
-        # (I - L C) P (I - L C)^T + R L L^T with C the one-hot output row
-        ILC = _identity(P.shape).copy()
-        ILC[..., i] -= L
-        P = (ILC @ P @ ILC.swapaxes(-1, -2)
-             + kf.R * (L[..., :, None] * L[..., None, :]))
-    else:
-        P = P - L[..., :, None] * P[..., i, None, :]
+    # (I - L C) P (I - L C)^T + R L L^T with C the one-hot output row
+    ILC = _identity(P.shape).copy()
+    ILC[..., i] -= L
+    P = (ILC @ P @ ILC.swapaxes(-1, -2)
+         + kf.R * (L[..., :, None] * L[..., None, :]))
     if kf.relift_after_correct:
         psi = dictionary.lift(psi[..., : dictionary.n])
     kf.psi = psi

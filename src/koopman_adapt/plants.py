@@ -136,8 +136,11 @@ def _pendulum_rk4(coeffs, theta: float, omega: float, u: float, h: float,
 def step_plant(plant: PlantModel, x, u) -> np.ndarray:
     """The state one sample time after x, under zero-order-hold input u,
     via RK4."""
-    u = _as_input(u, plant.p)
-    theta, omega = np.asarray(x, dtype=float).tolist()
+    u, x = _as_input(u, plant.p), np.asarray(x, dtype=float)
+    if x.shape != (plant.n,):
+        raise DimensionMismatch(f"expected state of shape ({plant.n},), got "
+                                f"{x.shape}")
+    theta, omega = x.tolist()
     blow_up = "plant state became non-finite"
     try:
         theta, omega = _pendulum_rk4(plant.pendulum_coeffs, theta, omega,

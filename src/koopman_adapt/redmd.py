@@ -11,6 +11,7 @@ that equivalence is the module's central correctness oracle.
 import math
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -57,15 +58,15 @@ class RedmdSettings:
     gamma_init: float | str = "data"
     state_scales: Sequence[float] | None = None
     adaptive_lambda: bool = True
-    check_spd: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.lambda_min <= 1.0:
             raise ValueError(f"lambda_min must be in (0, 1], got {self.lambda_min}")
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError(f"lambda0 must be in (0, 1], got {self.lambda0}")
-        if self.m_op < 2:
-            raise ValueError(f"m_op must be >= 2, got {self.m_op}")
+        if (isinstance(self.m_op, bool) or not isinstance(self.m_op, Integral)
+                or self.m_op < 2):
+            raise ValueError(f"m_op must be an integer >= 2, got {self.m_op!r}")
         if not 0 <= self.eps_low <= self.eps_high:
             raise ValueError("need 0 <= eps_low <= eps_high")
         if not (0 < self.n0 < math.inf and 1.0 < self.mu_sigma < math.inf):
@@ -283,12 +284,6 @@ class RecursiveEstimator:
                 if not (np.isfinite(theta).all() and np.isfinite(G).all()):
                     raise CovarianceNotPD(
                         "rank-one update produced NaN or Inf")
-            if s.check_spd:
-                try:
-                    np.linalg.cholesky(G)
-                except np.linalg.LinAlgError as exc:
-                    raise CovarianceNotPD(
-                        "covariance lost positive definiteness") from exc
             self.theta, self.Gamma = theta, self._trace_bounded(G)
             # posterior output error: innovation scaled by lambda / denom
             oi = self.dictionary.output_index

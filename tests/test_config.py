@@ -146,6 +146,15 @@ class TestAssemble:
         with pytest.raises(ConfigError):
             assemble(loads("[plant]\nkind = linear2nd\n"))
 
+    def test_joseph_has_one_legal_value(self):
+        """Files that write the one covariance update the filter has still
+        load; asking for another is an error naming the key."""
+        text = "[observer]\njoseph = {}\n"
+        assert assemble(loads(text.format("true"))).observer == \
+            assemble({}).observer
+        with pytest.raises(ConfigError, match="joseph"):
+            assemble(loads(text.format("false")))
+
     def test_output_index_must_be_state(self):
         with pytest.raises(ConfigError):
             assemble(loads("[dict]\noutput_index = 3\n"))

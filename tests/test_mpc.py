@@ -461,6 +461,19 @@ class TestSolve:
             MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1),
                       u_min=[1.0, 2.0], u_max=[3.0])
 
+    @pytest.mark.parametrize("horizon", [2.5, True])
+    def test_non_integer_horizon_rejected(self, horizon):
+        """A float horizon failed only when the structure was built, with
+        a TypeError, and True passed for 1."""
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            MpcConfig(horizon=horizon, Qy=np.eye(1), Ru=np.eye(1))
+
+    @pytest.mark.parametrize("qy", [np.nan, np.inf])
+    def test_non_finite_tracking_weight_rejected(self, qy):
+        """Not blamed on the model later, when a controller is built."""
+        with pytest.raises(ValueError, match="Qy must be finite"):
+            MpcConfig(horizon=3, Qy=[[qy]], Ru=np.eye(1))
+
 
 class TestBoxQp:
     @hypothesis.settings(max_examples=80, deadline=None)

@@ -1,7 +1,6 @@
 """Tests for the lifted-space Kalman filter."""
 
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +40,15 @@ def held_model(d):
     return KoopmanModel(np.eye(d.size), np.zeros((d.size, 1)), d)
 
 
+def kalman(psi, P, Q, R, model=None, **kwargs):
+    """A filter predicting through model's K and B; without a model, one
+    that holds its state and has no input."""
+    N = len(psi)
+    K, B = ((model.K, model.B) if model is not None
+            else (np.eye(N), np.zeros((N, 1))))
+    return KalmanState(np.asarray(psi, dtype=float), P, Q, K, B, R, **kwargs)
+
+
 class TestInit:
     @pytest.mark.parametrize("b, floor", [(0.5, 1e-4), (2.0, 8e-4)])
     def test_process_noise_shaped_through_input_channel(self, b, floor):
@@ -64,25 +72,24 @@ class TestPredict:
     def test_identity_dynamics_fixed_point(self):
         d = ObservableDictionary(2, "identity")
         model = KoopmanModel(np.eye(2), np.zeros((2, 1)), d)
-        kf = KalmanState(np.array([1.0, -2.0]), np.eye(2), np.zeros((2, 2)), 0.1)
-        kf_predict(kf, model, [0.0])
+        kf = kalman([1.0, -2.0], np.eye(2), np.zeros((2, 2)), 0.1, model)
+        kf_predict(kf, [0.0])
         np.testing.assert_array_equal(kf.psi, [1.0, -2.0])
         np.testing.assert_array_equal(kf.P, np.eye(2))
 
     def test_stable_contraction_without_process_noise(self):
         d, model = stable_lifted_model(seed=3)
-        kf = KalmanState(np.zeros(4), np.eye(4), np.zeros((4, 4)), 0.1)
+        kf = kalman(np.zeros(4), np.eye(4), np.zeros((4, 4)), 0.1, model)
         traces = []
         for _ in range(50):
-            kf_predict(kf, model, [0.0])
+            kf_predict(kf, [0.0])
             traces.append(np.trace(kf.P))
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
     def test_scalar_hand_arithmetic(self, scalar_model):
         d, model = scalar_model
-        kf = KalmanState(np.array([2.0]), np.array([[1.0]]),
-                         np.array([[0.1]]), 1.0)
-        kf_predict(kf, model, [0.0])
+        kf = kalman([2.0], np.array([[1.0]]), np.array([[0.1]]), 1.0, model)
+        kf_predict(kf, [0.0])
         np.testing.assert_allclose(kf.psi, [1.0])
         np.testing.assert_allclose(kf.P, [[0.35]])
 
@@ -90,15 +97,13 @@ class TestPredict:
 class TestCorrect:
     def test_zero_innovation_leaves_state(self, scalar_model):
         d, _ = scalar_model
-        kf = KalmanState(np.array([1.5]), np.array([[0.2]]),
-                         np.array([[0.0]]), 0.5)
+        kf = kalman([1.5], np.array([[0.2]]), np.array([[0.0]]), 0.5)
         kf_correct(kf, d, 1.5)
         np.testing.assert_array_equal(kf.psi, [1.5])
 
     def test_infinite_r_limit(self, scalar_model):
         d, _ = scalar_model
-        kf = KalmanState(np.array([1.0]), np.array([[0.2]]),
-                         np.array([[0.0]]), 1e300)
+        kf = kalman([1.0], np.array([[0.2]]), np.array([[0.0]]), 1e300)
         kf_correct(kf, d, 99.0)
         np.testing.assert_allclose(kf.psi, [1.0], atol=1e-200)
 
@@ -116,23 +121,23 @@ class TestCorrect:
         d, model = stable_lifted_model(seed=11)
         Q = 1e-3 * np.eye(4)
         R = 0.05
-        kf = KalmanState(np.zeros(4), np.eye(4), Q, R)
+        kf = kalman(np.zeros(4), np.eye(4), Q, R, model)
         rng = np.random.default_rng(1)
         for _ in range(4000):
             kf_correct(kf, d, rng.standard_normal() * 0.1)
-            kf_predict(kf, model, [0.0])
+            kf_predict(kf, [0.0])
         P_star = riccati_prior_fixed_point(model, np.eye(4)[d.output_index], Q,
                                            R)
         assert np.max(np.abs(kf.P - P_star)) < 1e-6
 
     def test_covariance_converges(self):
         d, model = stable_lifted_model(seed=7)
-        kf = KalmanState(np.zeros(4), 10 * np.eye(4), 1e-4 * np.eye(4), 0.1)
+        kf = kalman(np.zeros(4), 10 * np.eye(4), 1e-4 * np.eye(4), 0.1, model)
         prev = kf.P.copy()
         converged = False
         for _ in range(5000):
             kf_correct(kf, d, 0.0)
-            kf_predict(kf, model, [0.0])
+            kf_predict(kf, [0.0])
             if np.linalg.norm(kf.P - prev, "fro") < 1e-9:
                 converged = True
                 break
@@ -143,20 +148,18 @@ class TestCorrect:
 class TestJosephForm:
     def test_psd_maintained(self):
         d, model = stable_lifted_model(seed=5)
-        kf = KalmanState(np.zeros(4), np.eye(4), 1e-5 * np.eye(4), 1e-4,
-                         joseph=True)
+        kf = kalman(np.zeros(4), np.eye(4), 1e-5 * np.eye(4), 1e-4, model)
         rng = np.random.default_rng(2)
         for _ in range(500):
             kf_correct(kf, d, rng.standard_normal())
             assert np.linalg.eigvalsh(kf.P).min() >= -1e-10
-            kf_predict(kf, model, rng.standard_normal(1))
+            kf_predict(kf, rng.standard_normal(1))
 
     def test_identity_built_once_per_size(self, monkeypatch):
         """Corrections copy one cached identity instead of building
         np.eye(N) each time, and still give the textbook Joseph form."""
         d = ObservableDictionary(7, "identity")
-        kf = KalmanState(np.zeros(7), np.eye(7), 1e-5 * np.eye(7), 1e-4,
-                         joseph=True)
+        kf = kalman(np.zeros(7), np.eye(7), 1e-5 * np.eye(7), 1e-4)
         eye, calls = np.eye, []
 
         def counting_eye(*args, **kwargs):
@@ -176,14 +179,15 @@ class TestJosephForm:
         assert len(calls) <= 1
 
     def test_joseph_and_simple_agree_in_exact_arithmetic(self):
+        """The Joseph update equals the simple (I - L C) P of the reference
+        arithmetic, up to rounding."""
         d = ObservableDictionary(2, "identity")
-        kf_j = KalmanState(np.zeros(2), np.eye(2), np.zeros((2, 2)), 0.5,
-                           joseph=True)
-        kf_s = KalmanState(np.zeros(2), np.eye(2), np.zeros((2, 2)), 0.5,
-                           joseph=False)
-        kf_correct(kf_j, d, 1.0)
-        kf_correct(kf_s, d, 1.0)
-        np.testing.assert_allclose(kf_j.P, kf_s.P, atol=1e-14)
+        kf = kalman(np.zeros(2), np.eye(2), np.zeros((2, 2)), 0.5)
+        kf_correct(kf, d, 1.0)
+        psi, P = functional_correct(np.zeros(2), np.eye(2), 0.5, False, False,
+                                    d, 1.0)
+        np.testing.assert_array_equal(kf.psi, psi)
+        np.testing.assert_allclose(kf.P, P, atol=1e-14)
 
 
 class TestEstimateState:
@@ -195,8 +199,7 @@ class TestEstimateState:
 
     def test_identity_dictionary_returns_psi(self):
         d = ObservableDictionary(3, "identity")
-        kf = KalmanState(np.array([1.0, 2.0, 3.0]), np.eye(3),
-                         np.zeros((3, 3)), 1.0)
+        kf = kalman([1.0, 2.0, 3.0], np.eye(3), np.zeros((3, 3)), 1.0)
         np.testing.assert_array_equal(kf_estimate_state(kf, d), kf.psi)
 
     def test_truncation_is_a_copy(self):
@@ -205,7 +208,8 @@ class TestEstimateState:
         d = ObservableDictionary(2, "monomial", 2)
         psi = np.arange(10.0).reshape(2, 5)
         kf = KalmanState(psi.copy(), np.stack([np.eye(5)] * 2),
-                         np.zeros((2, 5, 5)), 1.0)
+                         np.zeros((2, 5, 5)), np.stack([np.eye(5)] * 2),
+                         np.zeros((2, 5, 1)), 1.0)
         x_hat = kf_estimate_state(kf, d)
         np.testing.assert_array_equal(x_hat, [[0.0, 1.0], [5.0, 6.0]])
         x_hat[...] = -1.0
@@ -220,7 +224,7 @@ class TestEstimateState:
         for _ in range(50):
             u = rng.standard_normal(1)
             x = model.K @ x + model.B @ u  # identity dictionary: state = lifted
-            kf_predict(kf, model, u)
+            kf_predict(kf, u)
             kf_correct(kf, d, x[d.output_index])
             np.testing.assert_allclose(kf_estimate_state(kf, d), x, atol=1e-8)
 
@@ -230,26 +234,28 @@ class TestAdaptivityContract:
         d = ObservableDictionary(2, "identity")
         slow = KoopmanModel(0.5 * np.eye(2), np.zeros((2, 1)), d)
         fast = KoopmanModel(0.9 * np.eye(2), np.zeros((2, 1)), d)
-        a = KalmanState(np.array([1.0, 1.0]), np.eye(2), np.zeros((2, 2)), 1.0)
+        a = kalman([1.0, 1.0], np.eye(2), np.zeros((2, 2)), 1.0, slow)
         b = copy.deepcopy(a)
-        kf_predict(a, slow, [0.0])
-        kf_predict(b, slow, [0.0])
+        kf_predict(a, [0.0])
+        kf_predict(b, [0.0])
         np.testing.assert_array_equal(a.psi, b.psi)
-        kf_predict(a, fast, [0.0])
+        a.K, a.B = fast.K, fast.B
+        kf_predict(a, [0.0])
         np.testing.assert_allclose(a.psi, 0.9 * b.psi)
 
 
 class TestRelift:
     def test_relift_restores_consistency(self):
         d = ObservableDictionary(1)
-        kf = KalmanState(np.array([0.2, 0.9, 0.1]), np.eye(3),
-                         np.zeros((3, 3)), 0.1, relift_after_correct=True)
+        kf = kalman([0.2, 0.9, 0.1], np.eye(3), np.zeros((3, 3)), 0.1,
+                    relift_after_correct=True)
         kf_correct(kf, d, 0.25)
         np.testing.assert_allclose(kf.psi, d.lift(kf.psi[:1]))
 
 
 # The functional predict/correct the in-place filter replaced, kept verbatim
-# as the reference arithmetic: each returns fresh (psi, P).
+# as the reference arithmetic: each returns fresh (psi, P). The filter has
+# the Joseph form alone; the simple form is the oracle it agrees with.
 def functional_predict(psi, P, Q, model, u):
     psi = model.K @ psi + model.B @ u
     P = model.K @ P @ model.K.T + Q
@@ -294,9 +300,9 @@ class TestInPlaceEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            family=st.sampled_from(["identity", "trig"]),
-           joseph=st.booleans(), relift=st.booleans())
+           relift=st.booleans())
     def test_matches_functional_arithmetic_bitwise(self, seed, family,
-                                                   joseph, relift):
+                                                   relift):
         rng = np.random.default_rng(seed)
         d = _random_dictionary(rng, family)
         N, p = d.size, int(rng.integers(0, 3))
@@ -306,22 +312,23 @@ class TestInPlaceEquivalence:
         R = float(rng.uniform(1e-6, 1.0))
         psi = d.lift(rng.uniform(-1.0, 1.0, size=d.n))
         P = np.eye(N) * rng.uniform(0.01, 2.0)
-        kf = KalmanState(psi.copy(), P.copy(), Q, R, joseph=joseph,
-                         relift_after_correct=relift)
         model = models[0]
+        kf = kalman(psi.copy(), P.copy(), Q, R, model,
+                    relift_after_correct=relift)
         for _ in range(int(rng.integers(1, 25))):
             if rng.uniform() < 0.3:  # a model swap mid-stream
                 model = models[int(rng.integers(0, len(models)))]
+                kf.K, kf.B = model.K, model.B
             y = float(rng.standard_normal())
             u = rng.standard_normal(p)
             old_psi, old_P = kf.psi, kf.P
             snapshot = (old_psi.copy(), old_P.copy())
-            psi, P = functional_correct(psi, P, R, joseph, relift, d, y)
+            psi, P = functional_correct(psi, P, R, True, relift, d, y)
             kf_correct(kf, d, y)
             np.testing.assert_array_equal(kf.psi, psi)
             np.testing.assert_array_equal(kf.P, P)
             psi, P = functional_predict(psi, P, Q, model, u)
-            kf_predict(kf, model, u)
+            kf_predict(kf, u)
             np.testing.assert_array_equal(kf.psi, psi)
             np.testing.assert_array_equal(kf.P, P)
             # the state is rebound to new arrays, never written through
@@ -338,10 +345,9 @@ class TestCellAxis:
     on that cell alone does, to the bit; at C = 1 that is the 1-D call."""
 
     @pytest.mark.parametrize("cells", [1, 5])
-    @pytest.mark.parametrize("joseph", [True, False])
     @pytest.mark.parametrize("relift", [True, False])
-    def test_stack_matches_single_cells_bitwise(self, cells, joseph, relift):
-        rng = np.random.default_rng(100 * cells + 10 * joseph + relift)
+    def test_stack_matches_single_cells_bitwise(self, cells, relift):
+        rng = np.random.default_rng(100 * cells + 10 + relift)
         d = ObservableDictionary(2, output_index=1)
         N, p, R = d.size, 1, 0.3
         singles = []
@@ -349,12 +355,9 @@ class TestCellAxis:
             A = rng.standard_normal((N, N))
             singles.append(KalmanState(
                 d.lift(rng.uniform(-1.0, 1.0, size=d.n)),
-                np.eye(N) * rng.uniform(0.01, 2.0), 1e-3 * (A @ A.T), R,
-                joseph=joseph, relift_after_correct=relift))
-        stack = KalmanState(np.stack([f.psi for f in singles]),
-                            np.stack([f.P for f in singles]),
-                            np.stack([f.Q for f in singles]), R,
-                            joseph=joseph, relift_after_correct=relift)
+                np.eye(N) * rng.uniform(0.01, 2.0), 1e-3 * (A @ A.T),
+                np.eye(N), np.zeros((N, p)), R, relift_after_correct=relift))
+        stack = KalmanState.stack(singles)
         for _ in range(20):
             y = rng.standard_normal(cells)
             kf_correct(stack, d, y)
@@ -364,21 +367,43 @@ class TestCellAxis:
                 assert _same_bits(stack.psi[c], f.psi)
                 assert _same_bits(stack.P[c], f.P)
                 assert _same_bits(x_hat[c], kf_estimate_state(f, d))
-            # every cell predicts through a model of its own
+            # every cell is handed a model of its own, written into its row
             models = [_random_model(rng, d, p) for _ in range(cells)]
-            stacked = SimpleNamespace(K=np.stack([m.K for m in models]),
-                                      B=np.stack([m.B for m in models]))
+            for c, (f, m) in enumerate(zip(singles, models)):
+                stack.K[c], stack.B[c] = m.K, m.B
+                f.K, f.B = m.K, m.B
             u = rng.standard_normal((cells, p))
-            kf_predict(stack, stacked, u)
+            kf_predict(stack, u)
             for c, f in enumerate(singles):
-                kf_predict(f, models[c], u[c])
+                kf_predict(f, u[c])
                 assert _same_bits(stack.psi[c], f.psi)
                 assert _same_bits(stack.P[c], f.P)
 
+    def test_take_copies_rows(self):
+        """take gives the rows asked for, in order and repeated as asked,
+        as copies: writing into them leaves the source alone."""
+        rng = np.random.default_rng(4)
+        N, p = 3, 2
+        source = KalmanState(*(rng.standard_normal(shape) for shape in (
+            (4, N), (4, N, N), (4, N, N), (4, N, N), (4, N, p))), 0.5,
+            relift_after_correct=True)
+        before = copy.deepcopy(source)
+        rows = [2, 0, 2]
+        taken = source.take(rows)
+        for name in ("psi", "P", "Q", "K", "B"):
+            assert _same_bits(getattr(taken, name), getattr(source, name)[rows])
+            getattr(taken, name)[...] = 7.0
+            assert _same_bits(getattr(source, name), getattr(before, name))
+        assert (taken.R, taken.relift_after_correct) == (0.5, True)
+
     def test_stack_shapes_checked(self):
-        N = 3
-        with pytest.raises(DimensionMismatch):
-            KalmanState(np.zeros((2, N)), np.zeros((3, N, N)), np.eye(N), 1.0)
-        with pytest.raises(DimensionMismatch):
-            KalmanState(np.zeros((2, N)), np.zeros((2, N, N)),
-                        np.zeros((3, N, N)), 1.0)
+        """P, Q and the model must match the estimate, the model's size
+        included (so kf_predict need not check it on every call)."""
+        for shapes in (
+                ((2, 3), (3, 3, 3), (2, 3, 3), (2, 3, 3), (2, 3, 1)),  # P
+                ((2, 3), (2, 3, 3), (3, 3, 3), (2, 3, 3), (2, 3, 1)),  # Q
+                ((3,), (3, 3), (3, 3), (4, 4), (3, 1)),  # K
+                ((3,), (3, 3), (3, 3), (3, 3), (4, 1)),  # B
+                ((2, 3), (2, 3, 3), (2, 3, 3), (2, 3, 3), (3, 1))):  # B cells
+            with pytest.raises(DimensionMismatch):
+                KalmanState(*map(np.zeros, shapes), 1.0)

@@ -163,6 +163,13 @@ class TestStepPlant:
         with pytest.raises(DimensionMismatch, match="input of shape"):
             step_plant(PlantModel(), np.zeros(2), u)
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2)), 0.0])
+    def test_wrong_state_shape_rejected(self, x):
+        """A wrong-shaped state is a DimensionMismatch, as an input is,
+        not a ValueError from unpacking it."""
+        with pytest.raises(DimensionMismatch, match="state of shape"):
+            step_plant(PlantModel(), x, [0.0])
+
 
 class TestSchedule:
     def test_empty_schedule_identity(self):

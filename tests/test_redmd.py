@@ -69,6 +69,15 @@ def window_error_oracle(est):
     return float(np.abs(err).max())
 
 
+class TestSettings:
+    @pytest.mark.parametrize("m_op", [2.5, 3.0])
+    def test_non_integer_window_rejected(self, m_op):
+        """A float window length failed only in the estimator's deque, with
+        a TypeError."""
+        with pytest.raises(ValueError, match="m_op must be an integer"):
+            RedmdSettings(m_op=m_op)
+
+
 class TestCorrectionVector:
     """The gain k = Gamma phi / (phi^T Gamma phi + lambda), read off the
     model change of one step."""
@@ -450,11 +459,12 @@ class TestInvariants:
         rng = np.random.default_rng(39)
         d = ObservableDictionary(2, "identity")
         settings = RedmdSettings(m_op=8, eps_low=0.0, lambda0=0.95,
-                                 adaptive_lambda=True, check_spd=True)
+                                 adaptive_lambda=True)
         est = RecursiveEstimator(np.zeros((2, 3)), np.eye(3), d, settings)
         for x, u, x_next in rls_stream(rng, steps=200):
             est.step(x, u, x_next)
             assert np.max(np.abs(est.Gamma - est.Gamma.T)) == 0.0
+            np.linalg.cholesky(est.Gamma)  # and positive definite
 
 
 def _state(est):
