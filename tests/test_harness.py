@@ -1,6 +1,7 @@
 """Tests for the closed-loop harness: loop bookkeeping, metric, training
 data, variants, and the comparison sweep."""
 
+import copy
 import math
 import pickle
 import warnings
@@ -23,6 +24,7 @@ from koopman_adapt.errors import (
     EmptyTrace,
     IllConditionedHessian,
     NonFiniteState,
+    NumericalError,
     RankDeficientRegressor,
 )
 from koopman_adapt.harness import (
@@ -47,8 +49,8 @@ from koopman_adapt.plants import (
     measure,
     step_plant,
 )
-from koopman_adapt.redmd import RedmdSettings
-from koopman_adapt.references import ReferenceSpec
+from koopman_adapt.redmd import RedmdSettings, StepReport
+from koopman_adapt.references import ReferenceSpec, build_reference
 
 TINY_TEXT = """\
 [plant]
@@ -473,6 +475,57 @@ def _cell_config_of(cfg, cell):
                                 cell.speed)
 
 
+def plain_loop(cfg, estimator):
+    """The closed loop of one config as the harness docstring states it,
+    the oracle the lockstep loop is held to: one cell, no stack and no
+    forks, a 1-D filter and the schedule applied every sample. It calls the
+    library's layer functions through the harness module, so that a fault
+    a test injects there reaches both loops. Returns the run's RunResult
+    without its models; a NumericalError ends it as it ends a cell."""
+    h, plant, dictionary = harness, cfg.plant, cfg.dictionary
+    steps, H, variant = h._steps(cfg), cfg.mpc.horizon, cfg.run.variant
+    w = build_reference(cfg.run.reference, steps + H + 1, plant.dt)
+    z = np.random.default_rng([cfg.run.seed, h._RUN_STREAM]).standard_normal(
+        (steps, plant.n + 1))
+    est = copy.deepcopy(estimator)
+    model = est.model
+    solver = h.CondensedMpc(model, cfg.mpc)
+    kf = h.init_kalman(dictionary, w[:, 0], cfg.observer, model=model)
+    records, x, e_cum = h.Trace.empty(steps, plant.n, plant.p), w[:, 0], 0.0
+    written = 0
+    for k in range(steps):
+        t = k * plant.dt
+        try:
+            stepped = h.apply_schedule(plant, cfg.schedule, t)
+            x_meas, y_meas = h.measure(stepped, x, z[k],
+                                       dictionary.output_index)
+            report = (est.step(records.x_meas[k - 1], records.u[k - 1],
+                               x_meas) if k else
+                      StepReport(False, est.lam, est.trace_gamma, math.nan,
+                                 math.inf))
+            if report.updated and variant != "static-static":
+                model = est.model
+                if variant in ("adaptive-ctrl", "adaptive-both"):
+                    solver = h.CondensedMpc(model, cfg.mpc)
+                if variant in ("adaptive-obs", "adaptive-both"):
+                    kf.K, kf.B = model.K, model.B
+            h.kf_correct(kf, dictionary, y_meas)
+            u, _ = solver.solve(kf.psi, w[:, k + 1: k + 1 + H])
+            err = w[:, k] - x
+            e_cum += err @ err
+            records[k] = (t, x, x_meas, h.kf_estimate_state(kf, dictionary),
+                          u, w[:, k], report.lam, report.trace_gamma,
+                          report.updated, report.e_post, report.window_error,
+                          e_cum)
+            written = k + 1
+            x = h.step_plant(stepped, x, u)
+            h.kf_predict(kf, u)
+        except NumericalError as exc:
+            return h.RunResult(records[:written], True,
+                               f"{type(exc).__name__} at t={t:.6g}: {exc}")
+    return h.RunResult(records)
+
+
 def assert_same_trace(a, b):
     """Equal length, layout and bits in every column and in the padding
     between them."""
@@ -493,10 +546,9 @@ def sweep_spy(monkeypatch, short_estimator):
     """Records the RunResults of each run_closed_loop call of a sweep, in
     reporting order (by half, then cell), and counts the plant steps the
     harness takes; the sweep's offline fit is short_estimator, so every
-    counted step is a closed-loop one. ``run_closed_loop`` is the
-    unwrapped function, for runs from scratch."""
+    counted step is a closed-loop one."""
     run, step = harness.run_closed_loop, harness.step_plant
-    spy = SimpleNamespace(runs=[], plant_steps=0, run_closed_loop=run)
+    spy = SimpleNamespace(runs=[], plant_steps=0)
 
     def recording_run(cfg, *, _cells):
         results = run(cfg, _cells=_cells)
@@ -578,6 +630,9 @@ class TestComparison:
     def test_changed_cells_match_runs_from_scratch(self, sweep_spy,
                                                    short_estimator,
                                                    first_event, fork_k):
+        """Each cell of the sweep, whether its configs split on the grid,
+        off it, at the first sample or not at all, equals the plain loop of
+        its config."""
         cfg = short_changes_config(first_event)
         steps = round(SHORT_T_SIM / SHORT_DT)
         halves = (False, True) if first_event < SHORT_T_SIM else (False,)
@@ -598,17 +653,19 @@ class TestComparison:
         assert len(swept) == cells
         assert all(c.ok for c in comparison.cells)
         for cell, result in zip(comparison.cells, swept):
-            scratch = sweep_spy.run_closed_loop(
-                _cell_config_of(cfg, cell), estimator=short_estimator)
+            scratch = plain_loop(_cell_config_of(cfg, cell), short_estimator)
+            assert not scratch.aborted
             assert cell.normalized_error == normalized_error(scratch.records)
             assert_same_trace(result.records, scratch.records)
 
-    @pytest.mark.parametrize("nan_sample", [FORK_K - 10, FORK_K + 10])
+    @pytest.mark.parametrize("nan_sample", [
+        FORK_K - 10, FORK_K - 1, FORK_K, FORK_K + 1, FORK_K + 10])
     def test_abort_before_or_after_the_fork(self, sweep_spy, short_estimator,
                                             monkeypatch, nan_sample):
         """A NaN measurement at one sample aborts every cell, before the
-        split (the unsplit cell ends both its configs) or after (each part
-        ends on its own), with the statuses of runs from scratch."""
+        split (the unsplit cell ends both its configs), in the sample of
+        the split (the parts split, then end) or after (each part ends on
+        its own), with the statuses and rows of the plain loop."""
         measure = harness.measure
         cfg = short_changes_config(FORK_K * SHORT_DT)
         # every cell draws its sensor noise from its configs' seed, one
@@ -627,9 +684,9 @@ class TestComparison:
         comparison = run_comparison(cfg)
         assert len(sweep_spy.runs) == 1
         for cell, result in zip(comparison.cells, sweep_spy.runs[0]):
-            scratch = sweep_spy.run_closed_loop(
-                _cell_config_of(cfg, cell), estimator=short_estimator)
+            scratch = plain_loop(_cell_config_of(cfg, cell), short_estimator)
             assert scratch.aborted
+            assert len(scratch.records) == nan_sample
             assert cell.status == f"aborted: {scratch.reason}"
             assert math.isnan(cell.normalized_error)
             assert_same_trace(result.records, scratch.records)
@@ -639,25 +696,38 @@ class TestComparison:
                                                    monkeypatch):
         """A plant failure on the changed plant (m = 0.8) five samples
         after the split ends each with-changes cell alone, with the
-        status and rows of its run from scratch; the nominal cells run on
-        as in a clean sweep, bit for bit, and no NumPy warning is raised."""
+        status and rows of its plain loop; the nominal cells run on as in
+        a clean sweep, bit for bit, and no NumPy warning is raised."""
         cfg = short_changes_config(FORK_K * SHORT_DT)
         clean = run_comparison(cfg)
         (clean_runs,) = sweep_spy.runs
         step = harness.step_plant
-        # each changed plant's steps so far, by id; the plant is held, so
-        # that its id stays its own. Its sixth step is at sample FORK_K + 5
-        steps_on = {}
 
-        def failing_step(plant, x, u):
-            if plant.m == 0.8:
-                _, count = steps_on.get(id(plant), (plant, 0))
-                steps_on[id(plant)] = (plant, count + 1)
-                if count + 1 == 6:
-                    raise NonFiniteState("plant state went non-finite")
-            return step(plant, x, u)
+        def failing_sixth_step(cell_of):
+            """A plant step that fails on the sixth step each cell takes on
+            the changed plant, at sample FORK_K + 5; cell_of(plant) names
+            the cell a step is on."""
+            steps_on = {}
 
-        monkeypatch.setattr(harness, "step_plant", failing_step)
+            def failing_step(plant, x, u):
+                if plant.m == 0.8:
+                    cell = cell_of(plant)
+                    steps_on[cell] = steps_on.get(cell, 0) + 1
+                    if steps_on[cell] == 6:
+                        raise NonFiniteState("plant state went non-finite")
+                return step(plant, x, u)
+            return failing_step
+
+        # a part of the sweep keeps its plant, so a plant's id names its
+        # cell; the plants are held, so that each id stays its own
+        held = {}
+
+        def sweep_cell(plant):
+            held[id(plant)] = plant
+            return id(plant)
+
+        monkeypatch.setattr(harness, "step_plant",
+                            failing_sixth_step(sweep_cell))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             comparison = run_comparison(cfg)
@@ -668,8 +738,10 @@ class TestComparison:
                 assert cell == before
                 assert_same_trace(result.records, clean_result.records)
                 continue
-            scratch = sweep_spy.run_closed_loop(
-                _cell_config_of(cfg, cell), estimator=short_estimator)
+            # the plain loop is one cell, whose plant is rebuilt each sample
+            monkeypatch.setattr(harness, "step_plant",
+                                failing_sixth_step(lambda plant: None))
+            scratch = plain_loop(_cell_config_of(cfg, cell), short_estimator)
             assert scratch.aborted and result.aborted
             assert cell.status == f"aborted: {scratch.reason}"
             assert len(result.records) == len(scratch.records) == FORK_K + 6
@@ -681,7 +753,7 @@ class TestComparison:
         that change and a second at t2, both off the sample grid) runs as
         one up to the first sample at or after t1, as two up to the first
         at or after t2, then as three. Each config's trace is that of its
-        run from scratch."""
+        plain loop."""
         cfg = short_changes_config(0.305)  # events at 0.305 s and 0.555 s
         e1, e2 = cfg.schedule.events
         cfgs = [replace(cfg, schedule=ChangeSchedule(events))
@@ -710,8 +782,28 @@ class TestComparison:
         assert len(results) == 3
         for c, result in zip(cfgs, results):
             assert not result.aborted
-            scratch = run_closed_loop(c, estimator=short_estimator)
-            assert_same_trace(result.records, scratch.records)
+            assert_same_trace(result.records,
+                              plain_loop(c, short_estimator).records)
+
+    @pytest.mark.parametrize("seed", [12345, 3009016])
+    def test_every_cell_at_two_seeds_equals_the_plain_loop(self, seed):
+        """Every cell of a short sweep, with its own seed's offline fit
+        and noise, equals the plain loop of its config bit for bit, at the
+        reference seed and at one whose adaptive observers diverge in the
+        full-length run."""
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        cfg = replace(cfg, run=replace(cfg.run, seed=seed))
+        estimator = prepare_estimator(cfg)
+        cells = [([harness._cell_config(cfg, variant, h, speed)
+                   for h in (False, True)], estimator, None)
+                 for speed in cfg.run.speeds for variant in VARIANTS]
+        results = run_closed_loop(cfg, _cells=cells)
+        for (cfgs, _, _), runs in zip(cells, results):
+            for c, result in zip(cfgs, runs):
+                want = plain_loop(c, estimator)
+                assert (result.aborted, result.reason) == (want.aborted,
+                                                           want.reason)
+                assert_same_trace(result.records, want.records)
 
     def test_cells_from_several_seeds_in_one_call(self, monkeypatch):
         """The cells of the sweeps at two seeds, each with its own offline
