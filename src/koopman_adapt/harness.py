@@ -11,7 +11,7 @@ The comparison sweep mirrors the four-variant adaptivity study: every
 variant runs without and, when the config has one, with the change schedule
 at each configured reference speed, reporting the cumulated quadratic
 tracking error normalized by the reference energy. Its cells run in
-lockstep, as one closed loop over a leading cell axis.
+lockstep: one closed loop over the rows of one table of stacked columns.
 """
 
 import copy
@@ -52,8 +52,8 @@ class Trace(np.recarray):
     field. Its padding is zero, in a copy too, so that its bytes repeat."""
 
     @classmethod
-    def empty(cls, steps: int, n: int, p: int) -> "Trace":
-        return np.zeros(steps, dtype=np.dtype([
+    def empty(cls, shape, n: int, p: int) -> "Trace":
+        return np.zeros(shape, dtype=np.dtype([
             ("t", float), ("x", float, (n,)), ("x_meas", float, (n,)),
             ("x_hat", float, (n,)), ("u", float, (p,)), ("w", float, (n,)),
             ("lam", float), ("trace_gamma", float), ("updated", bool),
@@ -122,96 +122,97 @@ def _steps(cfg: ExperimentConfig) -> int:
     return max(1, round(cfg.run.t_sim / cfg.plant.dt))
 
 
-class _Cell:
-    """One cell of a lockstep run: its closed loop's state apart from its
-    row of the run's stacked filter, its plant state x, its reference w
-    and its sensor draws z. It stands for its members, (slot, config)
-    pairs with the (cell, config) index of the result as slot, whose
-    configs differ only in their schedules and have applied the same events
-    so far; next_event is the first event time after those."""
+class _Cells:
+    """The live cells of a lockstep run, one row each. Its columns carry a
+    leading cell axis: the stacked filter kf, the plant states x (C, n),
+    each row's index into the run's sensor draws, and the trace rows (C,
+    steps), a view of each field of which is in trace. Its lists, named in
+    OBJECTS, hold per row what still runs cell by cell: the reference, the
+    plant, the estimator, the solver, the observer's and the initial model,
+    and the members, (slot, config) pairs with the (cell, config) index of
+    the result as slot, whose configs differ only in their schedules and
+    have applied the same change events so far, before next_event."""
 
-    def __init__(self, members: list, est: RecursiveEstimator,
-                 w: np.ndarray, z: np.ndarray, records: Trace):
-        cfg = members[0][1]
-        self.members, self.cfg, self.next_event = members, cfg, -math.inf
-        self.est, self.w, self.z, self.records = est, w, z, records
-        self.plant, self.applied = cfg.plant, 0  # events applied to it
-        self.x = w[:, 0].copy()
-        self.adapt_ctrl = cfg.run.variant in ("adaptive-ctrl", "adaptive-both")
-        self.adapt_obs = cfg.run.variant in ("adaptive-obs", "adaptive-both")
-        self.initial_model = self.obs_model = est.model
-        self.solver = CondensedMpc(self.initial_model, cfg.mpc)
-        self.written = 0  # rows of records filled so far
-        self.report = self.prev_meas = self.prev_u = None
+    OBJECTS = ("w", "plant", "est", "solver", "obs_model", "initial_model",
+               "members", "next_event")
 
-    def split(self, t: float) -> list:
-        """At the top of the sample at time t, which reaches next_event
-        (the first sample reaches the initial -inf): keep the members
-        whose applied events at t are the first member's, return a copy of
-        this cell for each other set, and rebuild each part's plant if its
-        applied events grew. A copy is exact, as its members' runs equal
-        this cell's so far; it copies what the run changes in place, the
-        estimator and the trace's rows."""
-        groups = {}  # the members by applied events, first member's first
-        for member in self.members:
-            groups.setdefault(member[1].schedule.applied(t), []).append(member)
-        parts = [self] + [copy.copy(self) for _ in range(len(groups) - 1)]
-        for part, (applied, members) in zip(parts, groups.items()):
-            if part is not self:
-                part.est = copy.deepcopy(self.est)
-                part.records = self.records.copy()
-            part.members, part.cfg = members, members[0][1]
-            part.next_event = min((e[0] for _, c in members
-                                   for e in c.schedule.events[len(applied):]),
-                                  default=math.inf)
-            if len(applied) > part.applied:
-                part.plant = apply_schedule(part.plant, part.cfg.schedule, t)
-                part.applied = len(applied)
-        return parts[1:]
+    def __init__(self, kf: KalmanState, x, source, records, *objects: list):
+        self.kf, self.x, self.source, self.records = kf, x, source, records
+        self.trace = {name: records[name] for name in records.dtype.names}
+        for name, values in zip(self.OBJECTS, objects, strict=True):
+            setattr(self, name, values)
 
-    def update(self, k: int, x_meas) -> bool:
-        """Sample k's estimator step and model handover; whether the
-        observer took a new model."""
-        est = self.est
-        if k:  # the transition into this sample
-            report = est.step(self.prev_meas, self.prev_u, x_meas)
-        else:  # no transition yet: the warm-up sentinels
-            report = StepReport(False, est.lam, est.trace_gamma, math.nan,
-                                math.inf)
-        self.report = report
-        if not (report.updated and (self.adapt_ctrl or self.adapt_obs)):
-            return False
-        model = est.model  # one snapshot serves both consumers
-        if self.adapt_ctrl:
-            self.solver = CondensedMpc(model, self.cfg.mpc)
-        if self.adapt_obs:
-            self.obs_model = model
-        return self.adapt_obs
+    def take(self, rows: list) -> "_Cells":
+        """A table of the given rows, in order: copies of their columns and
+        filter rows, and their objects, which the run rebinds but does not
+        change, apart from the estimator: a repeated row gets a copy."""
+        # np.take copies whole rows, padding included: it stays zero
+        cells = _Cells(self.kf.take(rows), self.x[rows], self.source[rows],
+                       np.take(self.records, rows, axis=0),
+                       *([getattr(self, name)[r] for r in rows]
+                         for name in self.OBJECTS))
+        for i, r in enumerate(rows):
+            if rows.index(r) < i:
+                cells.est[i] = copy.deepcopy(self.est[r])
+        return cells
 
-    def end(self, out: list, exc: NumericalError | None = None,
-            t: float = 0.0) -> None:
-        """End the cell with the rows written (aborted by exc in the sample
-        at time t when exc is given), fill in their running error, each
-        row's err @ err summed in order, and give each member its RunResult
-        in out, with its own rows."""
-        records = self.records[:self.written]
-        err = records.w - records.x
-        records.e_cum = np.cumsum((err[:, None, :] @ err[:, :, None])[:, 0, 0])
-        reason = (f"{type(exc).__name__} at t={t:.6g}: {exc}"
-                  if exc is not None else "")
-        result = RunResult(records, exc is not None, reason,
-                           self.initial_model, self.solver.model,
-                           self.obs_model)
-        for m, ((i, j), _) in enumerate(self.members):
-            out[i][j] = replace(result, records=records.copy()) if m else result
+    def split(self, t: float) -> "_Cells":
+        """At the top of the sample at time t, a row whose next_event t
+        reaches (the first sample reaches -inf) keeps the members whose
+        applied events are its first member's; each other set takes a new
+        row at the end, an exact copy, as their runs are the same so far. A
+        part applying an event at or after next_event rebuilds its plant."""
+        rows, parts = list(range(len(self.est))), []
+        for j in [j for j, e in enumerate(self.next_event) if e <= t]:
+            groups = {}  # the members by applied events, first member's first
+            for member in self.members[j]:
+                groups.setdefault(member[1].schedule.applied(t),
+                                  []).append(member)
+            for i, (applied, members) in enumerate(groups.items()):
+                parts.append((len(rows) if i else j, applied, members))
+                rows += [j] if i else []
+        cells = self.take(rows) if len(rows) > len(self.est) else self
+        for j, applied, members in parts:
+            cells.members[j], schedule = members, members[0][1].schedule
+            if applied and applied[-1][0] >= cells.next_event[j]:
+                cells.plant[j] = apply_schedule(cells.plant[j], schedule, t)
+            cells.next_event[j] = min(
+                (e[0] for _, c in members
+                 for e in c.schedule.events[len(applied):]), default=math.inf)
+        return cells
 
+    def hand_over(self, j: int) -> None:
+        """Hand one snapshot of row j's updated model to the controller and
+        to the observer's filter row, as the row's variant adapts them."""
+        cfg = self.members[j][0][1]
+        if cfg.run.variant != "static-static":
+            model = self.est[j].model
+            if cfg.run.variant != "adaptive-obs":
+                self.solver[j] = CondensedMpc(model, cfg.mpc)
+            if cfg.run.variant != "adaptive-ctrl":
+                self.obs_model[j] = model
+                self.kf.K[j], self.kf.B[j] = model.K, model.B
 
-def _drop(ended: list, live: list, kf: KalmanState, *arrays) -> tuple:
-    """The live cells but the ended ones (indices into live), with their
-    rows of the filter kf and of each array."""
-    keep = [j for j in range(len(live)) if j not in ended]
-    return ([live[j] for j in keep], kf.take(keep),
-            *(a[keep] for a in arrays))
+    def end(self, out: list, ended: dict, t: float = 0.0) -> "_Cells":
+        """End the rows in ended, each mapped to the count of trace rows it
+        wrote and to the NumericalError that aborted it in the sample at
+        time t, or None: give each of their members its RunResult in out,
+        with its own copy of those rows. The table of the other rows."""
+        for j, (written, exc) in ended.items():
+            records = self.records[j, :written].view(Trace)
+            records.w = self.w[j][:, :written].T
+            err = records.w - records.x  # the running error, summed in order
+            records.e_cum = np.cumsum(
+                (err[:, None, :] @ err[:, :, None])[:, 0, 0])
+            reason = (f"{type(exc).__name__} at t={t:.6g}: {exc}"
+                      if exc is not None else "")
+            for m, ((i, col), _) in enumerate(self.members[j]):
+                out[i][col] = RunResult(
+                    records if m == 0 and len(ended) == len(self.est)
+                    else records.copy(), exc is not None, reason,
+                    self.initial_model[j], self.solver[j].model,
+                    self.obs_model[j])
+        return self.take([j for j in range(len(self.est)) if j not in ended])
 
 
 def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
@@ -223,98 +224,96 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
     (n, >= steps + horizon) of finite values overrides the configured
     reference generator.
 
-    The loop runs over a leading axis of cells, one cell here. Per sample,
-    the sensor and the Kalman filter run once for all live cells; the
-    estimator, the controller and the plant run cell by cell, and a cell's
-    running error is summed over its whole trace when it ends. Each cell's
-    numbers are those of its run alone, to the bit. A NumericalError ends
-    its cell alone, with the rows it wrote, and the cell leaves the stacked
-    filter and arrays; its reason says the time of the sample it ended in.
+    The loop runs over the rows of one cell table, _Cells, one row here.
+    Per sample, the sensor and the Kalman filter run once on its columns
+    for all live cells, the estimator, the controller and the plant row by
+    row, and each phase writes its trace columns: each cell's numbers are
+    those of its run alone, to the bit. A NumericalError ends its cell
+    alone, with the rows it wrote and the time of its sample in its reason;
+    _Cells.take cuts the filter and every column to the rest, as it copies
+    rows where cells split.
 
     ``_cells`` (used by run_comparison) runs a list of cells in this one
     call and returns, per cell, its configs' RunResults. A cell is
     ``(configs, estimator, reference)``: a run's arguments with a list of
     configs that differ only in their schedules, run as one until their
-    applied change events differ (see _Cell.split). Each cell draws its
+    applied change events differ (see _Cells.split). Each cell draws its
     noise from its configs' seed; all share cfg's plant shape, dictionary,
     horizon, observer settings and length.
     """
-    cells = [([cfg], estimator, reference)] if _cells is None else _cells
+    specs = [([cfg], estimator, reference)] if _cells is None else _cells
     plant, dictionary, H = cfg.plant, cfg.dictionary, cfg.mpc.horizon
     n, steps = plant.n, _steps(cfg)
-    # each distinct reference and seed once; n + 1 sensor draws per sample
-    reference_of = functools.cache(
+    reference_of = functools.cache(  # each distinct reference once
         lambda spec: build_reference(spec, steps + H + 1, plant.dt))
-    draws_of = functools.cache(lambda seed: default_rng(
-        [seed, _RUN_STREAM]).standard_normal((steps, n + 1)))
-    live, out = [], []
-    for i, (cfgs, est, w) in enumerate(cells):
-        run = cfgs[0].run
+    seeds, rows = {}, []  # each seed's index; each cell's row of the table
+    for i, (cfgs, est, w) in enumerate(specs):
         if w is None:
-            w = reference_of(run.reference)
+            w = reference_of(cfgs[0].run.reference)
         else:
             w = np.asarray(w, dtype=float)
             if (w.ndim != 2 or w.shape[0] != n or w.shape[1] < steps + H
                     or not np.isfinite(w).all()):
                 raise ValueError(f"reference override must be ({n}, >= "
                                  f"{steps + H}) and finite")
-        if est is None:
-            est = prepare_estimator(cfgs[0])
-        live.append(_Cell([((i, j), c) for j, c in enumerate(cfgs)],
-                          copy.deepcopy(est), w, draws_of(run.seed),
-                          Trace.empty(steps, n, plant.p)))
-        out.append([None] * len(cfgs))
-    kf = KalmanState.stack([init_kalman(dictionary, c.w[:, 0], cfg.observer,
-                                        model=c.initial_model) for c in live])
+        est = copy.deepcopy(prepare_estimator(cfgs[0]) if est is None else est)
+        model = est.model
+        rows.append((
+            init_kalman(dictionary, w[:, 0], cfg.observer, model=model),
+            w[:, 0], seeds.setdefault(cfgs[0].run.seed, len(seeds)), w,
+            cfgs[0].plant, est, CondensedMpc(model, cfgs[0].mpc), model,
+            model, [((i, j), c) for j, c in enumerate(cfgs)], -math.inf))
+    kf, x, source, *objects = zip(*rows)
+    draws = np.array([default_rng([seed, _RUN_STREAM]).standard_normal(
+        (steps, n + 1)) for seed in seeds])  # n + 1 draws per sample
+    cells = _Cells(KalmanState.stack(kf), np.array(x), np.array(source),
+                   Trace.empty((len(rows), steps), n, plant.p).view(
+                       np.ndarray), *map(list, objects))
+    out = [[None] * len(cfgs) for cfgs, _, _ in specs]
     for k in range(steps):
-        if not live:
+        if not cells.est:
             break
         t = k * plant.dt
-        parts = [(j, part) for j, c in enumerate(live)
-                 if c.next_event <= t for part in c.split(t)]
-        if parts:  # each part's rows are copies of its parent's
-            kf = kf.take([*range(len(live)), *(j for j, _ in parts)])
-            live += [part for _, part in parts]
-        x_true = np.array([c.x for c in live])
-        x_meas, y_meas = measure(plant, x_true,
-                                 np.array([c.z[k] for c in live]),
+        cells = cells.split(t)
+        rec, x = cells.trace, cells.x
+        x_meas, y_meas = measure(plant, x, draws[cells.source, k],
                                  dictionary.output_index)
-        ended = []
-        for j, c in enumerate(live):
-            try:
-                if c.update(k, x_meas[j]):
-                    kf.K[j], kf.B[j] = c.obs_model.K, c.obs_model.B
+        rec["t"][:, k], rec["x"][:, k], rec["x_meas"][:, k] = t, x, x_meas
+        prev_meas, prev_u = rec["x_meas"][:, k - 1], rec["u"][:, k - 1]
+        lam, gamma, updated, e_post, window = (
+            rec[name][:, k] for name in ("lam", "trace_gamma", "updated",
+                                         "e_post", "window_error"))
+        ended = {}
+        for j, est in enumerate(cells.est):
+            try:  # the transition into this sample, or the warm-up sentinels
+                r = (est.step(prev_meas[j], prev_u[j], x_meas[j]) if k else
+                     StepReport(False, est.lam, est.trace_gamma, math.nan,
+                                math.inf))
+                if r.updated:
+                    cells.hand_over(j)
             except NumericalError as exc:
-                c.end(out, exc, t)
-                ended.append(j)
+                ended[j] = (k, exc)
+                continue
+            lam[j], gamma[j], updated[j] = r.lam, r.trace_gamma, r.updated
+            e_post[j], window[j] = r.e_post, r.window_error
         if ended:  # the rest of the sample runs on the cells left, if any
-            live, kf, x_true, x_meas, y_meas = _drop(
-                ended, live, kf, x_true, x_meas, y_meas)
-        kf_correct(kf, dictionary, y_meas)
-        x_hat = kf_estimate_state(kf, dictionary)
-        u, ended = np.empty((len(live), plant.p)), []
-        for j, c in enumerate(live):
-            w = c.w
-            u0, _ = c.solver.solve(kf.psi[j], w[:, k + 1: k + 1 + H])
-            r = c.report
-            # the running error is filled in when the cell ends
-            c.records[k] = (t, x_true[j], x_meas[j], x_hat[j], u0, w[:, k],
-                            r.lam, r.trace_gamma, r.updated, r.e_post,
-                            r.window_error, 0.0)
-            c.written = k + 1
-            u[j] = u0
+            cells = cells.end(out, ended, t)
+            y_meas = np.delete(y_meas, list(ended))
+        kf_correct(cells.kf, dictionary, y_meas)
+        rec, psi = cells.trace, cells.kf.psi
+        rec["x_hat"][:, k] = kf_estimate_state(cells.kf, dictionary)
+        u, ended = np.empty((len(cells.est), plant.p)), {}
+        for j, solver in enumerate(cells.solver):
+            u[j], _ = solver.solve(psi[j], cells.w[j][:, k + 1: k + 1 + H])
             try:
-                c.x = step_plant(c.plant, c.x, u0)
+                cells.x[j] = step_plant(cells.plant[j], cells.x[j], u[j])
             except NumericalError as exc:
-                c.end(out, exc, t)
-                ended.append(j)
-            else:
-                c.prev_meas, c.prev_u = x_meas[j], u0
+                ended[j] = (k + 1, exc)
+        rec["u"][:, k] = u
         if ended:
-            live, kf, u = _drop(ended, live, kf, u)
-        kf_predict(kf, u)
-    for c in live:
-        c.end(out)
+            cells, u = cells.end(out, ended, t), np.delete(u, list(ended), 0)
+        kf_predict(cells.kf, u)
+    cells.end(out, dict.fromkeys(range(len(cells.est)), (steps, None)))
     return out if _cells is not None else out[0][0]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .edmd import KoopmanModel, _as_input
+from .edmd import KoopmanModel
 from .errors import DimensionMismatch
 from .observables import ObservableDictionary
 
@@ -30,9 +30,9 @@ _CELL_FIELDS = ("psi", "P", "Q", "K", "B")
 
 @dataclass
 class ObserverSettings:
-    """Filter tuning: process noise scale q, measurement variance r,
-    optional re-lifting after correction, and the initial covariance
-    p0*I."""
+    """Filter tuning: process noise scale q, measurement variance r, optional
+    re-lifting after correction, and the initial covariance p0*I; the shipped
+    scenario's are q = 0.01, r = 1e-6, p0 = 0.01, re-lift on, not these."""
 
     q: float = 1e-6
     r: float = 1e-4
@@ -113,12 +113,12 @@ def init_kalman(dictionary: ObservableDictionary, x0,
     )
 
 
-def kf_predict(kf: KalmanState, u=None) -> None:
+def kf_predict(kf: KalmanState, u) -> None:
     """Time update through the filter's model, in place: psi <- K psi + B u,
-    P <- K P K^T + Q. A stack of filters takes u as (C, p)."""
-    K, B = kf.K, kf.B
-    if kf.psi.ndim == 1:
-        u = _as_input(u, B.shape[1])
+    P <- K P K^T + Q. u is (p,), or (C, p) for a stack of C filters."""
+    K, B, u = kf.K, kf.B, np.asarray(u, dtype=float)
+    if u.shape != B[..., 0, :].shape:
+        raise DimensionMismatch(f"input {u.shape} is not {B[..., 0, :].shape}")
     P = K @ kf.P @ K.swapaxes(-1, -2) + kf.Q
     kf.psi = (K @ kf.psi[..., None])[..., 0] + (B @ u[..., None])[..., 0]
     kf.P = (P + P.swapaxes(-1, -2)) / 2.0

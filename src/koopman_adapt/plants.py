@@ -31,7 +31,8 @@ class PlantModel:
     measurement noise std (used by the identification path), a scalar or
     one value per state; noise_y the scalar output noise std (observer
     path). dt is the controller sample time, integrated in `substeps` RK4
-    steps. noise_x_vector holds noise_x as a read-only length-n vector,
+    steps; the defaults, 1e-3 in one step, are not the shipped scenario's,
+    0.01 in 8. noise_x_vector holds noise_x as a read-only length-n vector,
     validated once here, and pendulum_coeffs (d, c, m g l, m l^2) as floats.
     """
 

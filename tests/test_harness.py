@@ -695,23 +695,25 @@ class TestComparison:
                                                    short_estimator,
                                                    monkeypatch):
         """A plant failure on the changed plant (m = 0.8) five samples
-        after the split ends each with-changes cell alone, with the
-        status and rows of its plain loop; the nominal cells run on as in
-        a clean sweep, bit for bit, and no NumPy warning is raised."""
+        after the split ends each with-changes cell of the first speed
+        alone, with the status and rows of its plain loop; the other cells,
+        those of the second speed whose rows come after the ended ones
+        included, run on as in a clean sweep, bit for bit, and no NumPy
+        warning is raised."""
         cfg = short_changes_config(FORK_K * SHORT_DT)
         clean = run_comparison(cfg)
         (clean_runs,) = sweep_spy.runs
         step = harness.step_plant
 
         def failing_sixth_step(cell_of):
-            """A plant step that fails on the sixth step each cell takes on
+            """A plant step that fails on the sixth step a cell takes on
             the changed plant, at sample FORK_K + 5; cell_of(plant) names
-            the cell a step is on."""
+            the cell a step is on, or is None for a cell that runs on."""
             steps_on = {}
 
             def failing_step(plant, x, u):
-                if plant.m == 0.8:
-                    cell = cell_of(plant)
+                cell = cell_of(plant) if plant.m == 0.8 else None
+                if cell is not None:
                     steps_on[cell] = steps_on.get(cell, 0) + 1
                     if steps_on[cell] == 6:
                         raise NonFiniteState("plant state went non-finite")
@@ -719,33 +721,36 @@ class TestComparison:
             return failing_step
 
         # a part of the sweep keeps its plant, so a plant's id names its
-        # cell; the plants are held, so that each id stays its own
+        # cell; the plants are held, so that each id stays its own. The
+        # sweep steps its cells in reporting order, so the first changed
+        # plants it steps are those of the first speed's cells
         held = {}
 
-        def sweep_cell(plant):
-            held[id(plant)] = plant
-            return id(plant)
+        def first_speed_cell(plant):
+            held.setdefault(id(plant), plant)
+            return id(plant) if list(held).index(id(plant)) < 4 else None
 
         monkeypatch.setattr(harness, "step_plant",
-                            failing_sixth_step(sweep_cell))
+                            failing_sixth_step(first_speed_cell))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             comparison = run_comparison(cfg)
         runs = sweep_spy.runs[1]
         for cell, result, before, clean_result in zip(
                 comparison.cells, runs, clean.cells, clean_runs):
-            if not cell.with_changes:
+            if not (cell.with_changes and cell.speed == cfg.run.speeds[0]):
                 assert cell == before
                 assert_same_trace(result.records, clean_result.records)
                 continue
             # the plain loop is one cell, whose plant is rebuilt each sample
             monkeypatch.setattr(harness, "step_plant",
-                                failing_sixth_step(lambda plant: None))
+                                failing_sixth_step(lambda plant: 0))
             scratch = plain_loop(_cell_config_of(cfg, cell), short_estimator)
             assert scratch.aborted and result.aborted
             assert cell.status == f"aborted: {scratch.reason}"
             assert len(result.records) == len(scratch.records) == FORK_K + 6
             assert_same_trace(result.records, scratch.records)
+        assert sum(not c.ok for c in comparison.cells) == len(VARIANTS)
 
     def test_a_cell_splits_where_its_configs_applied_events_differ(
             self, short_estimator, monkeypatch):

@@ -396,6 +396,24 @@ class TestCellAxis:
             assert _same_bits(getattr(source, name), getattr(before, name))
         assert (taken.R, taken.relift_after_correct) == (0.5, True)
 
+    @pytest.mark.parametrize("u", [
+        np.ones(1), [[1.0], [1.0]], np.ones((3, 2)), np.ones((3, 1, 1))],
+        ids=["one-for-all-cells", "nested-list-of-two", "two-channels",
+             "extra-axis"])
+    def test_stack_input_shape_checked(self, u):
+        """A stack of three one-input filters takes one input per cell,
+        (3, 1); any other input raises DimensionMismatch and leaves the
+        stack as it was."""
+        rng = np.random.default_rng(6)
+        N = 3
+        stack = KalmanState(*(rng.standard_normal(shape) for shape in (
+            (3, N), (3, N, N), (3, N, N), (3, N, N), (3, N, 1))), 0.5)
+        before = copy.deepcopy(stack)
+        with pytest.raises(DimensionMismatch, match=r"\(3, 1\)"):
+            kf_predict(stack, u)
+        for name in ("psi", "P"):
+            assert _same_bits(getattr(stack, name), getattr(before, name))
+
     def test_stack_shapes_checked(self):
         """P, Q and the model must match the estimate, the model's size
         included (so kf_predict need not check it on every call)."""
