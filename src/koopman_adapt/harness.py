@@ -196,8 +196,8 @@ class _Cells:
     def end(self, out: list, ended: dict, t: float = 0.0) -> "_Cells":
         """End the rows in ended, each mapped to the count of trace rows it
         wrote and to the NumericalError that aborted it in the sample at
-        time t, or None: give each of their members its RunResult in out,
-        with its own copy of those rows. The table of the other rows."""
+        time t, or None: give each member its RunResult in out, with a copy
+        of those rows (the first a view when no row is left). The rest."""
         for j, (written, exc) in ended.items():
             records = self.records[j, :written].view(Trace)
             records.w = self.w[j][:, :written].T
