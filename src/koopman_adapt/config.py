@@ -8,8 +8,8 @@ Grammar (one nesting level, INI-style):
 
 Every key has one kind, declared in ``_KEYS``, and its value is parsed by
 that kind alone: an integer, a float, a flag (``true`` or ``false``), a
-string (optionally quoted), a comma list of floats, ``data`` or a float,
-or the plant change schedule as (time, name, value) groups::
+string (optionally quoted), a comma list of floats, or the plant change
+schedule as (time, name, value) groups::
 
     schedule = (4.0, m, 0.8), (4.0, d, 0.12)
 
@@ -75,10 +75,6 @@ def _events(text: str) -> list:
     return events
 
 
-def _data_or_float(text: str):
-    return "data" if _string(text) == "data" else float(text)
-
-
 # Each key's kind: the parser of its value text.
 _KEYS = {
     "plant": {"kind": _string, "m": float, "l": float, "g": float,
@@ -89,7 +85,7 @@ _KEYS = {
     "redmd": {"lambda0": float, "lambda_min": float, "m_op": int,
               "eps_low": float, "eps_high": float, "n0": float,
               "mu_sigma": float, "trace_max_factor": float,
-              "gamma_init": _data_or_float, "state_scales": _floats,
+              "gamma_init": _string, "state_scales": _floats,
               "adaptive_lambda": _flag},
     "mpc": {"horizon": int, "qy": _floats, "ru": _floats,
             "terminal_weight": float, "u_min": _floats, "u_max": _floats,
@@ -98,7 +94,7 @@ _KEYS = {
                  "relift_after_correct": _flag, "p0": float},
     "run": {"t_sim": float, "seed": int, "variant": _string,
             "ref_kind": _string, "ref_amplitude": float, "ref_speed": float,
-            "ref_hold": float, "ref_freq": float, "train_duration": float,
+            "ref_hold": float, "train_duration": float,
             "train_amplitude": float, "speeds": _floats},
 }
 
@@ -154,20 +150,20 @@ class RunSettings:
     def __post_init__(self):
         self.speeds = tuple(self.speeds)
         if not 0 < self.t_sim < math.inf:
-            raise ConfigError(f"t_sim must be finite and > 0, got {self.t_sim}")
+            raise ValueError(f"t_sim must be finite and > 0, got {self.t_sim}")
         if self.seed < 0:  # default_rng takes no negative seed
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
-            raise ConfigError(
+            raise ValueError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not 0 < self.train_duration < math.inf:
-            raise ConfigError("train_duration must be finite and > 0")
+            raise ValueError("train_duration must be finite and > 0")
         if not all(map(math.isfinite, (self.train_amplitude, *self.speeds))):
-            raise ConfigError("train_amplitude and speeds must be finite")
+            raise ValueError("train_amplitude and speeds must be finite")
         if not self.speeds:
-            raise ConfigError("speeds must not be empty")
+            raise ValueError("speeds must not be empty")
         if len(set(self.speeds)) < len(self.speeds):
-            raise ConfigError(f"speeds must not repeat, got {self.speeds}")
+            raise ValueError(f"speeds must not repeat, got {self.speeds}")
 
 
 @dataclass
@@ -198,7 +194,9 @@ def assemble(sections: dict) -> ExperimentConfig:
     sections = {name: dict(sec) for name, sec in sections.items()}
     # keys with one legal value, which files may still write
     for name, key, legal in (("plant", "kind", "pendulum"),
-                             ("observer", "joseph", True)):
+                             ("redmd", "gamma_init", "data"),
+                             ("observer", "joseph", True),
+                             ("run", "ref_kind", "rest-to-rest")):
         value = sections.get(name, {}).pop(key, legal)
         if value != legal:
             raise ConfigError(f"[{name}] {key}: the only legal value is "

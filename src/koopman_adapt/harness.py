@@ -71,14 +71,12 @@ class Trace(np.recarray):
 
 @dataclass
 class RunResult:
-    """A full trace plus the models in play at the end of the run."""
+    """A run's trace and how it ended: aborted by a NumericalError, whose
+    type, time and message the reason gives, or run to the end."""
 
     records: Trace
     aborted: bool = False
     reason: str = ""
-    initial_model: object = None
-    controller_model: object = None
-    observer_model: object = None
 
 
 def generate_training_data(cfg: ExperimentConfig) -> SnapshotSet:
@@ -124,17 +122,16 @@ def _steps(cfg: ExperimentConfig) -> int:
 
 class _Cells:
     """The live cells of a lockstep run, one row each. Its columns carry a
-    leading cell axis: the stacked filter kf, the plant states x (C, n),
-    each row's index into the run's sensor draws, and the trace rows (C,
-    steps), a view of each field of which is in trace. Its lists, named in
-    OBJECTS, hold per row what still runs cell by cell: the reference, the
-    plant, the estimator, the solver, the observer's and the initial model,
+    leading cell axis: the stacked filter kf, whose rows hold the observers'
+    models, the plant states x (C, n), each row's index into the run's
+    sensor draws, and the trace rows (C, steps), a view of each field of
+    which is in trace. Its lists, named in OBJECTS, hold per row what still
+    runs cell by cell: the reference, the plant, the estimator, the solver,
     and the members, (slot, config) pairs with the (cell, config) index of
     the result as slot, whose configs differ only in their schedules and
     have applied the same change events so far, before next_event."""
 
-    OBJECTS = ("w", "plant", "est", "solver", "obs_model", "initial_model",
-               "members", "next_event")
+    OBJECTS = ("w", "plant", "est", "solver", "members", "next_event")
 
     def __init__(self, kf: KalmanState, x, source, records, *objects: list):
         self.kf, self.x, self.source, self.records = kf, x, source, records
@@ -190,7 +187,6 @@ class _Cells:
             if cfg.run.variant != "adaptive-obs":
                 self.solver[j] = CondensedMpc(model, cfg.mpc)
             if cfg.run.variant != "adaptive-ctrl":
-                self.obs_model[j] = model
                 self.kf.K[j], self.kf.B[j] = model.K, model.B
 
     def end(self, out: list, ended: dict, t: float = 0.0) -> "_Cells":
@@ -209,9 +205,7 @@ class _Cells:
             for m, ((i, col), _) in enumerate(self.members[j]):
                 out[i][col] = RunResult(
                     records if m == 0 and len(ended) == len(self.est)
-                    else records.copy(), exc is not None, reason,
-                    self.initial_model[j], self.solver[j].model,
-                    self.obs_model[j])
+                    else records.copy(), exc is not None, reason)
         return self.take([j for j in range(len(self.est)) if j not in ended])
 
 
@@ -261,8 +255,8 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         rows.append((
             init_kalman(dictionary, w[:, 0], cfg.observer, model=model),
             w[:, 0], seeds.setdefault(cfgs[0].run.seed, len(seeds)), w,
-            cfgs[0].plant, est, CondensedMpc(model, cfgs[0].mpc), model,
-            model, [((i, j), c) for j, c in enumerate(cfgs)], -math.inf))
+            cfgs[0].plant, est, CondensedMpc(model, cfgs[0].mpc),
+            [((i, j), c) for j, c in enumerate(cfgs)], -math.inf))
     kf, x, source, *objects = zip(*rows)
     draws = np.array([default_rng([seed, _RUN_STREAM]).standard_normal(
         (steps, n + 1)) for seed in seeds])  # n + 1 draws per sample
@@ -335,7 +329,7 @@ def reference_energy(records) -> float:
 
 def normalized_error(records) -> float:
     """Final cumulated error over the reference energy; inf when the
-    reference has no energy (a zero hold, say)."""
+    reference has no energy (an all-zero reference override, say)."""
     norm = reference_energy(records)
     return compute_metric(records) / norm if norm > 0 else math.inf
 
@@ -377,10 +371,9 @@ def _cell_result(cfg: ExperimentConfig, result: RunResult) -> CellResult:
 
 
 def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
-    """Run all variants x {no changes, changes} x reference speeds (the
-    run's speeds for a rest-to-rest reference, else the reference's own);
-    the with-changes half runs only when some change event acts within
-    the run.
+    """Run all variants x {no changes, changes} x the run's speeds; the
+    with-changes half runs only when some change event acts within the
+    run.
 
     The offline fit is shared across cells (each gets a deep copy). All
     cells run in lockstep in one run_closed_loop call, one cell per speed
@@ -388,18 +381,15 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
     that they run as one up to the first change event. Cells are reported
     by half, then speed, then variant.
     """
-    # only the rest-to-rest reference reads its speed; without a change
-    # that acts within the run (by the last sample) the with-changes half
-    # would repeat the nominal one
-    reference = cfg.run.reference
-    speeds = (cfg.run.speeds if reference.kind == "rest-to-rest"
-              else (reference.speed,))
+    # without a change that acts within the run (by the last sample) the
+    # with-changes half would repeat the nominal one
     halves = ((False, True)
               if cfg.schedule.applied((_steps(cfg) - 1) * cfg.plant.dt)
               else (False,))
     estimator = prepare_estimator(cfg)
     cells = [([_cell_config(cfg, variant, h, speed) for h in halves],
-              estimator, None) for speed in speeds for variant in VARIANTS]
+              estimator, None) for speed in cfg.run.speeds
+             for variant in VARIANTS]
     results = run_closed_loop(cfg, _cells=cells)
     return ComparisonResult([
         _cell_result(cfgs[h], runs[h]) for h in range(len(halves))

@@ -90,8 +90,7 @@ def recursive_batch_max_error(n_systems: int = 20, seed: int = 2024,
         pairs = _simulate(A, B, rng, m0 + n_extra)
         settings = RedmdSettings(
             lambda0=1.0, eps_low=0.0, eps_high=np.inf,
-            trace_max_factor=np.inf, adaptive_lambda=False,
-            gamma_init="data", m_op=10)
+            trace_max_factor=np.inf, adaptive_lambda=False, m_op=10)
         est = init_from_batch(collect_snapshots(pairs[: m0 + 1]), dictionary,
                               settings)
         for k in range(m0, m0 + n_extra):

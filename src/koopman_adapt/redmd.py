@@ -3,9 +3,10 @@ exponential forgetting, plus the three stabilizing extensions — update
 gating on windowed prediction accuracy, a variable forgetting factor driven
 by the output error, and constant-trace covariance bounding.
 
-With forgetting factor 1, an exact-Gram covariance init, and the gate held
-open, the recursion reproduces the batch EDMD fit on the union of all data;
-that equivalence is the module's central correctness oracle.
+With forgetting factor 1 and the gate held open, the recursion started by
+init_from_batch (at the exact Gram inverse) reproduces the batch EDMD fit
+on the union of all data; that equivalence is the module's central
+correctness oracle.
 """
 
 import math
@@ -21,7 +22,6 @@ from .errors import (
     CovarianceNotPD,
     DimensionMismatch,
     NonFiniteState,
-    RankDeficientRegressor,
 )
 from .observables import ObservableDictionary
 
@@ -41,10 +41,11 @@ class RedmdSettings:
     otherwise let one state dominate).
 
     trace_max_factor bounds the covariance trace at that multiple of the
-    initial trace; use inf to disable. gamma_init is either "data" (inverse
-    of the initial regressor Gram) or a float delta for delta * I.
-    adaptive_lambda turns the variable forgetting factor off, holding the
-    factor at lambda0 (fixed-forgetting operation).
+    initial trace; use inf to disable. eps_low must be finite (eps_high
+    may be inf). adaptive_lambda turns the variable forgetting factor off,
+    holding the factor at lambda0 (fixed-forgetting operation). The
+    covariance starts where init_from_batch puts it, at the exact Gram
+    inverse.
     """
 
     lambda0: float = 1.0
@@ -55,7 +56,6 @@ class RedmdSettings:
     n0: float = 100.0
     mu_sigma: float = 10.0
     trace_max_factor: float = 10.0
-    gamma_init: float | str = "data"
     state_scales: Sequence[float] | None = None
     adaptive_lambda: bool = True
 
@@ -67,17 +67,12 @@ class RedmdSettings:
         if (isinstance(self.m_op, bool) or not isinstance(self.m_op, Integral)
                 or self.m_op < 2):
             raise ValueError(f"m_op must be an integer >= 2, got {self.m_op!r}")
-        if not 0 <= self.eps_low <= self.eps_high:
-            raise ValueError("need 0 <= eps_low <= eps_high")
+        if not 0 <= self.eps_low <= self.eps_high or math.isinf(self.eps_low):
+            raise ValueError("need finite eps_low, 0 <= eps_low <= eps_high")
         if not (0 < self.n0 < math.inf and 1.0 < self.mu_sigma < math.inf):
             raise ValueError("need finite n0 > 0 and mu_sigma > 1")
         if not self.trace_max_factor > 0:
             raise ValueError("trace_max_factor must be positive (inf disables)")
-        if self.gamma_init != "data" and (isinstance(self.gamma_init, str)
-                                          or not 0 < self.gamma_init < math.inf):
-            raise ValueError(
-                f"gamma_init must be 'data' or a positive float, got "
-                f"{self.gamma_init!r}")
         if self.state_scales is not None:
             self.state_scales = tuple(map(float, self.state_scales))
             if not all(0 < v < math.inf for v in self.state_scales):
@@ -297,28 +292,9 @@ class RecursiveEstimator:
 
 def init_from_batch(snapshots: SnapshotSet, dictionary: ObservableDictionary,
                     settings: RedmdSettings | None = None) -> RecursiveEstimator:
-    """Initialize the estimator from an offline batch fit.
-
-    The covariance starts at the inverse of the initial regressor Gram
-    (gamma_init="data"; the batch fit has already rejected a rank-deficient
-    regressor) or at delta * I when a float delta was configured; in the
-    latter case a rank-deficient batch fit falls back to the minimum-norm
-    least-squares model instead of failing.
-    """
-    settings = settings if settings is not None else RedmdSettings()
-    diagonal_init = not isinstance(settings.gamma_init, str)
-    try:
-        model, G = fit(snapshots, dictionary)
-        theta0 = np.hstack([model.K, model.B])
-    except RankDeficientRegressor:
-        if not diagonal_init:
-            raise
-        G = np.vstack([dictionary.lift_batch(snapshots.X), snapshots.U])
-        # singular values below max(rows, cols) * eps of the largest are cut
-        theta0 = dictionary.lift_batch(snapshots.Xp) @ np.linalg.pinv(
-            G, max(G.shape) * np.finfo(float).eps)
-    if diagonal_init:
-        gamma0 = float(settings.gamma_init) * np.eye(G.shape[0])
-    else:
-        gamma0 = np.linalg.inv(G @ G.T)
-    return RecursiveEstimator(theta0, gamma0, dictionary, settings)
+    """Initialize the estimator from an offline batch fit, its covariance
+    at the inverse of the initial regressor Gram; a rank-deficient batch
+    raises RankDeficientRegressor from the fit."""
+    model, G = fit(snapshots, dictionary)
+    return RecursiveEstimator(np.hstack([model.K, model.B]),
+                              np.linalg.inv(G @ G.T), dictionary, settings)

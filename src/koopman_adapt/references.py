@@ -18,30 +18,19 @@ _QUINTIC_PEAK = 15.0 / 8.0
 
 @dataclass(frozen=True)
 class ReferenceSpec:
-    """Reference kind and parameters.
+    """A rest-to-rest reference: cyclic strokes of the given amplitude whose
+    peak velocity equals `speed`, separated by `hold` seconds of dwell."""
 
-    rest-to-rest: cyclic strokes of the given amplitude whose peak velocity
-    equals `speed`, separated by `hold` seconds of dwell.
-    sinusoid: amplitude and frequency (Hz).
-    hold: constant position at `amplitude`.
-    """
-
-    kind: str = "rest-to-rest"
     amplitude: float = 0.5
     speed: float = 1.0
     hold: float = 0.25
-    freq: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("rest-to-rest", "sinusoid", "hold"):
-            raise ValueError(f"unknown reference kind {self.kind!r}")
-        if not all(map(math.isfinite, (self.amplitude, self.speed,
-                                       self.hold, self.freq))):
-            raise ValueError("amplitude, speed, hold and freq must be finite")
-        if self.kind == "rest-to-rest" and (self.speed <= 0 or self.amplitude == 0):
+        if not all(map(math.isfinite,
+                       (self.amplitude, self.speed, self.hold))):
+            raise ValueError("amplitude, speed and hold must be finite")
+        if self.speed <= 0 or self.amplitude == 0:
             raise ValueError("rest-to-rest needs speed > 0 and amplitude != 0")
-        if self.kind == "sinusoid" and self.freq <= 0:
-            raise ValueError("sinusoid needs freq > 0")
         if self.hold < 0:
             raise ValueError("hold must be >= 0")
 
@@ -63,18 +52,6 @@ def build_reference(spec: ReferenceSpec, num_samples: int,
     if num_samples < 1 or dt <= 0:
         raise ValueError("need num_samples >= 1 and dt > 0")
     t = np.arange(num_samples) * dt
-    if spec.kind == "hold":
-        w = np.zeros((2, num_samples))
-        w[0] = spec.amplitude
-        return w
-    if spec.kind == "sinusoid":
-        omega = 2.0 * np.pi * spec.freq
-        return np.vstack([spec.amplitude * np.sin(omega * t),
-                          spec.amplitude * omega * np.cos(omega * t)])
-    return _rest_to_rest(spec, t)
-
-
-def _rest_to_rest(spec: ReferenceSpec, t: np.ndarray) -> np.ndarray:
     D = spec.stroke_duration()
     period = 2.0 * (D + spec.hold)
     phase = np.mod(t, period)

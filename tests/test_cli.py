@@ -130,12 +130,13 @@ class TestSimulate:
         assert lines[0].startswith("t,x1")
 
     def test_zero_reference_energy_normalizes_to_inf(self, tmp_path, capsys):
-        """A zero hold reference has no energy: simulate reports the
-        normalized error as inf, as compare does, instead of dividing by
-        zero."""
+        """A stroke so long that its samples within the run stay below
+        1e-300 has no energy, as their squares underflow: simulate reports
+        the normalized error as inf, as compare does, instead of dividing
+        by zero."""
         path = tmp_path / "zero.cfg"
         path.write_text(TINY_TEXT.replace(
-            "seed = 3", "seed = 3\nref_kind = hold\nref_amplitude = 0.0"))
+            "seed = 3", "seed = 3\nref_amplitude = 1e150"))
         out = tmp_path / "trace.csv"
         assert cli_main(["simulate", str(path), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 51

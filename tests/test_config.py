@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from koopman_adapt.cli import cli_main
 from koopman_adapt.config import _KEYS, RunSettings, assemble, loads
 from koopman_adapt.errors import ConfigError
 from koopman_adapt.harness import default_config
@@ -68,11 +69,11 @@ class TestGrammar:
 
     def test_values_parsed_by_their_key_kind(self):
         cfg = loads("[plant]\nm = 1\nnoise_x = 0.001\n"
-                    "[redmd]\ngamma_init = 100\nstate_scales = 2.0\n"
+                    "[redmd]\nn0 = 100\nstate_scales = 2.0\n"
                     "[observer]\njoseph = FALSE\n")
         assert cfg["plant"]["m"] == 1.0 and type(cfg["plant"]["m"]) is float
         assert cfg["plant"]["noise_x"] == 0.001
-        assert cfg["redmd"] == {"gamma_init": 100.0, "state_scales": [2.0]}
+        assert cfg["redmd"] == {"n0": 100.0, "state_scales": [2.0]}
         assert cfg["observer"]["joseph"] is False
 
     @pytest.mark.parametrize("text, where", [
@@ -92,7 +93,6 @@ class TestGrammar:
         ("plant", "schedule = (4.0, m, heavy)"),
         ("plant", "schedule = (4.0, m, 0.8),"),
         ("run", "speeds = 2.0,"),
-        ("redmd", "gamma_init = 'ones'"),
         ("dict", "family ="),
     ])
     def test_mistyped_value_rejected_with_its_line(self, section, setting):
@@ -208,6 +208,7 @@ class TestAssemble:
         ("plant", "schedule = (4.0, m, -1.0)"),
         ("run", "train_duration = nan"), ("run", "ref_amplitude = nan"),
         ("run", "speeds = 1.0, nan"), ("redmd", "eps_low = nan"),
+        ("redmd", "eps_low = inf\neps_high = inf"),
         ("redmd", "n0 = nan"), ("redmd", "trace_max_factor = nan"),
         ("redmd", "gamma_init = -1.0"), ("mpc", "qy = nan, 1.0"),
         ("mpc", "ru = nan"), ("plant", "schedule = (nan, m, 0.8)"),
@@ -244,10 +245,20 @@ class TestAssemble:
         with pytest.raises(ConfigError, match="speeds"):
             assemble(loads(f"[run]\nspeeds = {speeds}\n"))
 
+    @pytest.mark.parametrize("setting", [
+        "t_sim = -1", "seed = -1", "variant = bogus", "train_duration = 0",
+        "speeds = 2.0, 2.0"])
+    def test_rejected_run_value_names_its_section(self, setting):
+        """A value RunSettings rejects is reported on its section, as the
+        other sections' are."""
+        with pytest.raises(ConfigError, match=r"invalid \[run\] section: "
+                           + setting.split()[0]):
+            assemble(loads(f"[run]\n{setting}\n"))
+
     def test_empty_speeds_rejected(self):
         """The config grammar cannot write an empty speed list, but the
         library API can; the sweep would then have no cell to run."""
-        with pytest.raises(ConfigError, match="speeds must not be empty"):
+        with pytest.raises(ValueError, match="speeds must not be empty"):
             RunSettings(speeds=())
 
     @pytest.mark.parametrize("seed", ["-1", "-12345"])
@@ -265,9 +276,21 @@ class TestAssemble:
         cfg = assemble(loads("[plant]\nnoise_x = 0.001\n"))
         np.testing.assert_array_equal(cfg.plant.noise_x_vector, [0.001, 0.001])
 
-    def test_gamma_init_float_passthrough(self):
-        cfg = assemble(loads("[redmd]\ngamma_init = 100\n"))
-        assert cfg.redmd.gamma_init == 100.0
+    @pytest.mark.parametrize("value", ["100", "'ones'"])
+    def test_gamma_init_other_than_data_rejected(self, tmp_path, capsys,
+                                                 value):
+        """The covariance starts at the exact Gram inverse alone: files
+        that write gamma_init = data still load, any other value is an
+        error naming the key, in the library and from the CLI."""
+        text = "[redmd]\ngamma_init = {}\n"
+        assert assemble(loads(text.format("data"))).redmd == \
+            assemble({}).redmd
+        with pytest.raises(ConfigError, match="gamma_init"):
+            assemble(loads(text.format(value)))
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.format(value))
+        assert cli_main(["simulate", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_empty_sections_give_defaults(self):
         cfg = assemble({})

@@ -112,7 +112,7 @@ def linear_matched_config():
         mpc=MpcConfig(horizon=20, Qy=np.eye(2), Ru=1e-9 * np.eye(1)),
         observer=ObserverSettings(q=0.0, r=1e-12, p0=0.0),
         run=RunSettings(t_sim=3.0, seed=11, variant="static-static",
-                        reference=ReferenceSpec("hold", amplitude=0.0),
+                        reference=ReferenceSpec(),
                         train_duration=5.0, train_amplitude=1.0,
                         speeds=(1.0,)),
     )
@@ -233,7 +233,7 @@ class TestRunBookkeeping:
         mpc, built = harness.CondensedMpc, []
 
         def fail_on_second(model, cfg):
-            built.append(None)
+            built.append(model)
             if len(built) == 2:
                 raise IllConditionedHessian("Hessian too ill-conditioned")
             return mpc(model, cfg)
@@ -244,8 +244,11 @@ class TestRunBookkeeping:
         assert result.reason == ("IllConditionedHessian at t=0.001: Hessian "
                                  "too ill-conditioned")
         assert len(result.records) == 1
-        # the controller model is the one whose solver was built
-        assert result.controller_model is result.initial_model
+        # the solver that ran is the offline model's; the failed build was
+        # handed the update's model
+        offline = tiny_estimator.K
+        assert (built[0].K == offline).all()
+        assert not (built[1].K == offline).all()
 
     def test_schedule_applied_once_per_event_time(
             self, tiny_cfg, tiny_estimator, monkeypatch):
@@ -407,29 +410,67 @@ def short_cfg():
     return replace(cfg, run=replace(cfg.run, t_sim=1.5))
 
 
+@pytest.fixture(scope="module")
+def short_cfg_estimator(short_cfg):
+    return prepare_estimator(short_cfg)
+
+
+@pytest.fixture
+def handover_spy(monkeypatch):
+    """Watches the handover where it happens: counts the controller builds
+    and records the filter's K at every predict, one per sample."""
+    mpc, predict = harness.CondensedMpc, harness.kf_predict
+    spy = SimpleNamespace(builds=0, filter_K=[])
+
+    def counting_build(model, cfg):
+        spy.builds += 1
+        return mpc(model, cfg)
+
+    def recording_predict(kf, u):
+        spy.filter_K.append(kf.K.copy())
+        predict(kf, u)
+
+    monkeypatch.setattr(harness, "CondensedMpc", counting_build)
+    monkeypatch.setattr(harness, "kf_predict", recording_predict)
+    return spy
+
+
 class TestVariantIsolation:
-    def test_adaptive_ctrl_keeps_observer_model(self, short_cfg):
-        cfg = replace(short_cfg, run=replace(short_cfg.run,
-                                             variant="adaptive-ctrl"))
-        result = run_closed_loop(cfg)
-        assert sum(r.updated for r in result.records) > 0
-        assert (result.observer_model.K == result.initial_model.K).all()
-        assert (result.observer_model.B == result.initial_model.B).all()
-        assert not (result.controller_model.K == result.initial_model.K).all()
+    """Per variant, the controller is built once plus once per update when
+    it adapts, and the filter predicts through the offline model until the
+    first update, and through another from then on when it adapts."""
 
-    def test_adaptive_obs_keeps_controller_model(self, short_cfg):
-        cfg = replace(short_cfg, run=replace(short_cfg.run,
-                                             variant="adaptive-obs"))
-        result = run_closed_loop(cfg)
-        assert (result.controller_model.K == result.initial_model.K).all()
-        assert not (result.observer_model.K == result.initial_model.K).all()
+    @staticmethod
+    def run(short_cfg, estimator, spy, variant):
+        """The variant's update count, and per sample whether the filter
+        predicted through the offline model and whether no update had run
+        yet."""
+        cfg = replace(short_cfg, run=replace(short_cfg.run, variant=variant))
+        updated = run_closed_loop(cfg, estimator=estimator).records.updated
+        assert len(spy.filter_K) == len(updated)
+        return (int(updated.sum()),
+                [bool((K[0] == estimator.K).all()) for K in spy.filter_K],
+                (np.cumsum(updated) == 0).tolist())
 
-    def test_adaptive_both_snapshots_each_update_once(self, short_cfg,
-                                                      monkeypatch):
+    def test_adaptive_ctrl_keeps_observer_model(
+            self, short_cfg, short_cfg_estimator, handover_spy):
+        updates, offline, _ = self.run(short_cfg, short_cfg_estimator,
+                                       handover_spy, "adaptive-ctrl")
+        assert updates > 0
+        assert handover_spy.builds == 1 + updates
+        assert all(offline)
+
+    def test_adaptive_obs_keeps_controller_model(
+            self, short_cfg, short_cfg_estimator, handover_spy):
+        updates, offline, before = self.run(short_cfg, short_cfg_estimator,
+                                            handover_spy, "adaptive-obs")
+        assert updates > 0
+        assert handover_spy.builds == 1
+        assert offline == before
+
+    def test_adaptive_both_snapshots_each_update_once(
+            self, short_cfg, short_cfg_estimator, handover_spy, monkeypatch):
         """Controller and observer share one model snapshot per update."""
-        estimator = prepare_estimator(short_cfg)
-        cfg = replace(short_cfg, run=replace(short_cfg.run,
-                                             variant="adaptive-both"))
         built = []
         post_init = KoopmanModel.__post_init__
 
@@ -438,18 +479,20 @@ class TestVariantIsolation:
             post_init(self)
 
         monkeypatch.setattr(KoopmanModel, "__post_init__", counting)
-        result = run_closed_loop(cfg, estimator=estimator)
-        updates = sum(r.updated for r in result.records)
+        updates, offline, before = self.run(short_cfg, short_cfg_estimator,
+                                            handover_spy, "adaptive-both")
         assert updates > 0
         assert len(built) == 1 + updates  # the initial model, then one each
-        assert result.controller_model is result.observer_model
+        assert handover_spy.builds == 1 + updates
+        assert offline == before
 
-    def test_static_static_freezes_both(self, short_cfg):
-        cfg = replace(short_cfg, run=replace(short_cfg.run,
-                                             variant="static-static"))
-        result = run_closed_loop(cfg)
-        assert (result.controller_model.K == result.initial_model.K).all()
-        assert (result.observer_model.K == result.initial_model.K).all()
+    def test_static_static_freezes_both(self, short_cfg, short_cfg_estimator,
+                                        handover_spy):
+        updates, offline, _ = self.run(short_cfg, short_cfg_estimator,
+                                       handover_spy, "static-static")
+        assert updates > 0
+        assert handover_spy.builds == 1
+        assert all(offline)
 
 
 ONE_EVENT = ChangeSchedule(((0.005, "m", 0.8),))
@@ -480,8 +523,8 @@ def plain_loop(cfg, estimator):
     the oracle the lockstep loop is held to: one cell, no stack and no
     forks, a 1-D filter and the schedule applied every sample. It calls the
     library's layer functions through the harness module, so that a fault
-    a test injects there reaches both loops. Returns the run's RunResult
-    without its models; a NumericalError ends it as it ends a cell."""
+    a test injects there reaches both loops. Returns the run's RunResult; a
+    NumericalError ends it as it ends a cell."""
     h, plant, dictionary = harness, cfg.plant, cfg.dictionary
     steps, H, variant = h._steps(cfg), cfg.mpc.horizon, cfg.run.variant
     w = build_reference(cfg.run.reference, steps + H + 1, plant.dt)
@@ -604,19 +647,6 @@ class TestComparison:
         assert len(sweep_spy.runs[0]) == len(comparison.cells) == 8 * halves
         assert all(c.ok for c in comparison.cells)
         assert ("chg@" in format_comparison_table(comparison)) == (halves > 1)
-
-    @pytest.mark.parametrize("kind", ["sinusoid", "hold"])
-    def test_speed_columns_only_for_rest_to_rest(self, tiny_cfg, kind):
-        """Only the rest-to-rest reference reads its speed: any other
-        reference runs one column, at its own speed, whatever the run's
-        speeds."""
-        cfg = replace(tiny_cfg, schedule=ONE_EVENT, run=replace(
-            tiny_cfg.run, speeds=(1.0, 2.0),
-            reference=replace(tiny_cfg.run.reference, kind=kind, speed=1.5)))
-        comparison = run_comparison(cfg)
-        assert len(comparison.cells) == 8
-        assert {c.speed for c in comparison.cells} == {1.5}
-        assert all(c.ok for c in comparison.cells)
 
     # -- the cells run in lockstep; a cell runs its nominal and with-changes
     # configs as one until the first change, then splits --------------------
@@ -790,6 +820,31 @@ class TestComparison:
             assert not result.aborted
             assert_same_trace(result.records,
                               plain_loop(c, short_estimator).records)
+
+    def test_a_cell_whose_configs_never_split(self, short_estimator,
+                                              monkeypatch):
+        """One cell standing for two configs, the second's only change
+        falling after the last sample, runs as one row to the end. Each
+        config's trace is that of its plain loop, and the two share no
+        memory."""
+        cfg = short_changes_config(0.0)
+        cfgs = [replace(cfg, schedule=ChangeSchedule(events))
+                for events in ((), ((SHORT_T_SIM, "m", 0.8),))]
+        plant_steps, step = [], harness.step_plant
+
+        def counting_step(*args):
+            plant_steps.append(None)
+            return step(*args)
+
+        monkeypatch.setattr(harness, "step_plant", counting_step)
+        (results,) = run_closed_loop(
+            cfg, _cells=[(cfgs, short_estimator, None)])
+        assert len(plant_steps) == round(SHORT_T_SIM / SHORT_DT)  # one row
+        for c, result in zip(cfgs, results):
+            assert not result.aborted
+            assert_same_trace(result.records,
+                              plain_loop(c, short_estimator).records)
+        assert not np.shares_memory(results[0].records, results[1].records)
 
     @pytest.mark.parametrize("seed", [12345, 3009016])
     def test_every_cell_at_two_seeds_equals_the_plain_loop(self, seed):

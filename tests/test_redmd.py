@@ -13,7 +13,7 @@ import hypothesis
 from hypothesis import given
 from hypothesis import strategies as st
 
-from koopman_adapt.edmd import SnapshotSet, collect_snapshots, fit
+from koopman_adapt.edmd import collect_snapshots, fit
 from koopman_adapt.errors import (
     CovarianceNotPD,
     DimensionMismatch,
@@ -400,30 +400,13 @@ class TestInitFromBatch:
         np.testing.assert_array_equal(est.Gamma,
                                       (inv_gram + inv_gram.T) / 2.0)
 
-    def test_diagonal_init_ignores_data(self):
-        pairs = [(np.array([1.0, 1.0]), None)] * 10  # rank deficient
-        settings = RedmdSettings(gamma_init=1e3, m_op=2)
-        est = init_from_batch(collect_snapshots(pairs),
-                              ObservableDictionary(2, "identity"), settings)
-        np.testing.assert_array_equal(est.Gamma, 1e3 * np.eye(2))
-
-    def test_float_gamma_fallback_is_min_norm_lstsq(self):
-        """On a rank-deficient regressor the float-gamma_init fallback
-        gives the minimum-norm least-squares model."""
-        rng = np.random.default_rng(23)
-        x1 = rng.standard_normal(30)
-        X = np.vstack([x1, 2.0 * x1])  # rank 1 in the states
-        U = rng.standard_normal((1, 30))
-        snapshots = SnapshotSet(X, rng.standard_normal((2, 30)), U)
+    def test_rank_deficient_batch_raises(self):
+        """The exact Gram inverse needs a full-rank regressor; a batch
+        without one raises from the fit, with no fallback model."""
+        pairs = [(np.array([1.0, 1.0]), None)] * 10
         with pytest.raises(RankDeficientRegressor):
-            fit(snapshots, ObservableDictionary(2, "identity"))
-        est = init_from_batch(snapshots, ObservableDictionary(2, "identity"),
-                              RedmdSettings(gamma_init=1e3, m_op=2))
-        G = np.vstack([X, U])
-        expected = np.linalg.lstsq(G.T, snapshots.Xp.T, rcond=None)[0].T
-        rel = (np.linalg.norm(est.theta - expected)
-               / np.linalg.norm(expected))
-        assert rel < 1e-12
+            init_from_batch(collect_snapshots(pairs),
+                            ObservableDictionary(2, "identity"))
 
     def test_data_gamma_is_spd(self):
         rng = np.random.default_rng(14)
@@ -591,9 +574,10 @@ def test_incremental_window_equals_full_recompute(seed, n, p, family, degree,
                                           d.lift_batch(est._phi_win[:n]))
 
 
-@pytest.mark.parametrize("eps_low", [0.0, np.inf])
+@pytest.mark.parametrize("eps_low", [0.0, 1e300])
 def test_step_never_relifts_the_window(monkeypatch, eps_low):
-    """step() lifts only the newest sample, gate open or closed: it never
+    """step() lifts only the newest sample, gate open or closed (eps_low =
+    1e300 keeps it shut after warm-up on this stream): it never
     calls the batch lift, and it calls prediction_error_window once per
     sample from the window's first full one on. Each reported window error
     equals the full recompute on a copy holding the Theta the gate saw, bit
