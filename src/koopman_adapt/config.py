@@ -29,7 +29,7 @@ from .observables import ObservableDictionary
 from .observer import ObserverSettings
 from .plants import ChangeSchedule, PlantModel, apply_schedule
 from .redmd import RedmdSettings
-from .references import ReferenceSpec
+from .references import ReferenceSpec, build_reference
 
 VARIANTS = ("static-static", "adaptive-ctrl", "adaptive-obs", "adaptive-both")
 
@@ -196,6 +196,7 @@ def assemble(sections: dict) -> ExperimentConfig:
     for name, key, legal in (("plant", "kind", "pendulum"),
                              ("redmd", "gamma_init", "data"),
                              ("observer", "joseph", True),
+                             ("observer", "relift_after_correct", True),
                              ("run", "ref_kind", "rest-to-rest")):
         value = sections.get(name, {}).pop(key, legal)
         if value != legal:
@@ -246,10 +247,20 @@ def assemble(sections: dict) -> ExperimentConfig:
     reference = _build("run", ReferenceSpec,
                        **{key[4:]: run_sec.pop(key) for key in ref_keys})
     run = _build("run", RunSettings, reference=reference, **run_sec)
-    for speed in run.speeds:  # the reference of every comparison cell
-        _build("run", replace, reference, speed=speed)
-    return ExperimentConfig(plant, schedule, dictionary, redmd, mpc,
-                            observer, run)
+    cfg = ExperimentConfig(plant, schedule, dictionary, redmd, mpc, observer,
+                           run)
+    for speed in (reference.speed, *run.speeds):  # every run's reference
+        w = build_reference(_build("run", replace, reference, speed=speed),
+                            _steps(cfg), plant.dt).T
+        with np.errstate(over="ignore"):  # an inf square is energy too
+            if not (w[:, None, :] @ w[:, :, None]).any():
+                raise ConfigError(f"invalid [run] section: the reference at "
+                                  f"speed {speed:g} has no energy in t_sim")
+    return cfg
+
+
+def _steps(cfg: ExperimentConfig) -> int:
+    return max(1, round(cfg.run.t_sim / cfg.plant.dt))
 
 
 def load_config_file(path) -> ExperimentConfig:

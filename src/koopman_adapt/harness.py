@@ -26,7 +26,7 @@ import numpy as np
 # so that the first run's timing does not include it
 from numpy.random import default_rng
 
-from .config import VARIANTS, ExperimentConfig, assemble, loads
+from .config import VARIANTS, ExperimentConfig, _steps, assemble, loads
 from .edmd import SnapshotSet
 from .errors import EmptyTrace, NumericalError
 from .mpc import CondensedMpc
@@ -116,20 +116,16 @@ def prepare_estimator(cfg: ExperimentConfig) -> RecursiveEstimator:
                            cfg.redmd)
 
 
-def _steps(cfg: ExperimentConfig) -> int:
-    return max(1, round(cfg.run.t_sim / cfg.plant.dt))
-
-
 class _Cells:
     """The live cells of a lockstep run, one row each. Its columns carry a
     leading cell axis: the stacked filter kf, whose rows hold the observers'
     models, the plant states x (C, n), each row's index into the run's
-    sensor draws, and the trace rows (C, steps), a view of each field of
-    which is in trace. Its lists, named in OBJECTS, hold per row what still
-    runs cell by cell: the reference, the plant, the estimator, the solver,
-    and the members, (slot, config) pairs with the (cell, config) index of
-    the result as slot, whose configs differ only in their schedules and
-    have applied the same change events so far, before next_event."""
+    sensor draws, and the trace rows (C, steps), each field viewed in trace.
+    Its lists, named in OBJECTS, hold per row what still runs cell by cell:
+    its configs' reference, the plant, the estimator, the solver, and the
+    members, (slot, config) pairs with the (cell, config) index of the
+    result as slot, whose configs differ only in their schedules and have
+    applied the same change events so far, before next_event."""
 
     OBJECTS = ("w", "plant", "est", "solver", "members", "next_event")
 
@@ -209,14 +205,13 @@ class _Cells:
         return self.take([j for j in range(len(self.est)) if j not in ended])
 
 
-def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
-                    *, _cells: list | None = None):
+def run_closed_loop(cfg: ExperimentConfig, estimator=None, *,
+                    _cells: list | None = None):
     """Run one closed-loop scenario and return its trace.
 
     An already-initialized estimator may be passed to share one offline fit
-    across runs (it is deep-copied, never mutated). A reference array
-    (n, >= steps + horizon) of finite values overrides the configured
-    reference generator.
+    across runs (it is deep-copied, never mutated). The reference is the
+    config's, build_reference of its run's spec.
 
     The loop runs over the rows of one cell table, _Cells, one row here.
     Per sample, the sensor and the Kalman filter run once on its columns
@@ -229,41 +224,33 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
 
     ``_cells`` (used by run_comparison) runs a list of cells in this one
     call and returns, per cell, its configs' RunResults. A cell is
-    ``(configs, estimator, reference)``: a run's arguments with a list of
-    configs that differ only in their schedules, run as one until their
-    applied change events differ (see _Cells.split). Each cell draws its
-    noise from its configs' seed; all share cfg's plant shape, dictionary,
-    horizon, observer settings and length.
+    ``(configs, estimator)``: a run's arguments with a list of configs that
+    differ only in their schedules, run as one until their applied change
+    events differ (see _Cells.split). Each cell draws its noise from its
+    configs' seed and tracks their reference; all share cfg's plant shape,
+    dictionary, horizon, observer settings and length.
     """
-    specs = [([cfg], estimator, reference)] if _cells is None else _cells
-    plant, dictionary, H = cfg.plant, cfg.dictionary, cfg.mpc.horizon
-    n, steps = plant.n, _steps(cfg)
+    specs = [([cfg], estimator)] if _cells is None else _cells
+    plant, H, steps = cfg.plant, cfg.mpc.horizon, _steps(cfg)
     reference_of = functools.cache(  # each distinct reference once
         lambda spec: build_reference(spec, steps + H + 1, plant.dt))
     seeds, rows = {}, []  # each seed's index; each cell's row of the table
-    for i, (cfgs, est, w) in enumerate(specs):
-        if w is None:
-            w = reference_of(cfgs[0].run.reference)
-        else:
-            w = np.asarray(w, dtype=float)
-            if (w.ndim != 2 or w.shape[0] != n or w.shape[1] < steps + H
-                    or not np.isfinite(w).all()):
-                raise ValueError(f"reference override must be ({n}, >= "
-                                 f"{steps + H}) and finite")
+    for i, (cfgs, est) in enumerate(specs):
+        w = reference_of(cfgs[0].run.reference)
         est = copy.deepcopy(prepare_estimator(cfgs[0]) if est is None else est)
         model = est.model
         rows.append((
-            init_kalman(dictionary, w[:, 0], cfg.observer, model=model),
+            init_kalman(w[:, 0], cfg.observer, model=model),
             w[:, 0], seeds.setdefault(cfgs[0].run.seed, len(seeds)), w,
             cfgs[0].plant, est, CondensedMpc(model, cfgs[0].mpc),
             [((i, j), c) for j, c in enumerate(cfgs)], -math.inf))
     kf, x, source, *objects = zip(*rows)
     draws = np.array([default_rng([seed, _RUN_STREAM]).standard_normal(
-        (steps, n + 1)) for seed in seeds])  # n + 1 draws per sample
+        (steps, plant.n + 1)) for seed in seeds])  # n + 1 draws per sample
     cells = _Cells(KalmanState.stack(kf), np.array(x), np.array(source),
-                   Trace.empty((len(rows), steps), n, plant.p).view(
+                   Trace.empty((len(rows), steps), plant.n, plant.p).view(
                        np.ndarray), *map(list, objects))
-    out = [[None] * len(cfgs) for cfgs, _, _ in specs]
+    out = [[None] * len(cfgs) for cfgs, _ in specs]
     for k in range(steps):
         if not cells.est:
             break
@@ -271,7 +258,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         cells = cells.split(t)
         rec, x = cells.trace, cells.x
         x_meas, y_meas = measure(plant, x, draws[cells.source, k],
-                                 dictionary.output_index)
+                                 cfg.dictionary.output_index)
         rec["t"][:, k], rec["x"][:, k], rec["x_meas"][:, k] = t, x, x_meas
         prev_meas, prev_u = rec["x_meas"][:, k - 1], rec["u"][:, k - 1]
         lam, gamma, updated, e_post, window = (
@@ -293,9 +280,9 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, reference=None,
         if ended:  # the rest of the sample runs on the cells left, if any
             cells = cells.end(out, ended, t)
             y_meas = np.delete(y_meas, list(ended))
-        kf_correct(cells.kf, dictionary, y_meas)
+        kf_correct(cells.kf, y_meas)
         rec, psi = cells.trace, cells.kf.psi
-        rec["x_hat"][:, k] = kf_estimate_state(cells.kf, dictionary)
+        rec["x_hat"][:, k] = kf_estimate_state(cells.kf)
         u, ended = np.empty((len(cells.est), plant.p)), {}
         for j, solver in enumerate(cells.solver):
             u[j], _ = solver.solve(psi[j], cells.w[j][:, k + 1: k + 1 + H])
@@ -329,7 +316,7 @@ def reference_energy(records) -> float:
 
 def normalized_error(records) -> float:
     """Final cumulated error over the reference energy; inf when the
-    reference has no energy (an all-zero reference override, say)."""
+    reference has no energy."""
     norm = reference_energy(records)
     return compute_metric(records) / norm if norm > 0 else math.inf
 
@@ -388,12 +375,11 @@ def run_comparison(cfg: ExperimentConfig) -> ComparisonResult:
               else (False,))
     estimator = prepare_estimator(cfg)
     cells = [([_cell_config(cfg, variant, h, speed) for h in halves],
-              estimator, None) for speed in cfg.run.speeds
-             for variant in VARIANTS]
+              estimator) for speed in cfg.run.speeds for variant in VARIANTS]
     results = run_closed_loop(cfg, _cells=cells)
     return ComparisonResult([
         _cell_result(cfgs[h], runs[h]) for h in range(len(halves))
-        for (cfgs, _, _), runs in zip(cells, results)])
+        for (cfgs, _), runs in zip(cells, results)])
 
 
 # -- reporting ----------------------------------------------------------------

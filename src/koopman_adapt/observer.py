@@ -1,13 +1,15 @@
 """Lifted-space Kalman filter with a scalar measurement.
 
 The filter is linear in the lifted coordinates and carries the model it
-predicts with, K and B: handing it a freshly adapted model (rebinding or
-writing its K and B) changes subsequent predictions only. Correction reads
-the scalar output as the lifted coordinate at the dictionary's output
-index and updates the covariance in Joseph form (Bucy & Joseph, 1968),
-which keeps it symmetric and positive semidefinite under rounding. Predict
-and correct update one mutable filter state: they rebind its ``psi`` and
-``P`` to new arrays and never write into the old ones.
+predicts with, K and B, and that model's dictionary: handing it a freshly
+adapted model (rebinding or writing its K and B) changes subsequent
+predictions only. Correction reads the scalar output as the lifted
+coordinate at the dictionary's output index, updates the covariance in
+Joseph form (Bucy & Joseph, 1968), which keeps it symmetric and positive
+semidefinite under rounding, and re-lifts the corrected state estimate
+through the dictionary, so that the lifted estimate stays the lift of a
+state. Predict and correct update one mutable filter state: they rebind its
+``psi`` and ``P`` to new arrays and never write into the old ones.
 
 A filter state may also stack several independent filters on a leading
 cell axis, psi (C, N), P, Q and K (C, N, N) and B (C, N, p); every function
@@ -30,14 +32,12 @@ _CELL_FIELDS = ("psi", "P", "Q", "K", "B")
 
 @dataclass
 class ObserverSettings:
-    """Filter tuning: process noise scale q, measurement variance r, optional
-    re-lifting after correction, and the initial covariance p0*I; the shipped
-    scenario's are q = 0.01, r = 1e-6, p0 = 0.01, re-lift on, not these."""
+    """Filter tuning: process noise scale q, measurement variance r and the
+    initial covariance p0*I; the defaults are the shipped scenario's."""
 
-    q: float = 1e-6
-    r: float = 1e-4
-    relift_after_correct: bool = False
-    p0: float = 1.0
+    q: float = 0.01
+    r: float = 1e-6
+    p0: float = 0.01
 
     def __post_init__(self):
         if not 0 < self.r < math.inf:
@@ -50,10 +50,11 @@ class ObserverSettings:
 @dataclass
 class KalmanState:
     """One filter: the lifted state estimate psi (N,), its covariance P and
-    the process noise Q (N, N), and the model it predicts with, K (N, N)
-    and B (N, p). Or a stack of filters that share R and the re-lift
-    toggle, each field with a leading cell axis (psi (C, N), ...). Shapes
-    are checked once, here; R is checked in ObserverSettings."""
+    the process noise Q (N, N), the model it predicts with, K (N, N) and
+    B (N, p), and the dictionary of N observables it measures and re-lifts
+    through. Or a stack of filters that share R and the dictionary, each
+    other field with a leading cell axis (psi (C, N), ...). Shapes are
+    checked once, here; R is checked in ObserverSettings."""
 
     psi: np.ndarray
     P: np.ndarray
@@ -61,21 +62,21 @@ class KalmanState:
     K: np.ndarray
     B: np.ndarray
     R: float
-    relift_after_correct: bool = False
+    dictionary: ObservableDictionary
 
     def __post_init__(self):
-        shape = self.psi.shape + self.psi.shape[-1:]
+        shape = self.psi.shape[:-1] + (self.dictionary.size,) * 2
         if ({self.P.shape, self.Q.shape, self.K.shape} != {shape}
-                or self.B.shape[:-1] != self.psi.shape):
+                or {self.psi.shape, self.B.shape[:-1]} != {shape[:-1]}):
             raise DimensionMismatch(
-                f"P, Q and K must be {shape} and B {self.psi.shape} + (p,), "
-                f"got {self.P.shape}, {self.Q.shape}, {self.K.shape} and "
-                f"{self.B.shape}")
+                f"psi must be {shape[:-1]}, P, Q and K {shape} and B "
+                f"{shape[:-1]} + (p,), got {self.psi.shape}, {self.P.shape}, "
+                f"{self.Q.shape}, {self.K.shape} and {self.B.shape}")
 
     @classmethod
     def stack(cls, filters) -> "KalmanState":
         """The given filters stacked on a leading cell axis, in order; the
-        stack takes the first one's R and re-lift toggle."""
+        stack takes the first one's R and dictionary."""
         return replace(filters[0], **{
             name: np.stack([getattr(f, name) for f in filters])
             for name in _CELL_FIELDS})
@@ -86,11 +87,10 @@ class KalmanState:
                                 for name in _CELL_FIELDS})
 
 
-def init_kalman(dictionary: ObservableDictionary, x0,
-                settings: ObserverSettings | None = None, *,
+def init_kalman(x0, settings: ObserverSettings | None = None, *,
                 model: KoopmanModel) -> KalmanState:
-    """Start the filter, predicting through model, at the lift of a known
-    (or assumed) initial state.
+    """Start the filter, predicting through model and lifting through its
+    dictionary, at the lift of a known (or assumed) initial state.
 
     The process noise is shaped through the model's input channel,
     q * (B B^T + max(tr B B^T, 1) 1e-4 I), so disturbances (and model
@@ -98,18 +98,18 @@ def init_kalman(dictionary: ObservableDictionary, x0,
     directions instead of the measured coordinate's own noise.
     """
     settings = settings if settings is not None else ObserverSettings()
-    N = dictionary.size
+    N = model.dictionary.size
     BBt = model.B @ model.B.T
     floor = max(float(np.trace(BBt)), 1.0) * 1e-4
     Q = settings.q * (BBt + floor * np.eye(N))
     return KalmanState(
-        psi=dictionary.lift(np.asarray(x0, dtype=float)),
+        psi=model.dictionary.lift(np.asarray(x0, dtype=float)),
         P=settings.p0 * np.eye(N),
         Q=Q,
         K=model.K,
         B=model.B,
         R=settings.r,
-        relift_after_correct=settings.relift_after_correct,
+        dictionary=model.dictionary,
     )
 
 
@@ -133,16 +133,17 @@ def _identity(shape: tuple) -> np.ndarray:
     return eye
 
 
-def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
-               y_meas: float) -> None:
+def kf_correct(kf: KalmanState, y_meas: float) -> None:
     """Measurement update with the scalar output y, in place; a stack of
     filters takes one output per cell, y (C,).
 
     The measurement map is the one-hot output row, so the innovation
-    covariance is the scalar P[i, i] + R and the gain a single column.
+    covariance is the scalar P[i, i] + R and the gain a single column. The
+    corrected estimate is re-lifted from its first n coordinates through
+    the filter's dictionary.
     """
+    dictionary, psi, P = kf.dictionary, kf.psi, kf.P
     i = dictionary.output_index
-    psi, P = kf.psi, kf.P
     # gain P[:, i] / (P[i, i] + R) and innovation y - psi[i], per cell
     L = P[..., i] / (P[..., i, i:i + 1] + kf.R)
     psi = psi + L * (y_meas - psi[..., i])[..., None]
@@ -151,13 +152,10 @@ def kf_correct(kf: KalmanState, dictionary: ObservableDictionary,
     ILC[..., i] -= L
     P = (ILC @ P @ ILC.swapaxes(-1, -2)
          + kf.R * (L[..., :, None] * L[..., None, :]))
-    if kf.relift_after_correct:
-        psi = dictionary.lift(psi[..., : dictionary.n])
-    kf.psi = psi
+    kf.psi = dictionary.lift(psi[..., :dictionary.n])
     kf.P = (P + P.swapaxes(-1, -2)) / 2.0
 
 
-def kf_estimate_state(kf: KalmanState,
-                      dictionary: ObservableDictionary) -> np.ndarray:
+def kf_estimate_state(kf: KalmanState) -> np.ndarray:
     """State estimate: the first n lifted coordinates (of each cell)."""
-    return kf.psi[..., :dictionary.n].copy()
+    return kf.psi[..., :kf.dictionary.n].copy()

@@ -200,10 +200,10 @@ def test_criterion_8_kalman_steady_state():
     model = KoopmanModel(K, rng.standard_normal((4, 1)), d)
     Q = 1e-3 * np.eye(4)
     R = 0.05
-    kf = KalmanState(np.zeros(4), np.eye(4), Q, model.K, model.B, R)
+    kf = KalmanState(np.zeros(4), np.eye(4), Q, model.K, model.B, R, d)
     min_eig = math.inf
     for _ in range(4000):
-        kf_correct(kf, d, rng.standard_normal() * 0.1)
+        kf_correct(kf, rng.standard_normal() * 0.1)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(kf.P).min()))
         kf_predict(kf, rng.standard_normal(1))
     P_star = riccati_prior_fixed_point(model, np.eye(4)[d.output_index], Q,

@@ -129,18 +129,20 @@ class TestSimulate:
         assert len(lines) == 51
         assert lines[0].startswith("t,x1")
 
-    def test_zero_reference_energy_normalizes_to_inf(self, tmp_path, capsys):
+    def test_zero_reference_energy_is_a_config_error(self, tmp_path, capsys):
         """A stroke so long that its samples within the run stay below
-        1e-300 has no energy, as their squares underflow: simulate reports
-        the normalized error as inf, as compare does, instead of dividing
-        by zero."""
+        1e-300 has no energy, as their squares underflow, and no error can
+        be normalized by it: simulate and compare report a configuration
+        error naming [run], exit 1, and write nothing."""
         path = tmp_path / "zero.cfg"
         path.write_text(TINY_TEXT.replace(
             "seed = 3", "seed = 3\nref_amplitude = 1e150"))
-        out = tmp_path / "trace.csv"
-        assert cli_main(["simulate", str(path), "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 51
-        assert "(normalized inf)" in capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        for command in ("simulate", "compare"):
+            assert cli_main([command, str(path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "[run]" in err
+            assert not out.exists()
 
     def test_unwritable_out_is_an_error(self, tiny_config_path, tmp_path,
                                         capsys):

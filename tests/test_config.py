@@ -9,6 +9,8 @@ from koopman_adapt.errors import ConfigError
 from koopman_adapt.harness import default_config
 from koopman_adapt.plants import PlantModel
 
+from conftest import no_runtime_warnings
+
 SAMPLE = """\
 # comment line
 [plant]
@@ -154,6 +156,42 @@ class TestAssemble:
             assemble({}).observer
         with pytest.raises(ConfigError, match="joseph"):
             assemble(loads(text.format("false")))
+
+    def test_relift_after_correct_has_one_legal_value(self):
+        """Files that write the filter's one correction, which always
+        re-lifts, still load; turning the re-lift off is an error naming
+        the key."""
+        text = "[observer]\nrelift_after_correct = {}\n"
+        assert assemble(loads(text.format("true"))).observer == \
+            assemble({}).observer
+        with pytest.raises(ConfigError, match="relift_after_correct"):
+            assemble(loads(text.format("false")))
+
+    @pytest.mark.parametrize("run, speed", [
+        ("ref_amplitude = 1e150", "1"),  # every speed
+        ("ref_amplitude = 1e150\nspeeds = 1e149", "1"),  # ref_speed alone
+        ("ref_amplitude = 1e150\nref_speed = 1e149\nspeeds = 1e149, 2.0",
+         "2"),  # one speeds entry
+    ])
+    def test_reference_without_energy_rejected(self, run, speed):
+        """A reference whose samples within the run all square to 0, at
+        ref_speed or at any entry of speeds, leaves nothing to normalize
+        the tracking error by: a ConfigError naming [run] and the speed."""
+        with pytest.raises(ConfigError,
+                           match=rf"\[run\].* speed {speed} has no energy"):
+            assemble(loads(f"[run]\n{run}\n"))
+
+    @pytest.mark.parametrize("amplitude, speed", [("1e150", "1e149"),
+                                                  ("1e160", "1e160")])
+    def test_reference_with_energy_loads(self, amplitude, speed):
+        """A stroke of that amplitude run fast enough has energy, and one
+        whose squares overflow has infinite energy: both load, without a
+        RuntimeWarning."""
+        run = (f"ref_amplitude = {amplitude}\nref_speed = {speed}\n"
+               f"speeds = {speed}\n")
+        with no_runtime_warnings():
+            assert assemble(loads(f"[run]\n{run}")).run.speeds == (
+                float(speed),)
 
     def test_output_index_must_be_state(self):
         with pytest.raises(ConfigError):

@@ -145,21 +145,6 @@ class TestRunBookkeeping:
         assert a.tobytes() == b.tobytes()
         assert pickle.dumps(a) == pickle.dumps(b)
 
-    @pytest.mark.parametrize("shape", [(2,), (2, 14), (1, 15), "nan", "inf"])
-    def test_reference_override_shape_checked(self, tiny_cfg, tiny_estimator,
-                                              shape):
-        """A reference override that is not a finite 2-D (n, >= steps +
-        horizon) array is refused with one message, whatever is wrong with
-        it: its shape, or a NaN or an inf in column 10 ("nan", "inf")."""
-        if isinstance(shape, str):
-            w = np.zeros((2, 15))
-            w[0, 10] = float(shape)
-        else:
-            w = np.zeros(shape)
-        with pytest.raises(ValueError,
-                           match=r"reference override must be \(2, >= 15\)"):
-            run_closed_loop(tiny_cfg, estimator=tiny_estimator, reference=w)
-
     def test_each_measured_state_lifted_once(self, tiny_cfg, tiny_estimator,
                                              monkeypatch):
         """Two single-state lifts per sample: the estimator's newest
@@ -172,10 +157,8 @@ class TestRunBookkeeping:
         def counted(self, x):
             calls.append(1)
             return lift(self, x)
-        cfg = replace(tiny_cfg, observer=replace(tiny_cfg.observer,
-                                                 relift_after_correct=True))
         monkeypatch.setattr(ObservableDictionary, "lift", counted)
-        result = run_closed_loop(cfg, estimator=tiny_estimator)
+        result = run_closed_loop(tiny_cfg, estimator=tiny_estimator)
         assert len(calls) == 2 * len(result.records) + 1
 
     def test_passed_estimator_not_mutated(self, tiny_cfg, tiny_estimator):
@@ -291,8 +274,12 @@ class TestModelMatchedClosedLoop:
         for k in range(1, steps + H + 1):
             u = np.array([1.2 * np.sin(2.0 * np.pi * 0.4 * (k - 1) * cfg.plant.dt)])
             w[:, k] = linear_step(cfg.plant, w[:, k - 1], u)
-        result = run_closed_loop(cfg, reference=w)
+        # the run tracks it in place of the config's stroke
+        monkeypatch.setattr(harness, "build_reference",
+                            lambda spec, num_samples, dt: w[:, :num_samples])
+        result = run_closed_loop(cfg)
         assert not result.aborted
+        assert (result.records.w == w[:, :steps].T).all()
         tail = result.records[steps // 2:]
         worst = max(float(np.linalg.norm(r.w - r.x)) for r in tail)
         assert worst < 1e-6
@@ -320,6 +307,16 @@ class TestMetric:
         second_increments = whole - first
         total = first + second_increments
         assert total == pytest.approx(whole, rel=1e-15)
+
+    def test_no_reference_energy_normalizes_to_inf(self, tiny_cfg,
+                                                   tiny_estimator):
+        """A trace whose reference has no energy has an infinite normalized
+        error, not a division by zero."""
+        records = run_closed_loop(
+            tiny_cfg, estimator=tiny_estimator).records.copy()
+        records.w = 0.0
+        assert reference_energy(records) == 0.0
+        assert normalized_error(records) == math.inf
 
     def test_empty_trace_raises(self):
         with pytest.raises(EmptyTrace):
@@ -533,7 +530,7 @@ def plain_loop(cfg, estimator):
     est = copy.deepcopy(estimator)
     model = est.model
     solver = h.CondensedMpc(model, cfg.mpc)
-    kf = h.init_kalman(dictionary, w[:, 0], cfg.observer, model=model)
+    kf = h.init_kalman(w[:, 0], cfg.observer, model=model)
     records, x, e_cum = h.Trace.empty(steps, plant.n, plant.p), w[:, 0], 0.0
     written = 0
     for k in range(steps):
@@ -552,11 +549,11 @@ def plain_loop(cfg, estimator):
                     solver = h.CondensedMpc(model, cfg.mpc)
                 if variant in ("adaptive-obs", "adaptive-both"):
                     kf.K, kf.B = model.K, model.B
-            h.kf_correct(kf, dictionary, y_meas)
+            h.kf_correct(kf, y_meas)
             u, _ = solver.solve(kf.psi, w[:, k + 1: k + 1 + H])
             err = w[:, k] - x
             e_cum += err @ err
-            records[k] = (t, x, x_meas, h.kf_estimate_state(kf, dictionary),
+            records[k] = (t, x, x_meas, h.kf_estimate_state(kf),
                           u, w[:, k], report.lam, report.trace_gamma,
                           report.updated, report.e_post, report.window_error,
                           e_cum)
@@ -809,7 +806,7 @@ class TestComparison:
         monkeypatch.setattr(harness, "apply_schedule", spy_schedule)
         monkeypatch.setattr(harness, "step_plant", counting_step)
         (results,) = run_closed_loop(
-            cfg, _cells=[(cfgs, short_estimator, None)])
+            cfg, _cells=[(cfgs, short_estimator)])
         # the part with both changes rebuilds its plant once at k1; the
         # part with the second change splits off at k2 and rebuilds there
         assert applied == [k1 * SHORT_DT, k2 * SHORT_DT]
@@ -838,7 +835,7 @@ class TestComparison:
 
         monkeypatch.setattr(harness, "step_plant", counting_step)
         (results,) = run_closed_loop(
-            cfg, _cells=[(cfgs, short_estimator, None)])
+            cfg, _cells=[(cfgs, short_estimator)])
         assert len(plant_steps) == round(SHORT_T_SIM / SHORT_DT)  # one row
         for c, result in zip(cfgs, results):
             assert not result.aborted
@@ -856,10 +853,10 @@ class TestComparison:
         cfg = replace(cfg, run=replace(cfg.run, seed=seed))
         estimator = prepare_estimator(cfg)
         cells = [([harness._cell_config(cfg, variant, h, speed)
-                   for h in (False, True)], estimator, None)
+                   for h in (False, True)], estimator)
                  for speed in cfg.run.speeds for variant in VARIANTS]
         results = run_closed_loop(cfg, _cells=cells)
-        for (cfgs, _, _), runs in zip(cells, results):
+        for (cfgs, _), runs in zip(cells, results):
             for c, result in zip(cfgs, runs):
                 want = plain_loop(c, estimator)
                 assert (result.aborted, result.reason) == (want.aborted,

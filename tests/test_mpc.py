@@ -190,15 +190,23 @@ problems = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
 def bvls_plan(solver, psi0, w_window):
     """Reference box-constrained plan: with hessian = L L^T, the condensed
     objective is 1/2 |L^T U + L^-1 g|^2 plus a constant, solved by scipy's
-    bounded-variable least squares."""
+    bounded-variable least squares over the box the solver tiles (an
+    unbounded side is infinite). Entries whose box is a point, which BVLS
+    refuses, are held at it and the rest solved with them held."""
     f0 = solver.F @ psi0 - w_window.T.ravel()
     grad0 = 2.0 * (solver.GtQ @ f0)
-    L = np.linalg.cholesky(solver.hessian)
     H, p = solver.cfg.horizon, solver.model.p
-    lo = np.tile(solver.cfg.u_min, H)
-    hi = np.tile(solver.cfg.u_max, H)
-    U = lsq_linear(L.T, -np.linalg.solve(L, grad0), bounds=(lo, hi),
-                   method="bvls", tol=1e-15).x
+    lo, hi = solver.cfg.structure.lo, solver.cfg.structure.hi
+    point = lo == hi
+    U = lo.copy()
+    if not point.all():
+        rest = ~point
+        hess = solver.hessian[np.ix_(rest, rest)]
+        g = grad0[rest] + solver.hessian[np.ix_(rest, point)] @ lo[point]
+        L = np.linalg.cholesky(hess)
+        U[rest] = lsq_linear(L.T, -np.linalg.solve(L, g),
+                             bounds=(lo[rest], hi[rest]), method="bvls",
+                             tol=1e-15).x
     return U.reshape(H, p).T, grad0, lo, hi
 
 
@@ -478,11 +486,16 @@ class TestSolve:
 class TestBoxQp:
     @hypothesis.settings(max_examples=80, deadline=None)
     @given(**problems, lo_frac=st.floats(0.05, 0.9),
-           hi_frac=st.floats(0.05, 0.9))
+           hi_frac=st.floats(0.05, 0.9),
+           sides=st.lists(st.sampled_from(["both", "lower", "upper",
+                                           "point"]), min_size=3, max_size=3))
     def test_binding_plan_matches_bvls(self, seed, n, extra, p, horizon,
-                                       lo_frac, hi_frac):
-        """Bounds that cut every channel's unconstrained plan: the plan is
-        feasible, satisfies the KKT conditions and equals BVLS."""
+                                       lo_frac, hi_frac, sides):
+        """Bounds that cut the unconstrained plan, per channel on both
+        sides, on the lower or the upper side alone (the other infinite),
+        or to a point: the plan is feasible, satisfies the KKT conditions
+        and equals BVLS, and a point box's entries equal its bound
+        exactly."""
         model, cfg = random_problem(seed, n, extra, p, horizon)
         rng = np.random.default_rng([seed, 1])  # not the model's stream
         psi0 = rng.standard_normal(model.size)
@@ -490,22 +503,49 @@ class TestBoxQp:
         _, free_plan = CondensedMpc(model, cfg).solve(psi0, w)
         reach = np.abs(free_plan).max(axis=1)
         hypothesis.assume(reach.min() > 1e-6)
-        cfg = dataclasses.replace(cfg, u_min=-lo_frac * reach,
-                                  u_max=hi_frac * reach)
+        sides = np.array(sides[:p])
+        u_min = np.where(sides == "upper", -np.inf, -lo_frac * reach)
+        u_max = np.where(sides == "lower", np.inf, hi_frac * reach)
+        point = sides == "point"
+        u_min[point] = u_max[point] = (hi_frac - lo_frac) / 2 * reach[point]
+        hypothesis.assume(((free_plan.T < u_min) | (free_plan.T > u_max))
+                          .any())
+        cfg = dataclasses.replace(cfg, u_min=u_min, u_max=u_max)
         solver = CondensedMpc(model, cfg)
         _, plan, info = solver.solve(psi0, w, return_info=True)
         ref, grad0, lo, hi = bvls_plan(solver, psi0, w)
         U = plan.T.ravel()
         assert info["converged"] and info["pg_iterations"] >= 1
         assert (lo <= U).all() and (U <= hi).all()
+        assert (plan[point] == u_min[point, None]).all()
         grad = solver.hessian @ U + grad0
         tol = 1e-7 * max(1.0, np.abs(grad0).max())
         free = (lo < U) & (U < hi)
         assert np.abs(grad[free]).max(initial=0.0) <= tol
-        assert (grad[U == lo] >= -tol).all()
-        assert (grad[U == hi] <= tol).all()
+        assert (grad[(U == lo) & (lo < hi)] >= -tol).all()
+        assert (grad[(U == hi) & (lo < hi)] <= tol).all()
         np.testing.assert_allclose(plan, ref, rtol=0,
                                    atol=1e-9 * max(1.0, reach.max()))
+
+    def test_capped_solve_is_feasible_and_not_converged(self):
+        """A binding solve that needs several active-set iterations, capped
+        at one, stops after it, says it did not converge, and still
+        returns a plan inside the box."""
+        model, cfg = random_problem(2, 2, 2, 2, 10)
+        rng = np.random.default_rng([2, 1])  # not the model's stream
+        psi0 = rng.standard_normal(model.size)
+        w = rng.standard_normal((2, 10))
+        _, free_plan = CondensedMpc(model, cfg).solve(psi0, w)
+        reach = np.abs(free_plan).max(axis=1)
+        cfg = dataclasses.replace(cfg, u_min=-0.3 * reach, u_max=0.3 * reach)
+        _, _, info = CondensedMpc(model, cfg).solve(psi0, w, return_info=True)
+        assert info == {"pg_iterations": 12, "converged": True}
+        capped = dataclasses.replace(cfg, max_pg_iters=1)
+        _, plan, info = CondensedMpc(model, capped).solve(psi0, w,
+                                                          return_info=True)
+        assert info == {"pg_iterations": 1, "converged": False}
+        assert (-0.3 * reach[:, None] <= plan).all()
+        assert (plan <= 0.3 * reach[:, None]).all()
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @given(**problems)
