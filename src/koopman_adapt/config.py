@@ -29,9 +29,10 @@ from .observables import ObservableDictionary
 from .observer import ObserverSettings
 from .plants import ChangeSchedule, PlantModel, apply_schedule
 from .redmd import RedmdSettings
-from .references import ReferenceSpec, build_reference
+from .references import ReferenceSpec, build_reference, energy
 
 VARIANTS = ("static-static", "adaptive-ctrl", "adaptive-obs", "adaptive-both")
+MAX_STEPS = 10**8  # samples a run may take: its trace alone would be ~13 GB
 
 
 # -- grammar -----------------------------------------------------------------
@@ -247,20 +248,26 @@ def assemble(sections: dict) -> ExperimentConfig:
     reference = _build("run", ReferenceSpec,
                        **{key[4:]: run_sec.pop(key) for key in ref_keys})
     run = _build("run", RunSettings, reference=reference, **run_sec)
+    if not max(run.t_sim, run.train_duration) / plant.dt <= MAX_STEPS:
+        raise ConfigError("invalid [run] section: t_sim and train_duration "
+                          f"must each take at most {MAX_STEPS:.0e} samples")
     cfg = ExperimentConfig(plant, schedule, dictionary, redmd, mpc, observer,
                            run)
     for speed in (reference.speed, *run.speeds):  # every run's reference
-        w = build_reference(_build("run", replace, reference, speed=speed),
-                            _steps(cfg), plant.dt).T
-        with np.errstate(over="ignore"):  # an inf square is energy too
-            if not (w[:, None, :] @ w[:, :, None]).any():
-                raise ConfigError(f"invalid [run] section: the reference at "
-                                  f"speed {speed:g} has no energy in t_sim")
+        spec = _build("run", replace, reference, speed=speed)
+        e = energy(build_reference(spec, _steps(cfg), plant.dt).T)
+        if not 0 < e < math.inf:  # it normalizes the tracking error
+            raise ConfigError("invalid [run] section: reference energy must be "
+                              f"in (0, inf): {e:g} at speed {speed:g} in t_sim")
     return cfg
 
 
 def _steps(cfg: ExperimentConfig) -> int:
     return max(1, round(cfg.run.t_sim / cfg.plant.dt))
+
+
+def _train_steps(cfg: ExperimentConfig) -> int:
+    return max(2, round(cfg.run.train_duration / cfg.plant.dt))
 
 
 def load_config_file(path) -> ExperimentConfig:

@@ -2,10 +2,10 @@
 
 One run wires together the live recursive model, the lifted-space MPC, the
 lifted-space Kalman filter, and a scheduled time-varying plant. Per sample:
-measure, feed the previous transition to the estimator, correct the
-observer, solve the MPC from the observer's lifted estimate, actuate, and
-predict the observer forward. The estimator always runs; the adaptivity
-variant only decides which consumers receive its model updates.
+measure, correct the observer (first: it reads no model), step the estimator
+and hand its model over, solve the MPC from the observer's lifted estimate,
+actuate, and predict the observer forward. The estimator always runs; the
+adaptivity variant only decides which consumers receive its model updates.
 
 The comparison sweep mirrors the four-variant adaptivity study: every
 variant runs without and, when the config has one, with the change schedule
@@ -26,7 +26,8 @@ import numpy as np
 # so that the first run's timing does not include it
 from numpy.random import default_rng
 
-from .config import VARIANTS, ExperimentConfig, _steps, assemble, loads
+from .config import (VARIANTS, ExperimentConfig, _steps, _train_steps,
+                     assemble, loads)
 from .edmd import SnapshotSet
 from .errors import EmptyTrace, NumericalError
 from .mpc import CondensedMpc
@@ -39,7 +40,7 @@ from .observer import (
 )
 from .plants import apply_schedule, measure, step_plant
 from .redmd import RecursiveEstimator, StepReport, init_from_batch
-from .references import build_reference
+from .references import build_reference, energy
 
 _TRAIN_STREAM = 0
 _RUN_STREAM = 1
@@ -87,11 +88,9 @@ def generate_training_data(cfg: ExperimentConfig) -> SnapshotSet:
     through the noisy measurement path. Only the plant steps go sample by
     sample.
     """
-    plant = cfg.plant
-    run = cfg.run
-    n = plant.n
+    plant, run, n = cfg.plant, cfg.run, cfg.plant.n
     rng = default_rng([run.seed, _TRAIN_STREAM])
-    steps = max(2, round(run.train_duration / plant.dt))
+    steps = _train_steps(cfg)
     freqs = np.geomspace(0.3, 4.0, 6)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
     # every draw at once, in the order a per-sample loop makes them: row k
@@ -214,11 +213,12 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, *,
     config's, build_reference of its run's spec.
 
     The loop runs over the rows of one cell table, _Cells, one row here.
-    Per sample, the sensor and the Kalman filter run once on its columns
-    for all live cells, the estimator, the controller and the plant row by
-    row, and each phase writes its trace columns: each cell's numbers are
-    those of its run alone, to the bit. A NumericalError ends its cell
-    alone, with the rows it wrote and the time of its sample in its reason;
+    Per sample, the sensor and the filter's correction run on its columns
+    for all live cells, one pass steps each row's estimator, controller and
+    plant, and the filter predicts the rows left; each phase writes its
+    trace columns: each cell's numbers are those of its run alone, to the
+    bit. A NumericalError ends its cell alone, in that one pass, with the
+    rows it wrote and the time of its sample in its reason;
     _Cells.take cuts the filter and every column to the rest, as it copies
     rows where cells split.
 
@@ -261,39 +261,28 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, *,
                                  cfg.dictionary.output_index)
         rec["t"][:, k], rec["x"][:, k], rec["x_meas"][:, k] = t, x, x_meas
         prev_meas, prev_u = rec["x_meas"][:, k - 1], rec["u"][:, k - 1]
-        lam, gamma, updated, e_post, window = (
-            rec[name][:, k] for name in ("lam", "trace_gamma", "updated",
-                                         "e_post", "window_error"))
-        ended = {}
+        kf_correct(cells.kf, y_meas)  # the correction reads no model
+        rec["x_hat"][:, k] = kf_estimate_state(cells.kf)
+        psi, u, ended = cells.kf.psi, rec["u"][:, k], {}
         for j, est in enumerate(cells.est):
+            written = k
             try:  # the transition into this sample, or the warm-up sentinels
                 r = (est.step(prev_meas[j], prev_u[j], x_meas[j]) if k else
                      StepReport(False, est.lam, est.trace_gamma, math.nan,
                                 math.inf))
                 if r.updated:
                     cells.hand_over(j)
-            except NumericalError as exc:
-                ended[j] = (k, exc)
-                continue
-            lam[j], gamma[j], updated[j] = r.lam, r.trace_gamma, r.updated
-            e_post[j], window[j] = r.e_post, r.window_error
-        if ended:  # the rest of the sample runs on the cells left, if any
-            cells = cells.end(out, ended, t)
-            y_meas = np.delete(y_meas, list(ended))
-        kf_correct(cells.kf, y_meas)
-        rec, psi = cells.trace, cells.kf.psi
-        rec["x_hat"][:, k] = kf_estimate_state(cells.kf)
-        u, ended = np.empty((len(cells.est), plant.p)), {}
-        for j, solver in enumerate(cells.solver):
-            u[j], _ = solver.solve(psi[j], cells.w[j][:, k + 1: k + 1 + H])
-            try:
+                for name, value in vars(r).items():  # its trace columns
+                    rec[name][j, k] = value
+                u[j], _ = cells.solver[j].solve(
+                    psi[j], cells.w[j][:, k + 1: k + 1 + H])
+                written = k + 1
                 cells.x[j] = step_plant(cells.plant[j], cells.x[j], u[j])
             except NumericalError as exc:
-                ended[j] = (k + 1, exc)
-        rec["u"][:, k] = u
-        if ended:
-            cells, u = cells.end(out, ended, t), np.delete(u, list(ended), 0)
-        kf_predict(cells.kf, u)
+                ended[j] = (written, exc)
+        if ended:  # the filter predicts on the cells left, if any
+            cells = cells.end(out, ended, t)
+        kf_predict(cells.kf, cells.trace["u"][:, k])
     cells.end(out, dict.fromkeys(range(len(cells.est)), (steps, None)))
     return out if _cells is not None else out[0][0]
 
@@ -309,9 +298,7 @@ def reference_energy(records) -> float:
     """Sum of squared reference norms over a trace (the normalizer)."""
     if not records:
         raise EmptyTrace("no records to compute reference energy from")
-    # each row's w @ w (the same dot as for one vector), summed in order
-    w = records.w
-    return float(np.cumsum(np.matmul(w[:, None, :], w[:, :, None]))[-1])
+    return energy(records.w)
 
 
 def normalized_error(records) -> float:

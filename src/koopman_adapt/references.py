@@ -72,3 +72,9 @@ def build_reference(spec: ReferenceSpec, num_samples: int,
     vel[m] = -spec.amplitude * ds / D
     # segment 4: hold at zero (already zeros)
     return np.vstack([pos, vel])
+
+
+def energy(w: np.ndarray) -> float:
+    """Sum of the rows' w @ w of w (samples, n), in order; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.cumsum(np.matmul(w[:, None, :], w[:, :, None]))[-1])

@@ -108,6 +108,29 @@ class TestExitCodes:
         assert cli_main(["simulate", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits", [
+        [("dt = 0.001", "dt = 1e-300")],
+        [("t_sim = 0.05", "t_sim = 1e300")],
+        [("train_duration = 1.0", "train_duration = 1e300")],
+        [("dt = 0.001", "dt = 1e-300"), ("t_sim = 0.05", "t_sim = 1e300")],
+    ])
+    def test_impossible_run_length_is_a_config_error(self, tmp_path, capsys,
+                                                     edits):
+        """A run or a training run of more samples than any machine holds
+        (1e300 of them, or so many that their count overflows) is refused
+        before anything of its length is built: exit 1 with an error naming
+        [run], not a traceback."""
+        text = TINY_TEXT
+        for old, new in edits:
+            text = text.replace(old, new)
+        path = tmp_path / "long.cfg"
+        path.write_text(text)
+        out = tmp_path / "out.csv"
+        assert cli_main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "[run]" in err
+        assert not out.exists()
+
     def test_overflowing_lift_is_a_numerical_abort(self, tmp_path, capsys):
         """Training states whose monomial lift overflows stop the offline
         fit with a numerical abort, not a traceback or overflow warnings."""

@@ -518,10 +518,13 @@ def _cell_config_of(cfg, cell):
 def plain_loop(cfg, estimator):
     """The closed loop of one config as the harness docstring states it,
     the oracle the lockstep loop is held to: one cell, no stack and no
-    forks, a 1-D filter and the schedule applied every sample. It calls the
-    library's layer functions through the harness module, so that a fault
-    a test injects there reaches both loops. Returns the run's RunResult; a
-    NumericalError ends it as it ends a cell."""
+    forks, a 1-D filter and the schedule applied every sample. It steps the
+    estimator and hands its model over before it corrects the filter, where
+    the lockstep loop corrects first: their agreement to the bit is the
+    test that the correction reads no model. It calls the library's layer
+    functions through the harness module, so that a fault a test injects
+    there reaches both loops. Returns the run's RunResult; a NumericalError
+    ends it as it ends a cell."""
     h, plant, dictionary = harness, cfg.plant, cfg.dictionary
     steps, H, variant = h._steps(cfg), cfg.mpc.horizon, cfg.run.variant
     w = build_reference(cfg.run.reference, steps + H + 1, plant.dt)
@@ -779,6 +782,60 @@ class TestComparison:
             assert len(result.records) == len(scratch.records) == FORK_K + 6
             assert_same_trace(result.records, scratch.records)
         assert sum(not c.ok for c in comparison.cells) == len(VARIANTS)
+
+    def test_two_abort_phases_in_one_sample(self, short_estimator,
+                                            monkeypatch):
+        """In one sample K, a failed plant step ends one cell after its
+        row, and a NaN measurement ends the next in its estimator's step,
+        before its row; a third, whose row comes after both, runs on. Each
+        equals its plain loop under the same fault, with K + 1 rows, K rows
+        and the whole run, and no NumPy warning is raised."""
+        base = replace(short_changes_config(0.0), schedule=ChangeSchedule(()))
+        K, steps, n = FORK_K, round(SHORT_T_SIM / SHORT_DT), base.plant.n
+        fail_cfg, nan_cfg, clean_cfg = (
+            replace(base, run=replace(base.run, seed=seed), plant=replace(
+                base.plant, m=base.plant.m * scale))
+            for seed, scale in ((1, 1.25), (2, 1.0), (3, 1.0)))
+        nan_draws = np.random.default_rng(
+            [nan_cfg.run.seed, harness._RUN_STREAM]).standard_normal(
+            (steps, n + 1))[K]
+        measure, step = harness.measure, harness.step_plant
+
+        def nan_measure(plant, x, z, output_index):
+            """NaN measurements for the draws of nan_cfg's sample K."""
+            x_meas, y_meas = measure(plant, x, z, output_index)
+            hit = (z == nan_draws).all(axis=-1)
+            return (np.where(hit[..., None], math.nan, x_meas),
+                    np.where(hit, math.nan, y_meas))
+
+        def failing_step():
+            """A plant step that fails on fail_cfg's plant at sample K."""
+            steps_on = []
+
+            def failing(plant, x, u):
+                if plant.m == fail_cfg.plant.m:
+                    steps_on.append(None)
+                    if len(steps_on) == K + 1:
+                        raise NonFiniteState("plant state went non-finite")
+                return step(plant, x, u)
+            return failing
+
+        cfgs = (fail_cfg, nan_cfg, clean_cfg)
+        monkeypatch.setattr(harness, "measure", nan_measure)
+        monkeypatch.setattr(harness, "step_plant", failing_step())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_closed_loop(
+                base, _cells=[([c], short_estimator) for c in cfgs])
+        for c, (result,), rows in zip(cfgs, results, (K + 1, K, steps)):
+            monkeypatch.setattr(harness, "step_plant", failing_step())
+            want = plain_loop(c, short_estimator)
+            assert (result.aborted, result.reason) == (want.aborted,
+                                                       want.reason)
+            assert len(result.records) == len(want.records) == rows
+            assert_same_trace(result.records, want.records)
+        assert [r.reason.split(":")[0] for (r,) in results] == [
+            f"NonFiniteState at t={K * SHORT_DT:.6g}"] * 2 + [""]
 
     def test_a_cell_splits_where_its_configs_applied_events_differ(
             self, short_estimator, monkeypatch):
