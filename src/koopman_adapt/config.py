@@ -212,10 +212,6 @@ def assemble(sections: dict) -> ExperimentConfig:
 
     dictionary = _build("dict", ObservableDictionary, plant.n,
                         **sections.get("dict", {}))
-    if dictionary.output_index >= plant.n:
-        raise ConfigError(
-            "dict.output_index must address a state coordinate "
-            f"(< {plant.n}) so the plant output is measurable")
 
     redmd = _build("redmd", RedmdSettings, **sections.get("redmd", {}))
     if redmd.state_scales is not None and len(redmd.state_scales) != plant.n:
@@ -234,11 +230,11 @@ def assemble(sections: dict) -> ExperimentConfig:
     if mpc.Ru.shape != (plant.p, plant.p):
         raise ConfigError(
             f"mpc.ru needs {plant.p} diagonal entries, got {mpc.Ru.shape[0]}")
-    for key in ("u_min", "u_max"):
-        bound = getattr(mpc, key)
-        if bound is not None and bound.shape != (plant.p,):
-            raise ConfigError(
-                f"mpc.{key} needs {plant.p} entries, got {bound.size}")
+    for section, key, value in (("redmd", "m_op", redmd.m_op),
+                                ("mpc", "horizon", mpc.horizon)):
+        if value > MAX_STEPS:  # each sizes arrays of that many samples
+            raise ConfigError(f"invalid [{section}] section: {key} must be at "
+                              f"most {MAX_STEPS:.0e}, got {value}")
 
     observer = _build("observer", ObserverSettings,
                       **sections.get("observer", {}))

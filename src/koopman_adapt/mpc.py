@@ -29,12 +29,12 @@ class MpcConfig:
     """Horizon, weights, and box bounds for the tracking controller.
 
     Qy weights the projected state tracking error (n x n), Ru the input
-    effort (p x p, positive definite). The terminal tracking block is scaled
-    by terminal_weight. u_min/u_max are per-channel bounds; None leaves the
-    problem unconstrained. When the bounds bind, the box QP stops once its
-    KKT conditions hold to within pg_tol, or after max_pg_iters active-set
-    iterations. The config is immutable, so its ``structure`` is built
-    once and shared by every model's controller.
+    effort (p x p, positive definite); both are symmetric. The terminal
+    tracking block is scaled by terminal_weight. u_min/u_max are (p,)
+    per-channel bounds; an omitted one is -inf/+inf. When the bounds bind,
+    the box QP stops once its KKT conditions hold to within pg_tol, or after
+    max_pg_iters active-set iterations. The config is immutable, so its
+    ``structure`` is built once and shared by every model's controller.
     """
 
     horizon: int
@@ -51,38 +51,40 @@ class MpcConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        for name, ndmin in (("Qy", 2), ("Ru", 2), ("u_min", 1), ("u_max", 1)):
-            v = getattr(self, name)
-            if v is not None:  # a read-only copy, as the structure reads it
-                v = np.array(v, dtype=float, ndmin=ndmin)
-                v.flags.writeable = False
-                object.__setattr__(self, name, v)
         if not 0 < self.terminal_weight < math.inf:
             raise ValueError("terminal_weight must be finite and positive")
-        if not np.isfinite(self.Qy).all():
-            raise ValueError("Qy must be finite")
-        if not (np.isfinite(self.Ru).all()
-                and np.linalg.eigvalsh(self.Ru).min() > 0):
-            raise ValueError("Ru must be finite and positive definite")
-        # an unbounded side is -inf below or +inf above, never the reverse
-        for name, wrong in (("u_min", math.inf), ("u_max", -math.inf)):
-            v = getattr(self, name)
-            if v is not None and (np.isnan(v) | (v == wrong)).any():
-                raise ValueError(f"{name} must not be NaN or {wrong}")
-        if self.u_min is not None and self.u_max is not None:
-            if self.u_min.shape != self.u_max.shape:
-                raise ValueError(
-                    f"u_min and u_max differ in shape: {self.u_min.shape} "
-                    f"vs {self.u_max.shape}")
-            if (self.u_min > self.u_max).any():
-                raise ValueError("u_min must be <= u_max elementwise")
         if not (math.isfinite(self.pg_tol) and self.pg_tol > 0):
             raise ValueError(f"pg_tol must be finite and > 0, got "
                              f"{self.pg_tol!r}")
+        # read-only copies, as the structure reads them; the condensed
+        # Hessian 2 (G'Qbar G + Rbar) is the cost's only for symmetric weights
+        for name in ("Qy", "Ru"):
+            v = np.array(getattr(self, name), dtype=float, ndmin=2)
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
+            if v.shape != (len(v),) * 2 or (v != v.T).any():
+                raise ValueError(f"{name} must be square and symmetric")
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        if np.linalg.eigvalsh(self.Ru)[0] <= 0:
+            raise ValueError("Ru must be positive definite")
+        p = len(self.Ru)
+        # an unbounded side is -inf below or +inf above, never the reverse
+        for name, side in (("u_min", -math.inf), ("u_max", math.inf)):
+            v = getattr(self, name)
+            v = np.full(p, side) if v is None else np.array(v, float, ndmin=1)
+            if (np.isnan(v) | (v == -side)).any():
+                raise ValueError(f"{name} must not be NaN or {-side}")
+            if v.shape != (p,):
+                raise ValueError(f"{name} needs {p} entries, one per input")
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        if (self.u_min > self.u_max).any():
+            raise ValueError("u_min must be <= u_max elementwise")
 
-    @property
-    def constrained(self) -> bool:
-        return self.u_min is not None or self.u_max is not None
+    @cached_property
+    def constrained(self) -> bool:  # some bound is finite
+        return bool(np.isfinite([self.u_min, self.u_max]).any())
 
     @cached_property
     def structure(self) -> "ConfigStructure":
@@ -97,16 +99,15 @@ class ConfigStructure:
     the diagonal) and the bounds lo, hi tiled over the horizon."""
 
     def __init__(self, cfg: MpcConfig):
-        H, p = cfg.horizon, cfg.Ru.shape[0]
+        H = cfg.horizon
         weights = np.ones(H)
         weights[-1] = cfg.terminal_weight
         self.Qbar = np.kron(np.diag(weights), cfg.Qy)
         self.Rbar = np.kron(np.eye(H), cfg.Ru)
         self.lag = np.subtract.outer(np.arange(H), np.arange(H))
         self.lag[self.lag < 0] = H
-        unbounded = np.full(p, np.inf)
-        self.lo = np.tile(-unbounded if cfg.u_min is None else cfg.u_min, H)
-        self.hi = np.tile(unbounded if cfg.u_max is None else cfg.u_max, H)
+        self.lo = np.tile(cfg.u_min, H)
+        self.hi = np.tile(cfg.u_max, H)
 
 
 class CondensedMpc:
@@ -120,12 +121,9 @@ class CondensedMpc:
 
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
         n, N, p, H = model.dictionary.n, model.size, model.p, cfg.horizon
-        for name, shape in (("Qy", (n, n)), ("Ru", (p, p)), ("u_min", (p,)),
-                            ("u_max", (p,))):
-            value = getattr(cfg, name)
-            if value is not None and value.shape != shape:
-                raise DimensionMismatch(
-                    f"{name} must be {shape}, got {value.shape}")
+        if cfg.Qy.shape != (n, n) or cfg.Ru.shape != (p, p):
+            raise DimensionMismatch(f"Qy and Ru must be ({n}, {n}) and "
+                                    f"({p}, {p}) for this model")
         self.model, self.cfg = model, cfg
         s = cfg.structure
         # an overflow over the horizon surfaces as IllConditionedHessian,
@@ -150,15 +148,11 @@ class CondensedMpc:
                     "condensed Hessian has non-finite entries; the model "
                     "overflows over the horizon")
         eig = np.linalg.eigvalsh(self.hessian)  # ascending
-        if eig[0] <= 0:
+        if not (eig[0] > 0 and eig[-1] / eig[0] <= HESSIAN_COND_LIMIT):
             raise IllConditionedHessian(
-                f"condensed Hessian is not positive definite (smallest "
-                f"eigenvalue {eig[0]:.3e}); revisit weights or horizon")
-        cond = eig[-1] / eig[0]
-        if cond > HESSIAN_COND_LIMIT:
-            raise IllConditionedHessian(
-                f"condensed Hessian condition {cond:.3e} exceeds "
-                f"{HESSIAN_COND_LIMIT:.1e}; revisit weights or horizon")
+                f"condensed Hessian is not positive definite with condition "
+                f"<= {HESSIAN_COND_LIMIT:.1e} (eigenvalues {eig[0]:.3e} to "
+                f"{eig[-1]:.3e}); revisit weights or horizon")
         # U = -law @ f0 minimizes the condensed objective without bounds
         self._law = np.linalg.solve(self.hessian, 2.0 * self.GtQ)
 

@@ -25,7 +25,7 @@ class ObservableDictionary:
         family: "identity", "trig" or "monomial".
         degree: Highest total degree of the monomial family (>= 1; the
                 other families ignore it).
-        output_index: Index of the scalar output within the lifted vector.
+        output_index: The state coordinate measured as the scalar output.
     """
 
     n: int
@@ -41,10 +41,9 @@ class ObservableDictionary:
                              "expected identity, trig, or monomial")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if not 0 <= self.output_index < self.size:
-            raise ValueError(
-                f"output_index {self.output_index} out of range for "
-                f"N={self.size}")
+        if not 0 <= self.output_index < self.n:
+            raise ValueError(f"output_index must address a state coordinate "
+                             f"(< {self.n}), got {self.output_index}")
 
     @cached_property
     def size(self) -> int:

@@ -131,6 +131,22 @@ class TestExitCodes:
         assert "configuration error" in err and "[run]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, section", [
+        ("m_op = 5", "m_op = 1000000000000", "[redmd]"),
+        ("horizon = 5", "horizon = 1000000000000", "[mpc]"),
+    ])
+    def test_impossible_window_or_horizon_is_a_config_error(
+            self, tmp_path, capsys, old, new, section):
+        """An estimator window or a horizon of 1e12 samples is refused by
+        the config, naming its section, not by a failed allocation."""
+        path = tmp_path / "long.cfg"
+        path.write_text(TINY_TEXT.replace(old, new))
+        out = tmp_path / "out.csv"
+        assert cli_main(["simulate", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and section in err
+        assert not out.exists()
+
     def test_overflowing_lift_is_a_numerical_abort(self, tmp_path, capsys):
         """Training states whose monomial lift overflows stop the offline
         fit with a numerical abort, not a traceback or overflow warnings."""

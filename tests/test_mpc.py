@@ -96,7 +96,7 @@ def from_scratch_condensation(model, cfg):
     the model and the config: the full prediction maps, their projected
     rows, the Kronecker weights and the tiled bounds, as one monolithic
     construction."""
-    H, N, n, p = cfg.horizon, model.size, model.dictionary.n, model.p
+    H, N, n = cfg.horizon, model.size, model.dictionary.n
     S_psi, S_u = build_prediction_matrices(model, H)
     rows = (np.arange(H)[:, None] * N + np.arange(n)[None, :]).ravel()
     F, G = S_psi[rows], S_u[rows]
@@ -105,9 +105,7 @@ def from_scratch_condensation(model, cfg):
     GtQ = G.T @ np.kron(np.diag(weights), cfg.Qy)
     hessian = 2.0 * (GtQ @ G + np.kron(np.eye(H), cfg.Ru))
     law = np.linalg.solve(hessian, 2.0 * GtQ)
-    unbounded = np.full(p, np.inf)
-    lo = np.tile(-unbounded if cfg.u_min is None else cfg.u_min, H)
-    hi = np.tile(unbounded if cfg.u_max is None else cfg.u_max, H)
+    lo, hi = np.tile(cfg.u_min, H), np.tile(cfg.u_max, H)
     return F, G, GtQ, hessian, law, lo, hi
 
 
@@ -413,12 +411,46 @@ class TestSolve:
         assert set(info) == {"pg_iterations", "converged"}
         assert info["converged"] and info["pg_iterations"] >= 1
 
+    def test_all_infinite_box_is_unconstrained(self):
+        """Bounds at -inf/+inf on every channel are the omitted bounds: the
+        config is unconstrained and solves as the config without bounds,
+        bit for bit and without an active-set iteration."""
+        rng = np.random.default_rng(11)
+        model = random_model(seed=12)
+        free = MpcConfig(horizon=6, Qy=np.eye(3), Ru=0.01 * np.eye(2))
+        box = MpcConfig(horizon=6, Qy=np.eye(3), Ru=0.01 * np.eye(2),
+                        u_min=[-np.inf] * 2, u_max=[np.inf] * 2)
+        assert not free.constrained and not box.constrained
+        np.testing.assert_array_equal(free.u_min, box.u_min)
+        np.testing.assert_array_equal(free.u_max, box.u_max)
+        for _ in range(5):
+            psi0, w = 10 * rng.standard_normal(3), rng.standard_normal((3, 6))
+            u0, plan, info = CondensedMpc(model, box).solve(
+                psi0, w, return_info=True)
+            u0_free, plan_free = CondensedMpc(model, free).solve(psi0, w)
+            np.testing.assert_array_equal(u0, u0_free)
+            np.testing.assert_array_equal(plan, plan_free)
+            assert info == {"pg_iterations": 0, "converged": True}
+
+    @pytest.mark.parametrize("weights", [
+        {"Qy": [[1.0, 2.0], [0.0, 1.0]], "Ru": [[1.0]]},
+        {"Qy": np.eye(2), "Ru": [[1.0, 0.5], [0.0, 1.0]]},
+    ])
+    def test_asymmetric_weights_rejected(self, weights):
+        """The condensed Hessian 2 (G'Qbar G + Rbar) is the stated cost's
+        only for symmetric weights, so a plan built from Qy = [[1, 2],
+        [0, 1]] does not minimize that cost; the config refuses weights
+        that are not exactly symmetric."""
+        with pytest.raises(ValueError, match="symmetric"):
+            MpcConfig(horizon=4, **weights)
+
     def test_ill_conditioned_hessian_raises(self):
         d = ObservableDictionary(1, "identity")
         model = KoopmanModel(np.array([[0.5]]), np.array([[1.0, 0.0]]), d)
         cfg = MpcConfig(horizon=3, Qy=np.eye(1),
                         Ru=np.diag([1.0, 1e-14]))
-        with pytest.raises(IllConditionedHessian):
+        with pytest.raises(IllConditionedHessian, match=r"positive definite "
+                           r"with condition <= 1\.0e\+12"):
             CondensedMpc(model, cfg)
 
 
@@ -445,10 +477,14 @@ class TestSolve:
         {"u_min": [-1.0, -2.0], "u_max": [1.0, 2.0]},
     ])
     def test_bounds_need_one_entry_per_input(self, bounds):
-        model = scalar_model()
-        cfg = MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1), **bounds)
-        with pytest.raises(DimensionMismatch):
-            CondensedMpc(model, cfg)
+        """The config refuses bounds of another length than Ru's; a config
+        that holds together but has another p than the model is refused
+        when a controller is built for that model."""
+        with pytest.raises(ValueError, match="one per input"):
+            MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(1), **bounds)
+        cfg = MpcConfig(horizon=3, Qy=np.eye(1), Ru=np.eye(2), **bounds)
+        with pytest.raises(DimensionMismatch, match=r"\(1, 1\)"):
+            CondensedMpc(scalar_model(), cfg)
 
     @pytest.mark.parametrize("bounds", [
         {"u_min": [np.inf]}, {"u_max": [-np.inf]},

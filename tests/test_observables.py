@@ -174,3 +174,7 @@ class TestFamilies:
             ObservableDictionary(2, "identity", output_index=5)
         with pytest.raises(ValueError):
             ObservableDictionary(2, output_index=-1)
+        # the output is measured from the state: an index past n is refused
+        # even where the lifted vector (here N = 6) has that row
+        with pytest.raises(ValueError, match="state coordinate"):
+            ObservableDictionary(2, "trig", output_index=2)
