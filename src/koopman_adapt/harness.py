@@ -137,7 +137,8 @@ class _Cells:
     def take(self, rows: list) -> "_Cells":
         """A table of the given rows, in order: copies of their columns and
         filter rows, and their objects, which the run rebinds but does not
-        change, apart from the estimator: a repeated row gets a copy."""
+        change, apart from the estimator and the solver's working set: a
+        repeated row gets a copy of each."""
         # np.take copies whole rows, padding included: it stays zero
         cells = _Cells(self.kf.take(rows), self.x[rows], self.source[rows],
                        np.take(self.records, rows, axis=0),
@@ -146,6 +147,7 @@ class _Cells:
         for i, r in enumerate(rows):
             if rows.index(r) < i:
                 cells.est[i] = copy.deepcopy(self.est[r])
+                cells.solver[i] = copy.copy(self.solver[r])
         return cells
 
     def split(self, t: float) -> "_Cells":

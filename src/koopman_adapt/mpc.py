@@ -6,9 +6,10 @@ against the reference window plus an input effort term. The unconstrained
 minimizer is affine in the stacked tracking offset, so its law is solved
 once per model and each solve is one matrix-vector product. When that plan
 leaves the input box, a primal active-set method solves the box QP exactly
-(Nocedal & Wright, Numerical Optimization, sec. 16.5), warm-started at the
-clipped plan. This is the dense Koopman-MPC form of Korda & Mezic
-(Automatica 2018).
+(Nocedal & Wright, Numerical Optimization, sec. 16.5), warm-started from the
+last binding solve's working set shifted one step, the online active-set
+strategy of Ferreau, Bock & Diehl (Int. J. Robust Nonlinear Control 2008).
+This is the dense Koopman-MPC form of Korda & Mezic (Automatica 2018).
 """
 
 import math
@@ -24,7 +25,7 @@ from .errors import DimensionMismatch, IllConditionedHessian
 HESSIAN_COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MpcConfig:
     """Horizon, weights, and box bounds for the tracking controller.
 
@@ -34,7 +35,8 @@ class MpcConfig:
     per-channel bounds; an omitted one is -inf/+inf. When the bounds bind,
     the box QP stops once its KKT conditions hold to within pg_tol, or after
     max_pg_iters active-set iterations. The config is immutable, so its
-    ``structure`` is built once and shared by every model's controller.
+    ``structure`` is built once and shared by every model's controller; it
+    compares and hashes by identity, as its fields are arrays.
     """
 
     horizon: int
@@ -66,7 +68,9 @@ class MpcConfig:
                 raise ValueError(f"{name} must be square and symmetric")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-        if np.linalg.eigvalsh(self.Ru)[0] <= 0:
+            # its least eigenvalue, which a controller's Hessian test reads
+            object.__setattr__(self, f"_{name}_min", np.linalg.eigvalsh(v)[0])
+        if self._Ru_min <= 0:
             raise ValueError("Ru must be positive definite")
         p = len(self.Ru)
         # an unbounded side is -inf below or +inf above, never the reverse
@@ -96,10 +100,11 @@ class ConfigStructure:
     """The condensation's config-only part: the stacked weights
     Qbar = blkdiag(Qy, ..., terminal_weight Qy) and Rbar = blkdiag(Ru, ...),
     the lag i - j of block (i, j) of the impulse map (H, a zero block, above
-    the diagonal) and the bounds lo, hi tiled over the horizon."""
+    the diagonal), the bounds lo, hi tiled over the horizon, and shift, the
+    index of a stacked plan one step on (its last step repeated)."""
 
     def __init__(self, cfg: MpcConfig):
-        H = cfg.horizon
+        H, p = cfg.horizon, len(cfg.Ru)
         weights = np.ones(H)
         weights[-1] = cfg.terminal_weight
         self.Qbar = np.kron(np.diag(weights), cfg.Qy)
@@ -108,6 +113,7 @@ class ConfigStructure:
         self.lag[self.lag < 0] = H
         self.lo = np.tile(cfg.u_min, H)
         self.hi = np.tile(cfg.u_max, H)
+        self.shift = np.r_[p:H * p, H * p - p:H * p]
 
 
 class CondensedMpc:
@@ -116,7 +122,9 @@ class CondensedMpc:
     Building the model's part of the condensation and the unconstrained law
     costs O(H N^3 + H^2 n^2 p + (H p)^3); an unconstrained solve is then one
     (H p) x (H n) matrix-vector product, so the harness constructs one of
-    these per model update rather than per sample.
+    these per model update rather than per sample. Between solves it keeps
+    the working set of its last binding solve, where the next one starts; a
+    copy.copy of it solves on alone.
     """
 
     def __init__(self, model: KoopmanModel, cfg: MpcConfig):
@@ -147,14 +155,20 @@ class CondensedMpc:
                 raise IllConditionedHessian(
                     "condensed Hessian has non-finite entries; the model "
                     "overflows over the horizon")
-        eig = np.linalg.eigvalsh(self.hessian)  # ascending
-        if not (eig[0] > 0 and eig[-1] / eig[0] <= HESSIAN_COND_LIMIT):
-            raise IllConditionedHessian(
-                f"condensed Hessian is not positive definite with condition "
-                f"<= {HESSIAN_COND_LIMIT:.1e} (eigenvalues {eig[0]:.3e} to "
-                f"{eig[-1]:.3e}); revisit weights or horizon")
+            # Qy >= 0 gives H >= 2 Rbar, cond(H) <= trace(H) / (2 min eig Ru)
+            bounded = cfg._Qy_min >= 0 and (self.hessian.trace() <= 2.0
+                                            * cfg._Ru_min * HESSIAN_COND_LIMIT)
+        if not bounded:
+            eig = np.linalg.eigvalsh(self.hessian)  # ascending
+            if not (eig[0] > 0 and eig[-1] / eig[0] <= HESSIAN_COND_LIMIT):
+                raise IllConditionedHessian(
+                    f"condensed Hessian is not positive definite with "
+                    f"condition <= {HESSIAN_COND_LIMIT:.1e} (eigenvalues "
+                    f"{eig[0]:.3e} to {eig[-1]:.3e}); revisit weights or "
+                    f"horizon")
         # U = -law @ f0 minimizes the condensed objective without bounds
         self._law = np.linalg.solve(self.hessian, 2.0 * self.GtQ)
+        self._working = None  # (at_lo, free) of the last binding solve
 
     def solve(self, psi0, w_window, return_info: bool = False):
         """Minimize the condensed objective for the current lifted state
@@ -178,6 +192,8 @@ class CondensedMpc:
         s = cfg.structure
         if cfg.constrained and ((U < s.lo) | (U > s.hi)).any():
             U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0))
+        else:
+            self._working = None
         plan = U.reshape(H, self.model.p).T
         return (plan[:, 0].copy(), plan, info) if return_info \
             else (plan[:, 0].copy(), plan)
@@ -186,28 +202,32 @@ class CondensedMpc:
         """Primal active-set method for min 1/2 U'HU + grad0'U on the box,
         from the unconstrained minimizer U.
 
-        The working set starts as the entries U violates, fixed at their
-        bounds. Each iteration minimizes over the free entries with the
+        The working set starts as the last binding solve's shifted one step
+        (its first p entries dropped, its last p repeated; empty after a
+        feasible solve), and each entry outside it that U violates joins it
+        at that bound. Each iteration minimizes over the free entries with the
         working set held, steps towards that minimizer as far as the box
         allows and adds the first bound it meets; at the minimizer it checks
         the KKT conditions and releases the bound with the most negative
         multiplier. Every iterate is feasible and the objective never rises.
         """
-        hess = self.hessian
-        lo, hi = self.cfg.structure.lo, self.cfg.structure.hi
-        tol = self.cfg.pg_tol
+        hess, s, tol = self.hessian, self.cfg.structure, self.cfg.pg_tol
+        lo, hi = s.lo, s.hi
         # the working set: the entries not free, each on its lower bound
         # where at_lo holds and on its upper bound otherwise
         at_lo = U < lo
         free = ~(at_lo | (U > hi))
-        U = U.clip(lo, hi)
+        if self._working is not None:
+            last_lo, last_free = (a[s.shift] for a in self._working)
+            at_lo = np.where(last_free, at_lo, last_lo)
+            free &= last_free
+        U = np.where(free, U, np.where(at_lo, lo, hi))
         converged = False
         for iters in range(1, self.cfg.max_pg_iters + 1):
             idx = free.nonzero()[0]
             if idx.size:
                 rows = hess.take(idx, 0)
-                held = U.copy()
-                held[idx] = 0.0
+                held = np.where(free, 0.0, U)
                 U_free = U[idx]
                 step = np.linalg.solve(rows.take(idx, 1),
                                        -(grad0[idx] + rows @ held)) - U_free
@@ -242,4 +262,5 @@ class CondensedMpc:
                 break
             if mult[worst] < -tol:
                 free[worst] = True
+        self._working = at_lo, free
         return U, {"pg_iterations": iters, "converged": converged}

@@ -900,14 +900,10 @@ class TestComparison:
                               plain_loop(c, short_estimator).records)
         assert not np.shares_memory(results[0].records, results[1].records)
 
-    @pytest.mark.parametrize("seed", [12345, 3009016])
-    def test_every_cell_at_two_seeds_equals_the_plain_loop(self, seed):
-        """Every cell of a short sweep, with its own seed's offline fit
-        and noise, equals the plain loop of its config bit for bit, at the
-        reference seed and at one whose adaptive observers diverge in the
-        full-length run."""
-        cfg = short_changes_config(FORK_K * SHORT_DT)
-        cfg = replace(cfg, run=replace(cfg.run, seed=seed))
+    @staticmethod
+    def assert_every_cell_equals_the_plain_loop(cfg):
+        """Every cell of the sweep of cfg, from its own seed's offline fit,
+        equals the plain loop of its config bit for bit."""
         estimator = prepare_estimator(cfg)
         cells = [([harness._cell_config(cfg, variant, h, speed)
                    for h in (False, True)], estimator)
@@ -919,6 +915,28 @@ class TestComparison:
                 assert (result.aborted, result.reason) == (want.aborted,
                                                            want.reason)
                 assert_same_trace(result.records, want.records)
+
+    @pytest.mark.parametrize("seed", [12345, 3009016])
+    def test_every_cell_at_two_seeds_equals_the_plain_loop(self, seed):
+        """Every cell of a short sweep, with its own seed's offline fit
+        and noise, equals the plain loop of its config bit for bit, at the
+        reference seed and at one whose adaptive observers diverge in the
+        full-length run."""
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        self.assert_every_cell_equals_the_plain_loop(
+            replace(cfg, run=replace(cfg.run, seed=seed)))
+
+    @pytest.mark.parametrize("seed", [12345, 3009016])
+    def test_every_bound_cell_at_two_seeds_equals_the_plain_loop(self, seed):
+        """Under the saturating workload's +-2 input bounds, which bind in
+        about a third of the short sweep's solves, before and after its
+        cells split: each twin warm-starts its box QP from its own working
+        set, as its plain loop's solver does, so every cell still equals
+        its plain loop bit for bit."""
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        self.assert_every_cell_equals_the_plain_loop(replace(
+            cfg, run=replace(cfg.run, seed=seed),
+            mpc=replace(cfg.mpc, u_min=[-2.0], u_max=[2.0])))
 
     def test_cells_from_several_seeds_in_one_call(self, monkeypatch):
         """The cells of the sweeps at two seeds, each with its own offline

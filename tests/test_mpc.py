@@ -1,5 +1,6 @@
 """Tests for the condensed receding-horizon controller."""
 
+import copy
 import dataclasses
 
 import hypothesis
@@ -208,6 +209,22 @@ def bvls_plan(solver, psi0, w_window):
     return U.reshape(H, p).T, grad0, lo, hi
 
 
+def assert_box_optimum(solver, psi0, w_window, plan, info, scale):
+    """A binding solve's plan is feasible, satisfies the KKT conditions and
+    equals BVLS to within 1e-9 of scale."""
+    ref, grad0, lo, hi = bvls_plan(solver, psi0, w_window)
+    U = plan.T.ravel()
+    assert info["converged"] and info["pg_iterations"] >= 1
+    assert (lo <= U).all() and (U <= hi).all()
+    grad = solver.hessian @ U + grad0
+    tol = 1e-7 * max(1.0, np.abs(grad0).max())
+    free = (lo < U) & (U < hi)
+    assert np.abs(grad[free]).max(initial=0.0) <= tol
+    assert (grad[(U == lo) & (lo < hi)] >= -tol).all()
+    assert (grad[(U == hi) & (lo < hi)] <= tol).all()
+    np.testing.assert_allclose(plan, ref, rtol=0, atol=1e-9 * max(1.0, scale))
+
+
 def dare_gain(a, b, q, r, tol=1e-14):
     """Scalar discrete Riccati fixed point and its LQR gain."""
     p_cur = q
@@ -321,6 +338,50 @@ class TestConfigStructure:
         CondensedMpc(random_model(seed=2), cfg)
         assert calls == {"kron": 0, "tril_indices": 0}
         assert cfg.structure is structure
+
+    def test_hessian_test_skips_eigvalsh_when_the_bound_settles_it(
+            self, monkeypatch):
+        """With Qy >= 0 the Hessian's condition is at most trace(H) / (2 min
+        eig Ru): a build whose bound is under the limit runs no
+        eigendecomposition. An indefinite Qy, or an Ru whose bound exceeds
+        the limit, runs one and still raises."""
+        calls = []
+
+        def counting(a, _fn=np.linalg.eigvalsh):
+            calls.append(a.shape)
+            return _fn(a)
+
+        d = ObservableDictionary(1, "identity")
+        two_inputs = KoopmanModel(np.array([[0.5]]), np.array([[1.0, 0.0]]),
+                                  d)
+        cases = [
+            (random_model(seed=1), MpcConfig(
+                horizon=6, Qy=np.diag([1.0, 0.0, 2.0]), Ru=np.eye(2),
+                u_max=[1.0, 1.0]), None),
+            (scalar_model(), MpcConfig(horizon=3, Qy=-np.eye(1),
+                                       Ru=0.01 * np.eye(1)), 3),
+            (two_inputs, MpcConfig(horizon=3, Qy=np.eye(1),
+                                   Ru=np.diag([1.0, 1e-14])), 6)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for model, cfg, eig_size in cases:
+            calls.clear()
+            if eig_size is None:
+                CondensedMpc(model, cfg)
+                assert calls == []
+            else:
+                with pytest.raises(IllConditionedHessian,
+                                   match="positive definite"):
+                    CondensedMpc(model, cfg)
+                assert calls == [(eig_size, eig_size)]
+
+    def test_config_compares_and_hashes_by_identity(self):
+        """Array fields have no truth value, so a generated __eq__ raised
+        ValueError and __hash__ TypeError: a config equals only itself."""
+        cfg = MpcConfig(3, np.eye(1), np.eye(1))
+        assert cfg == cfg and hash(cfg) == hash(cfg)
+        assert cfg != dataclasses.replace(cfg)
+        assert len({cfg, dataclasses.replace(cfg)}) == 2
+        assert harness.default_config().mpc != harness.default_config().mpc
 
     def test_config_is_immutable(self):
         """The shared structure cannot go stale: the config and its arrays
@@ -549,19 +610,34 @@ class TestBoxQp:
         cfg = dataclasses.replace(cfg, u_min=u_min, u_max=u_max)
         solver = CondensedMpc(model, cfg)
         _, plan, info = solver.solve(psi0, w, return_info=True)
-        ref, grad0, lo, hi = bvls_plan(solver, psi0, w)
-        U = plan.T.ravel()
-        assert info["converged"] and info["pg_iterations"] >= 1
-        assert (lo <= U).all() and (U <= hi).all()
+        assert_box_optimum(solver, psi0, w, plan, info, reach.max())
         assert (plan[point] == u_min[point, None]).all()
-        grad = solver.hessian @ U + grad0
-        tol = 1e-7 * max(1.0, np.abs(grad0).max())
-        free = (lo < U) & (U < hi)
-        assert np.abs(grad[free]).max(initial=0.0) <= tol
-        assert (grad[(U == lo) & (lo < hi)] >= -tol).all()
-        assert (grad[(U == hi) & (lo < hi)] <= tol).all()
-        np.testing.assert_allclose(plan, ref, rtol=0,
-                                   atol=1e-9 * max(1.0, reach.max()))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @given(**problems, frac=st.floats(0.05, 0.9))
+    def test_warm_started_plan_matches_bvls(self, seed, n, extra, p,
+                                            horizon, frac):
+        """Two binding solves in a row on one controller, the second one
+        sample on (the lifted state moved by the first input, the reference
+        window shifted), which starts from the first's working set: both
+        plans are feasible, satisfy the KKT conditions and equal BVLS."""
+        model, cfg = random_problem(seed, n, extra, p, horizon)
+        rng = np.random.default_rng([seed, 1])  # not the model's stream
+        psi0 = rng.standard_normal(model.size)
+        w = rng.standard_normal((n, horizon + 1))
+        _, free_plan = CondensedMpc(model, cfg).solve(psi0, w[:, :-1])
+        reach = np.abs(free_plan).max(axis=1)
+        hypothesis.assume(reach.min() > 1e-6)
+        cfg = dataclasses.replace(cfg, u_min=-frac * reach,
+                                  u_max=frac * reach)
+        solver = CondensedMpc(model, cfg)
+        u0, plan, info = solver.solve(psi0, w[:, :-1], return_info=True)
+        assert_box_optimum(solver, psi0, w[:, :-1], plan, info, reach.max())
+        assert solver._working is not None
+        psi1 = model.K @ psi0 + model.B @ u0
+        _, plan, info = solver.solve(psi1, w[:, 1:], return_info=True)
+        hypothesis.assume(info["pg_iterations"] > 0)
+        assert_box_optimum(solver, psi1, w[:, 1:], plan, info, reach.max())
 
     def test_capped_solve_is_feasible_and_not_converged(self):
         """A binding solve that needs several active-set iterations, capped
@@ -632,25 +708,32 @@ class TestBoxQp:
     def test_saturating_solves_same_without_info(self, perfbench,
                                                  monkeypatch):
         """Every binding solve of the saturating scenario at seed 12345
-        gives the same bits whether or not it records its diagnostics."""
+        gives the same bits whether or not it records its diagnostics. Each
+        replays from a copy of its solver as it stood before the call, as a
+        solve moves the working set the next one starts from."""
         workloads = perfbench("workloads")
         cfg = assemble(loads(workloads.config_text("saturating", 12345)))
         solves = []
         solve = mpc.CondensedMpc.solve
 
         def recording_solve(self, psi0, w_window, return_info=False):
-            solves.append((self, psi0.copy(), w_window.copy()))
-            return solve(self, psi0, w_window, return_info)
+            solves.append((copy.copy(self), psi0.copy(), w_window.copy()))
+            out = solve(self, psi0, w_window, return_info)
+            solves[-1] += out[:2]
+            return out
 
         monkeypatch.setattr(mpc.CondensedMpc, "solve", recording_solve)
         harness.run_closed_loop(cfg)
         binding = 0
-        for solver, psi0, w in solves:
-            u0, plan, info = solve(solver, psi0, w, return_info=True)
-            u0_bare, plan_bare = solve(solver, psi0, w)
+        for before, psi0, w, u0_run, plan_run in solves:
+            u0, plan, info = solve(copy.copy(before), psi0, w,
+                                   return_info=True)
+            u0_bare, plan_bare = solve(copy.copy(before), psi0, w)
             binding += info["pg_iterations"] > 0
-            np.testing.assert_array_equal(u0_bare, u0)
-            np.testing.assert_array_equal(plan_bare, plan)
+            for got in (u0_bare, u0_run):
+                np.testing.assert_array_equal(got, u0)
+            for got in (plan_bare, plan_run):
+                np.testing.assert_array_equal(got, plan)
         assert binding > 100
 
 
