@@ -230,11 +230,6 @@ def assemble(sections: dict) -> ExperimentConfig:
     if mpc.Ru.shape != (plant.p, plant.p):
         raise ConfigError(
             f"mpc.ru needs {plant.p} diagonal entries, got {mpc.Ru.shape[0]}")
-    for section, key, value in (("redmd", "m_op", redmd.m_op),
-                                ("mpc", "horizon", mpc.horizon)):
-        if value > MAX_STEPS:  # each sizes arrays of that many samples
-            raise ConfigError(f"invalid [{section}] section: {key} must be at "
-                              f"most {MAX_STEPS:.0e}, got {value}")
 
     observer = _build("observer", ObserverSettings,
                       **sections.get("observer", {}))

@@ -239,7 +239,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, *,
     seeds, rows = {}, []  # each seed's index; each cell's row of the table
     for i, (cfgs, est) in enumerate(specs):
         w = reference_of(cfgs[0].run.reference)
-        est = copy.deepcopy(prepare_estimator(cfgs[0]) if est is None else est)
+        est = prepare_estimator(cfgs[0]) if est is None else copy.deepcopy(est)
         model = est.model
         rows.append((
             init_kalman(w[:, 0], cfg.observer, model=model),

@@ -10,11 +10,11 @@ leaves the input box, a primal active-set method solves the box QP exactly
 last binding solve's working set shifted one step, the online active-set
 strategy of Ferreau, Bock & Diehl (Int. J. Robust Nonlinear Control 2008).
 This is the dense Koopman-MPC form of Korda & Mezic (Automatica 2018).
+An MpcConfig builds the config-only arrays once, a controller the model's.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -23,6 +23,7 @@ from .edmd import KoopmanModel
 from .errors import DimensionMismatch, IllConditionedHessian
 
 HESSIAN_COND_LIMIT = 1e12
+MAX_STACKED = 4096  # H max(n, p): Qbar and Rbar stay within 128 MiB each
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,13 +31,21 @@ class MpcConfig:
     """Horizon, weights, and box bounds for the tracking controller.
 
     Qy weights the projected state tracking error (n x n), Ru the input
-    effort (p x p, positive definite); both are symmetric. The terminal
-    tracking block is scaled by terminal_weight. u_min/u_max are (p,)
-    per-channel bounds; an omitted one is -inf/+inf. When the bounds bind,
-    the box QP stops once its KKT conditions hold to within pg_tol, or after
-    max_pg_iters active-set iterations. The config is immutable, so its
-    ``structure`` is built once and shared by every model's controller; it
-    compares and hashes by identity, as its fields are arrays.
+    effort (p x p, positive definite); both are symmetric, and
+    H max(n, p) <= MAX_STACKED. The terminal tracking block is scaled by
+    terminal_weight. u_min/u_max are (p,) per-channel bounds; an omitted one
+    is -inf/+inf. When the bounds bind, the box QP stops once its KKT
+    conditions hold to within pg_tol, or after max_pg_iters active-set
+    iterations. It compares and hashes by identity, as its fields are arrays.
+
+    The config is immutable and builds, once and read-only, all that every
+    model's controller reads of it: the stacked weights
+    Qbar = blkdiag(Qy, ..., terminal_weight Qy) and Rbar = blkdiag(Ru, ...),
+    the lag i - j of block (i, j) of the impulse map (H, a zero block, above
+    the diagonal), the bounds lo, hi tiled over the horizon, shift (the
+    index of a stacked plan one step on, its last step repeated),
+    constrained (some bound is finite) and trace_cap (a controller Hessian
+    whose trace is at most this has condition <= HESSIAN_COND_LIMIT).
     """
 
     horizon: int
@@ -58,21 +67,22 @@ class MpcConfig:
         if not (math.isfinite(self.pg_tol) and self.pg_tol > 0):
             raise ValueError(f"pg_tol must be finite and > 0, got "
                              f"{self.pg_tol!r}")
-        # read-only copies, as the structure reads them; the condensed
-        # Hessian 2 (G'Qbar G + Rbar) is the cost's only for symmetric weights
+        # the condensed Hessian 2 (G'Qbar G + Rbar) is the cost's only for
+        # symmetric weights
+        arrays, least = {}, {}  # stored read-only; least eigenvalues
         for name in ("Qy", "Ru"):
             v = np.array(getattr(self, name), dtype=float, ndmin=2)
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite")
             if v.shape != (len(v),) * 2 or (v != v.T).any():
                 raise ValueError(f"{name} must be square and symmetric")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-            # its least eigenvalue, which a controller's Hessian test reads
-            object.__setattr__(self, f"_{name}_min", np.linalg.eigvalsh(v)[0])
-        if self._Ru_min <= 0:
+            arrays[name], least[name] = v, float(np.linalg.eigvalsh(v)[0])
+        if least["Ru"] <= 0:
             raise ValueError("Ru must be positive definite")
-        p = len(self.Ru)
+        H, n, p = self.horizon, len(arrays["Qy"]), len(arrays["Ru"])
+        if H * max(n, p) > MAX_STACKED:  # before any array of H is built
+            raise ValueError(f"horizon * max(n, p) must be at most "
+                             f"{MAX_STACKED}, got {H} * {max(n, p)}")
         # an unbounded side is -inf below or +inf above, never the reverse
         for name, side in (("u_min", -math.inf), ("u_max", math.inf)):
             v = getattr(self, name)
@@ -81,39 +91,28 @@ class MpcConfig:
                 raise ValueError(f"{name} must not be NaN or {-side}")
             if v.shape != (p,):
                 raise ValueError(f"{name} needs {p} entries, one per input")
+            arrays[name] = v
+        lo, hi = arrays["u_min"], arrays["u_max"]
+        if (lo > hi).any():
+            raise ValueError("u_min must be <= u_max elementwise")
+        weights = np.ones(H)
+        weights[-1] = self.terminal_weight
+        lag = np.subtract.outer(np.arange(H), np.arange(H))
+        lag[lag < 0] = H
+        arrays.update(Qbar=np.kron(np.diag(weights), arrays["Qy"]),
+                      Rbar=np.kron(np.eye(H), arrays["Ru"]), lag=lag,
+                      lo=np.tile(lo, H), hi=np.tile(hi, H),
+                      shift=np.r_[p:H * p, H * p - p:H * p])
+        for name, v in arrays.items():
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-        if (self.u_min > self.u_max).any():
-            raise ValueError("u_min must be <= u_max elementwise")
-
-    @cached_property
-    def constrained(self) -> bool:  # some bound is finite
-        return bool(np.isfinite([self.u_min, self.u_max]).any())
-
-    @cached_property
-    def structure(self) -> "ConfigStructure":
-        """The config-only part of the condensation, built on first use."""
-        return ConfigStructure(self)
-
-
-class ConfigStructure:
-    """The condensation's config-only part: the stacked weights
-    Qbar = blkdiag(Qy, ..., terminal_weight Qy) and Rbar = blkdiag(Ru, ...),
-    the lag i - j of block (i, j) of the impulse map (H, a zero block, above
-    the diagonal), the bounds lo, hi tiled over the horizon, and shift, the
-    index of a stacked plan one step on (its last step repeated)."""
-
-    def __init__(self, cfg: MpcConfig):
-        H, p = cfg.horizon, len(cfg.Ru)
-        weights = np.ones(H)
-        weights[-1] = cfg.terminal_weight
-        self.Qbar = np.kron(np.diag(weights), cfg.Qy)
-        self.Rbar = np.kron(np.eye(H), cfg.Ru)
-        self.lag = np.subtract.outer(np.arange(H), np.arange(H))
-        self.lag[self.lag < 0] = H
-        self.lo = np.tile(cfg.u_min, H)
-        self.hi = np.tile(cfg.u_max, H)
-        self.shift = np.r_[p:H * p, H * p - p:H * p]
+        object.__setattr__(self, "constrained",
+                           bool(np.isfinite([lo, hi]).any()))
+        # Qy >= 0 gives Hessian >= 2 Rbar, so cond <= trace / (2 min eig Ru);
+        # -inf, which no finite trace passes, for an indefinite Qy. A Python
+        # float product overflows to inf with no warning
+        object.__setattr__(self, "trace_cap", -math.inf if least["Qy"] < 0
+                           else 2.0 * least["Ru"] * HESSIAN_COND_LIMIT)
 
 
 class CondensedMpc:
@@ -133,7 +132,6 @@ class CondensedMpc:
             raise DimensionMismatch(f"Qy and Ru must be ({n}, {n}) and "
                                     f"({p}, {p}) for this model")
         self.model, self.cfg = model, cfg
-        s = cfg.structure
         # an overflow over the horizon surfaces as IllConditionedHessian,
         # not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -147,17 +145,15 @@ class CondensedMpc:
             # S_u lower block-triangular Toeplitz in K^{i-j} B; only the n
             # projected rows of each block are placed
             self.F = powers[1:, :n].reshape(H * n, N)  # (H n, N)
-            self.G = impulse.take(s.lag, 0).transpose(0, 2, 1, 3).reshape(
+            self.G = impulse.take(cfg.lag, 0).transpose(0, 2, 1, 3).reshape(
                 H * n, H * p)  # (H n, H p)
-            self.GtQ = self.G.T @ s.Qbar
-            self.hessian = 2.0 * (self.GtQ @ self.G + s.Rbar)
+            self.GtQ = self.G.T @ cfg.Qbar
+            self.hessian = 2.0 * (self.GtQ @ self.G + cfg.Rbar)
             if not np.isfinite(self.hessian).all():
                 raise IllConditionedHessian(
                     "condensed Hessian has non-finite entries; the model "
                     "overflows over the horizon")
-            # Qy >= 0 gives H >= 2 Rbar, cond(H) <= trace(H) / (2 min eig Ru)
-            bounded = cfg._Qy_min >= 0 and (self.hessian.trace() <= 2.0
-                                            * cfg._Ru_min * HESSIAN_COND_LIMIT)
+            bounded = self.hessian.trace() <= cfg.trace_cap
         if not bounded:
             eig = np.linalg.eigvalsh(self.hessian)  # ascending
             if not (eig[0] > 0 and eig[-1] / eig[0] <= HESSIAN_COND_LIMIT):
@@ -189,8 +185,7 @@ class CondensedMpc:
         f0 = self.F @ psi0 - w_window.T.ravel()
         U = -(self._law @ f0)
         info = {"pg_iterations": 0, "converged": True}
-        s = cfg.structure
-        if cfg.constrained and ((U < s.lo) | (U > s.hi)).any():
+        if cfg.constrained and ((U < cfg.lo) | (U > cfg.hi)).any():
             U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0))
         else:
             self._working = None
@@ -211,19 +206,19 @@ class CondensedMpc:
         the KKT conditions and releases the bound with the most negative
         multiplier. Every iterate is feasible and the objective never rises.
         """
-        hess, s, tol = self.hessian, self.cfg.structure, self.cfg.pg_tol
-        lo, hi = s.lo, s.hi
+        hess, cfg = self.hessian, self.cfg
+        lo, hi, tol = cfg.lo, cfg.hi, cfg.pg_tol
         # the working set: the entries not free, each on its lower bound
         # where at_lo holds and on its upper bound otherwise
         at_lo = U < lo
         free = ~(at_lo | (U > hi))
         if self._working is not None:
-            last_lo, last_free = (a[s.shift] for a in self._working)
+            last_lo, last_free = (a[cfg.shift] for a in self._working)
             at_lo = np.where(last_free, at_lo, last_lo)
             free &= last_free
         U = np.where(free, U, np.where(at_lo, lo, hi))
         converged = False
-        for iters in range(1, self.cfg.max_pg_iters + 1):
+        for iters in range(1, cfg.max_pg_iters + 1):
             idx = free.nonzero()[0]
             if idx.size:
                 rows = hess.take(idx, 0)

@@ -27,6 +27,7 @@ from .observables import ObservableDictionary
 
 # Lower bound on the windowed output-error variance, keeping Sigma0 > 0.
 SIGMA_FLOOR = 1e-8
+MAX_WINDOW = 10**6  # m_op: the gate window holds (N + p) x m_op floats
 
 
 @dataclass
@@ -65,8 +66,9 @@ class RedmdSettings:
         if not 0.0 < self.lambda0 <= 1.0:
             raise ValueError(f"lambda0 must be in (0, 1], got {self.lambda0}")
         if (isinstance(self.m_op, bool) or not isinstance(self.m_op, Integral)
-                or self.m_op < 2):
-            raise ValueError(f"m_op must be an integer >= 2, got {self.m_op!r}")
+                or not 2 <= self.m_op <= MAX_WINDOW):
+            raise ValueError(f"m_op must be an integer in [2, "
+                             f"{MAX_WINDOW:.0e}], got {self.m_op!r}")
         if not 0 <= self.eps_low <= self.eps_high or math.isinf(self.eps_low):
             raise ValueError("need finite eps_low, 0 <= eps_low <= eps_high")
         if not (0 < self.n0 < math.inf and 1.0 < self.mu_sigma < math.inf):

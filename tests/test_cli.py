@@ -1,8 +1,12 @@
 """Tests for the command-line harness (exit codes, outputs)."""
 
+import tracemalloc
+
 import pytest
 
 from koopman_adapt.cli import cli_main
+from koopman_adapt.config import load_config_file
+from koopman_adapt.errors import ConfigError
 
 from conftest import no_runtime_warnings
 
@@ -134,17 +138,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("old, new, section", [
         ("m_op = 5", "m_op = 1000000000000", "[redmd]"),
         ("horizon = 5", "horizon = 1000000000000", "[mpc]"),
+        ("m_op = 5", "m_op = 100000000", "[redmd]"),
+        ("horizon = 5", "horizon = 20000", "[mpc]"),
     ])
     def test_impossible_window_or_horizon_is_a_config_error(
             self, tmp_path, capsys, old, new, section):
-        """An estimator window or a horizon of 1e12 samples is refused by
-        the config, naming its section, not by a failed allocation."""
+        """An estimator window or a horizon too long for its arrays (a
+        (7, 1e8) gate window is 5.2 GiB, a 20000-step condensation's
+        weights 12 GiB) is refused by the config, naming its section,
+        before anything of that size is allocated."""
         path = tmp_path / "long.cfg"
         path.write_text(TINY_TEXT.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"invalid \{section}"):
+            load_config_file(path)
         out = tmp_path / "out.csv"
-        assert cli_main(["simulate", str(path), "--out", str(out)]) == 1
+        tracemalloc.start()
+        try:
+            assert cli_main(["simulate", str(path), "--out", str(out)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24  # bytes
         err = capsys.readouterr().err
-        assert "configuration error" in err and section in err
+        assert f"configuration error: invalid {section} section" in err
         assert not out.exists()
 
     def test_overflowing_lift_is_a_numerical_abort(self, tmp_path, capsys):

@@ -195,7 +195,7 @@ def bvls_plan(solver, psi0, w_window):
     f0 = solver.F @ psi0 - w_window.T.ravel()
     grad0 = 2.0 * (solver.GtQ @ f0)
     H, p = solver.cfg.horizon, solver.model.p
-    lo, hi = solver.cfg.structure.lo, solver.cfg.structure.hi
+    lo, hi = solver.cfg.lo, solver.cfg.hi
     point = lo == hi
     U = lo.copy()
     if not point.all():
@@ -203,9 +203,13 @@ def bvls_plan(solver, psi0, w_window):
         hess = solver.hessian[np.ix_(rest, rest)]
         g = grad0[rest] + solver.hessian[np.ix_(rest, point)] @ lo[point]
         L = np.linalg.cholesky(hess)
-        U[rest] = lsq_linear(L.T, -np.linalg.solve(L, g),
-                             bounds=(lo[rest], hi[rest]), method="bvls",
-                             tol=1e-15).x
+        # BVLS stops after as many iterations as unknowns by default and
+        # then returns a point short of the optimum (status 0)
+        res = lsq_linear(L.T, -np.linalg.solve(L, g),
+                         bounds=(lo[rest], hi[rest]), method="bvls",
+                         tol=1e-15, max_iter=1000)
+        assert res.status > 0, res.message
+        U[rest] = res.x
     return U.reshape(H, p).T, grad0, lo, hi
 
 
@@ -317,27 +321,56 @@ class TestConfigStructure:
         np.testing.assert_array_equal(solver.GtQ, GtQ)
         np.testing.assert_array_equal(solver.hessian, hessian)
         np.testing.assert_array_equal(solver._law, law)
-        np.testing.assert_array_equal(cfg.structure.lo, lo)
-        np.testing.assert_array_equal(cfg.structure.hi, hi)
+        np.testing.assert_array_equal(cfg.lo, lo)
+        np.testing.assert_array_equal(cfg.hi, hi)
 
     def test_second_model_skips_the_config_work(self, monkeypatch):
-        """Only the first controller of a config builds its Kronecker
-        weights and lag index; a model swap builds neither."""
-        calls = {"kron": 0, "tril_indices": 0}
-        for name in calls:
-            def counting(*args, _fn=getattr(np, name), _name=name, **kw):
-                calls[_name] += 1
-                return _fn(*args, **kw)
-            monkeypatch.setattr(np, name, counting)
+        """The config builds its Kronecker weights and lag index once; two
+        controller builds on it, a model swap among them, build neither
+        and read the config's own weights."""
+        calls = {"kron": 0, "outer": 0}
+        kron, subtract = np.kron, np.subtract
+
+        def counting_kron(*args):
+            calls["kron"] += 1
+            return kron(*args)
+
+        class CountingSubtract:  # np.subtract, its outer calls counted
+            def __call__(self, *args, **kw):
+                return subtract(*args, **kw)
+
+            def __getattr__(self, name):
+                return getattr(subtract, name)
+
+            def outer(self, *args):
+                calls["outer"] += 1
+                return subtract.outer(*args)
+
+        monkeypatch.setattr(np, "kron", counting_kron)
+        monkeypatch.setattr(np, "subtract", CountingSubtract())
         cfg = MpcConfig(horizon=6, Qy=np.eye(3), Ru=np.eye(2),
                         terminal_weight=3.0, u_max=[1.0, 1.0])
-        CondensedMpc(random_model(seed=1), cfg)
-        structure = cfg.structure
-        assert calls["kron"] >= 2
-        calls.update(kron=0, tril_indices=0)
-        CondensedMpc(random_model(seed=2), cfg)
-        assert calls == {"kron": 0, "tril_indices": 0}
-        assert cfg.structure is structure
+        assert calls == {"kron": 2, "outer": 1}
+        Qbar = cfg.Qbar
+        calls.update(kron=0, outer=0)
+        for seed in (1, 2):
+            solver = CondensedMpc(random_model(seed=seed), cfg)
+            np.testing.assert_array_equal(solver.GtQ, solver.G.T @ Qbar)
+        assert calls == {"kron": 0, "outer": 0}
+        assert cfg.Qbar is Qbar
+
+    def test_replaced_horizon_resizes_the_arrays(self):
+        """dataclasses.replace builds the new horizon's arrays, not the old
+        config's."""
+        cfg = MpcConfig(horizon=3, Qy=np.eye(2), Ru=np.eye(1),
+                        terminal_weight=2.0, u_min=[-1.0])
+        longer = dataclasses.replace(cfg, horizon=7)
+        assert cfg.Qbar.shape == (6, 6) and longer.Qbar.shape == (14, 14)
+        assert longer.Rbar.shape == longer.lag.shape == (7, 7)
+        assert longer.lo.shape == longer.hi.shape == longer.shift.shape == (7,)
+        assert longer.Qbar[-1, -1] == 2.0 and longer.lag[0, -1] == 7
+        np.testing.assert_array_equal(longer.lo, -np.ones(7))
+        np.testing.assert_array_equal(longer.shift, [1, 2, 3, 4, 5, 6, 6])
 
     def test_hessian_test_skips_eigvalsh_when_the_bound_settles_it(
             self, monkeypatch):
@@ -465,7 +498,7 @@ class TestSolve:
             return 0.5 * U @ hess @ U + grad @ U
 
         U = plan.T.ravel()
-        lo, hi = cfg.structure.lo, cfg.structure.hi
+        lo, hi = cfg.lo, cfg.hi
         assert ((lo <= U) & (U <= hi)).all()
         clipped = np.linalg.solve(hess, -grad).clip(lo, hi)
         assert objective(U) <= objective(clipped) + 1e-12
