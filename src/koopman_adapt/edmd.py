@@ -123,13 +123,13 @@ def pinv_full_row_rank(A) -> np.ndarray:
         If A has a NaN or Inf entry (an overflowing lift, for instance).
     RankDeficientRegressor
         If the condition estimate of ``A @ A.T`` exceeds ``COND_LIMIT``;
-        the estimate is carried as ``cond``.
+        the estimate is carried as ``cond``, inf for a Gram that overflows.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
         raise NonFiniteState("regressor contains NaN or Inf entries")
     gram = A @ A.T
-    cond = np.linalg.cond(gram)
+    cond = np.linalg.cond(gram) if np.isfinite(gram).all() else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise RankDeficientRegressor(
             f"regressor is rank deficient (Gram condition estimate "

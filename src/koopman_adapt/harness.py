@@ -40,7 +40,7 @@ from .observer import (
 )
 from .plants import apply_schedule, measure, step_plant
 from .redmd import RecursiveEstimator, StepReport, init_from_batch
-from .references import build_reference, energy
+from .references import build_reference, energy, running_energy
 
 _TRAIN_STREAM = 0
 _RUN_STREAM = 1
@@ -50,21 +50,16 @@ class Trace(np.recarray):
     """A run's trace, one row per closed-loop sample: truth, measurements,
     estimate, action, reference, estimator diagnostics, and the running
     error metric. ``records.x`` is a column, ``records[k].x`` a row's
-    field. Its padding is zero, in a copy too, so that its bytes repeat."""
+    field. The record is packed, its bytes its fields' alone."""
 
     @classmethod
     def empty(cls, shape, n: int, p: int) -> "Trace":
-        return np.zeros(shape, dtype=np.dtype([
+        return np.zeros(shape, dtype=[
             ("t", float), ("x", float, (n,)), ("x_meas", float, (n,)),
             ("x_hat", float, (n,)), ("u", float, (p,)), ("w", float, (n,)),
             ("lam", float), ("trace_gamma", float), ("updated", bool),
-            ("e_post", float), ("window_error", float), ("e_cum", float)],
-            align=True)).view(cls)
-
-    def copy(self) -> "Trace":  # ndarray.copy leaves the padding undefined
-        out = np.zeros(self.shape, self.dtype).view(type(self))
-        out[...] = self
-        return out
+            ("e_post", float), ("window_error", float),
+            ("e_cum", float)]).view(cls)
 
     def __bool__(self) -> bool:  # as a list's: empty is false
         return len(self) > 0
@@ -139,7 +134,6 @@ class _Cells:
         filter rows, and their objects, which the run rebinds but does not
         change, apart from the estimator and the solver's working set: a
         repeated row gets a copy of each."""
-        # np.take copies whole rows, padding included: it stays zero
         cells = _Cells(self.kf.take(rows), self.x[rows], self.source[rows],
                        np.take(self.records, rows, axis=0),
                        *([getattr(self, name)[r] for r in rows]
@@ -194,9 +188,7 @@ class _Cells:
         for j, (written, exc) in ended.items():
             records = self.records[j, :written].view(Trace)
             records.w = self.w[j][:, :written].T
-            err = records.w - records.x  # the running error, summed in order
-            records.e_cum = np.cumsum(
-                (err[:, None, :] @ err[:, :, None])[:, 0, 0])
+            records.e_cum = running_energy(records.w - records.x)
             reason = (f"{type(exc).__name__} at t={t:.6g}: {exc}"
                       if exc is not None else "")
             for m, ((i, col), _) in enumerate(self.members[j]):

@@ -5,9 +5,11 @@ identity (x), trig (x, then sin x_i and cos x_i per coordinate) and monomial
 (x, then every monomial of total degree 2..degree). Each starts with the
 coordinate maps, so recovering the state is exact truncation (``[I | 0]``).
 A single state is lifted as a one-column batch, so ``lift(x)`` is a column
-of ``lift_batch`` by construction.
+of ``lift_batch`` by construction. A lifted size above MAX_LIFTED is
+refused, counted before any monomial is built.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -15,6 +17,12 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DimensionMismatch
+
+# the largest lifted size N: at the caps MAX_WINDOW and MAX_STACKED, the gate
+# window's (N + p) m_op floats stay within 0.5 GB and the controller's
+# (H + 1) N^2 within 70 MB
+MAX_LIFTED = 64
+
 
 @dataclass(frozen=True)
 class ObservableDictionary:
@@ -26,6 +34,8 @@ class ObservableDictionary:
         degree: Highest total degree of the monomial family (>= 1; the
                 other families ignore it).
         output_index: The state coordinate measured as the scalar output.
+
+    Its lifted size N is at most MAX_LIFTED.
     """
 
     n: int
@@ -44,11 +54,17 @@ class ObservableDictionary:
         if not 0 <= self.output_index < self.n:
             raise ValueError(f"output_index must address a state coordinate "
                              f"(< {self.n}), got {self.output_index}")
+        if self.size > MAX_LIFTED:
+            raise ValueError(f"lifted size must be <= {MAX_LIFTED}, got "
+                             f"{self.size}")
 
     @cached_property
     def size(self) -> int:
-        """Lifted dimension N."""
-        return self._lift(np.zeros((self.n, 1))).shape[0]
+        """Lifted dimension N: n, 3n, or C(n + degree, n) - 1, the count of
+        the monomials of total degree 1..degree."""
+        if self.family == "monomial":
+            return math.comb(self.n + self.degree, self.n) - 1
+        return 3 * self.n if self.family == "trig" else self.n
 
     @cached_property
     def _monomials(self) -> tuple:

@@ -4,7 +4,8 @@ The stroke analog is a cyclic rest-to-rest quintic: position blends from 0
 to the amplitude and back with zero boundary velocity/acceleration, with
 optional holds between strokes. The stroke duration is derived from the
 requested peak velocity. References carry position and velocity rows so the
-controller tracks the full planar state.
+controller tracks the full planar state. One in-order sum of squared row
+norms, running_energy, gives the tracking error and the energy normalizing it.
 """
 
 import math
@@ -74,7 +75,13 @@ def build_reference(spec: ReferenceSpec, num_samples: int,
     return np.vstack([pos, vel])
 
 
-def energy(w: np.ndarray) -> float:
-    """Sum of the rows' w @ w of w (samples, n), in order; inf on overflow."""
+def running_energy(w: np.ndarray) -> np.ndarray:
+    """In-order running sums of the rows' w @ w of w (samples, n); inf from
+    an overflow on. Of the tracking errors w - x it is the trace's e_cum."""
     with np.errstate(over="ignore"):
-        return float(np.cumsum(np.matmul(w[:, None, :], w[:, :, None]))[-1])
+        return np.cumsum(np.matmul(w[:, None, :], w[:, :, None]))
+
+
+def energy(w: np.ndarray) -> float:
+    """The last of running_energy(w): its rows' w @ w summed in order."""
+    return float(running_energy(w)[-1])

@@ -7,10 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from koopman_adapt.observables import ObservableDictionary
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Tier-1 draws the same examples on every run and replays no stored failure;
+# "explore" (pytest --hypothesis-profile=explore --hypothesis-seed=S)
+# searches afresh from S and prints a failure's reproduction blob. A test's
+# own @settings takes its unset fields from the profile loaded when its
+# module is imported, and its max_examples wins over either profile.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None,
+                          print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -140,13 +140,19 @@ class TestExitCodes:
         ("horizon = 5", "horizon = 1000000000000", "[mpc]"),
         ("m_op = 5", "m_op = 100000000", "[redmd]"),
         ("horizon = 5", "horizon = 20000", "[mpc]"),
+        pytest.param("[redmd]", "[dict]\nfamily = monomial\ndegree = 400\n\n"
+                     "[redmd]", "[dict]", id="degree-400"),
+        pytest.param("[redmd]", "[dict]\nfamily = monomial\n"
+                     "degree = 1000000\n\n[redmd]", "[dict]",
+                     id="degree-1000000"),
     ])
     def test_impossible_window_or_horizon_is_a_config_error(
             self, tmp_path, capsys, old, new, section):
-        """An estimator window or a horizon too long for its arrays (a
-        (7, 1e8) gate window is 5.2 GiB, a 20000-step condensation's
-        weights 12 GiB) is refused by the config, naming its section,
-        before anything of that size is allocated."""
+        """An estimator window, a horizon or a lifted size too large for
+        its arrays (a (7, 1e8) gate window is 5.2 GiB, a 20000-step
+        condensation's weights 12 GiB, a degree-400 monomial Gram 48 GiB)
+        is refused by the config, naming its section, before anything of
+        that size is allocated or a monomial is enumerated."""
         path = tmp_path / "long.cfg"
         path.write_text(TINY_TEXT.replace(old, new))
         with pytest.raises(ConfigError, match=rf"invalid \{section}"):
@@ -163,16 +169,29 @@ class TestExitCodes:
         assert f"configuration error: invalid {section} section" in err
         assert not out.exists()
 
-    def test_overflowing_lift_is_a_numerical_abort(self, tmp_path, capsys):
-        """Training states whose monomial lift overflows stop the offline
-        fit with a numerical abort, not a traceback or overflow warnings."""
+    @pytest.mark.parametrize("text", [
+        "[dict]\nfamily = monomial\ndegree = 2\n\n"
+        "[run]\ntrain_amplitude = 1e200\nt_sim = 0.1\n",
+        "[run]\ntrain_amplitude = 1e300\nt_sim = 0.1\n",
+        "[plant]\ng = 1e300\n\n[run]\nt_sim = 0.1\n",
+        "[plant]\nnoise_x = 1e300\n\n[run]\nt_sim = 0.1\n",
+        "[plant]\nschedule = (0.5, m, 1e-60)\n\n[run]\nt_sim = 1.0\n",
+    ], ids=["monomial-lift", "train-amplitude", "gravity", "noise-x",
+            "diverging-plant"])
+    def test_overflowing_lift_is_a_numerical_abort(self, tmp_path, capsys,
+                                                   text):
+        """Training states whose monomial lift or whose regressor Gram
+        overflows stop the offline fit with a numerical abort; a plant
+        that diverges in the closed loop aborts its runs, its huge states'
+        error summed without overflow warnings. Both simulate and compare
+        exit 2, not with a traceback or overflow warnings."""
         path = tmp_path / "overflow.cfg"
-        path.write_text("[dict]\nfamily = monomial\ndegree = 2\n\n"
-                        "[run]\ntrain_amplitude = 1e200\nt_sim = 0.1\n")
-        out = str(tmp_path / "trace.csv")
-        with no_runtime_warnings():
-            assert cli_main(["simulate", str(path), "--out", out]) == 2
-        assert "numerical abort:" in capsys.readouterr().err
+        path.write_text(text)
+        out = str(tmp_path / "out.csv")
+        for command in ("simulate", "compare"):
+            with no_runtime_warnings():
+                assert cli_main([command, str(path), "--out", out]) == 2
+            assert "abort" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -135,12 +135,12 @@ class TestRunBookkeeping:
             assert (ra.u == rb.u).all()
             assert ra.e_cum == rb.e_cum
 
-    def test_same_bytes_padding_included(self, tiny_cfg, tiny_estimator):
-        """Two runs of one config give the same trace bytes, the padding
-        between fields included, and so the same pickle."""
+    def test_same_bytes_packed_record(self, tiny_cfg, tiny_estimator):
+        """Two runs of one config give the same trace bytes, and so the
+        same pickle; the record is packed, its bytes its fields' alone."""
         a = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records
         b = run_closed_loop(tiny_cfg, estimator=tiny_estimator).records
-        assert a.dtype.itemsize > sum(
+        assert a.dtype.itemsize == sum(
             a.dtype.fields[name][0].itemsize for name in a.dtype.names)
         assert a.tobytes() == b.tobytes()
         assert pickle.dumps(a) == pickle.dumps(b)
@@ -570,8 +570,8 @@ def plain_loop(cfg, estimator):
 
 
 def assert_same_trace(a, b):
-    """Equal length, layout and bits in every column and in the padding
-    between them."""
+    """Equal length, layout and bits in every column and in the whole
+    record."""
     assert len(a) == len(b)
     assert a.dtype == b.dtype
     for name in a.dtype.names:

@@ -165,7 +165,8 @@ class TestFamilies:
         assert ObservableDictionary(2, "monomial", 3).size == 2 + 3 + 4
         assert ObservableDictionary(3, "monomial", 1).size == 3
         for args in ((2, "fourier"), (0, "trig"), (2, "monomial", 0),
-                     (2, "trig", 0)):
+                     (2, "trig", 0), (2, "monomial", 400),
+                     (2, "monomial", 1000000)):
             with pytest.raises(ValueError):
                 ObservableDictionary(*args)
 
