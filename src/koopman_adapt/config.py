@@ -246,7 +246,7 @@ def assemble(sections: dict) -> ExperimentConfig:
                            run)
     for speed in (reference.speed, *run.speeds):  # every run's reference
         spec = _build("run", replace, reference, speed=speed)
-        e = energy(build_reference(spec, _steps(cfg), plant.dt).T)
+        e = energy(build_reference(spec, _steps(cfg), plant.dt))
         if not 0 < e < math.inf:  # it normalizes the tracking error
             raise ConfigError("invalid [run] section: reference energy must be "
                               f"in (0, inf): {e:g} at speed {speed:g} in t_sim")

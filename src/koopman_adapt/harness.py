@@ -187,7 +187,7 @@ class _Cells:
         of those rows (the first a view when no row is left). The rest."""
         for j, (written, exc) in ended.items():
             records = self.records[j, :written].view(Trace)
-            records.w = self.w[j][:, :written].T
+            records.w = self.w[j][:written]
             records.e_cum = running_energy(records.w - records.x)
             reason = (f"{type(exc).__name__} at t={t:.6g}: {exc}"
                       if exc is not None else "")
@@ -204,7 +204,8 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, *,
 
     An already-initialized estimator may be passed to share one offline fit
     across runs (it is deep-copied, never mutated). The reference is the
-    config's, build_reference of its run's spec.
+    config's, build_reference of its run's spec, one read-only row per
+    sample: each solve gets its next H rows as a view.
 
     The loop runs over the rows of one cell table, _Cells, one row here.
     Per sample, the sensor and the filter's correction run on its columns
@@ -234,8 +235,8 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, *,
         est = prepare_estimator(cfgs[0]) if est is None else copy.deepcopy(est)
         model = est.model
         rows.append((
-            init_kalman(w[:, 0], cfg.observer, model=model),
-            w[:, 0], seeds.setdefault(cfgs[0].run.seed, len(seeds)), w,
+            init_kalman(w[0], cfg.observer, model=model),
+            w[0], seeds.setdefault(cfgs[0].run.seed, len(seeds)), w,
             cfgs[0].plant, est, CondensedMpc(model, cfgs[0].mpc),
             [((i, j), c) for j, c in enumerate(cfgs)], -math.inf))
     kf, x, source, *objects = zip(*rows)
@@ -269,7 +270,7 @@ def run_closed_loop(cfg: ExperimentConfig, estimator=None, *,
                 for name, value in vars(r).items():  # its trace columns
                     rec[name][j, k] = value
                 u[j], _ = cells.solver[j].solve(
-                    psi[j], cells.w[j][:, k + 1: k + 1 + H])
+                    psi[j], cells.w[j][k + 1: k + 1 + H])
                 written = k + 1
                 cells.x[j] = step_plant(cells.plant[j], cells.x[j], u[j])
             except NumericalError as exc:

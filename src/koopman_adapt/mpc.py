@@ -41,11 +41,12 @@ class MpcConfig:
     The config is immutable and builds, once and read-only, all that every
     model's controller reads of it: the stacked weights
     Qbar = blkdiag(Qy, ..., terminal_weight Qy) and Rbar = blkdiag(Ru, ...),
-    the lag i - j of block (i, j) of the impulse map (H, a zero block, above
-    the diagonal), the bounds lo, hi tiled over the horizon, shift (the
-    index of a stacked plan one step on, its last step repeated),
-    constrained (some bound is finite) and trace_cap (a controller Hessian
-    whose trace is at most this has condition <= HESSIAN_COND_LIMIT).
+    refused when 2 Qbar or 2 Rbar overflows, the lag i - j of block (i, j)
+    of the impulse map (H, a zero block, above the diagonal), the bounds
+    lo, hi tiled over the horizon, shift (the index of a stacked plan one
+    step on, its last step repeated), constrained (some bound is finite)
+    and trace_cap (a controller Hessian whose trace is at most this has
+    condition <= HESSIAN_COND_LIMIT).
     """
 
     horizon: int
@@ -97,10 +98,16 @@ class MpcConfig:
             raise ValueError("u_min must be <= u_max elementwise")
         weights = np.ones(H)
         weights[-1] = self.terminal_weight
+        with np.errstate(over="ignore"):  # the Hessian adds 2 Qbar, 2 Rbar
+            Qbar = np.kron(np.diag(weights), arrays["Qy"])
+            Rbar = np.kron(np.eye(H), arrays["Ru"])
+            doubled = 2.0 * np.array([Qbar.min(), Qbar.max(), Rbar.min(),
+                                      Rbar.max()])
+        if not np.isfinite(doubled).all():
+            raise ValueError("2 Qy, 2 terminal_weight Qy or 2 Ru overflows")
         lag = np.subtract.outer(np.arange(H), np.arange(H))
         lag[lag < 0] = H
-        arrays.update(Qbar=np.kron(np.diag(weights), arrays["Qy"]),
-                      Rbar=np.kron(np.eye(H), arrays["Ru"]), lag=lag,
+        arrays.update(Qbar=Qbar, Rbar=Rbar, lag=lag,
                       lo=np.tile(lo, H), hi=np.tile(hi, H),
                       shift=np.r_[p:H * p, H * p - p:H * p])
         for name, v in arrays.items():
@@ -168,7 +175,8 @@ class CondensedMpc:
 
     def solve(self, psi0, w_window, return_info: bool = False):
         """Minimize the condensed objective for the current lifted state
-        against an (n, H) reference window; returns (u0, U_plan).
+        against an (H, n) reference window, one row per step; returns u0 and
+        the (H, p) plan whose first row it is.
 
         With return_info, also a dict: "pg_iterations" (active-set
         iterations, 0 when the unconstrained plan is feasible) and
@@ -179,19 +187,18 @@ class CondensedMpc:
         if psi0.shape != (self.model.size,):
             raise DimensionMismatch(
                 f"psi0 must be ({self.model.size},), got {psi0.shape}")
-        if w_window.shape != (n, H):
+        if w_window.shape != (H, n):
             raise DimensionMismatch(
-                f"reference window must be ({n}, {H}), got {w_window.shape}")
-        f0 = self.F @ psi0 - w_window.T.ravel()
+                f"reference window must be ({H}, {n}), got {w_window.shape}")
+        f0 = self.F @ psi0 - w_window.ravel()
         U = -(self._law @ f0)
         info = {"pg_iterations": 0, "converged": True}
         if cfg.constrained and ((U < cfg.lo) | (U > cfg.hi)).any():
             U, info = self._box_qp(U, 2.0 * (self.GtQ @ f0))
         else:
             self._working = None
-        plan = U.reshape(H, self.model.p).T
-        return (plan[:, 0].copy(), plan, info) if return_info \
-            else (plan[:, 0].copy(), plan)
+        plan = U.reshape(H, self.model.p)
+        return (plan[0], plan, info) if return_info else (plan[0], plan)
 
     def _box_qp(self, U, grad0):
         """Primal active-set method for min 1/2 U'HU + grad0'U on the box,

@@ -3,9 +3,9 @@
 The stroke analog is a cyclic rest-to-rest quintic: position blends from 0
 to the amplitude and back with zero boundary velocity/acceleration, with
 optional holds between strokes. The stroke duration is derived from the
-requested peak velocity. References carry position and velocity rows so the
-controller tracks the full planar state. One in-order sum of squared row
-norms, running_energy, gives the tracking error and the energy normalizing it.
+requested peak velocity. A reference has one read-only (position, velocity)
+row per sample, the planar state the controller tracks. One in-order sum of
+squared row norms, running_energy, gives the tracking error and its normalizer.
 """
 
 import math
@@ -49,7 +49,7 @@ def _quintic(tau: np.ndarray):
 
 def build_reference(spec: ReferenceSpec, num_samples: int,
                     dt: float) -> np.ndarray:
-    """Sampled reference (2, num_samples): position and velocity rows."""
+    """Read-only reference (num_samples, 2): position and velocity columns."""
     if num_samples < 1 or dt <= 0:
         raise ValueError("need num_samples >= 1 and dt > 0")
     t = np.arange(num_samples) * dt
@@ -72,7 +72,9 @@ def build_reference(spec: ReferenceSpec, num_samples: int,
     pos[m] = spec.amplitude * (1.0 - s)
     vel[m] = -spec.amplitude * ds / D
     # segment 4: hold at zero (already zeros)
-    return np.vstack([pos, vel])
+    w = np.column_stack([pos, vel])
+    w.flags.writeable = False
+    return w
 
 
 def running_energy(w: np.ndarray) -> np.ndarray:

@@ -231,28 +231,27 @@ def test_criterion_9_mpc_oracles():
         psi = psi0.copy()
         out = []
         for k in range(H):
-            psi = model.K @ psi + model.B @ U[:, k]
+            psi = model.K @ psi + model.B @ U[k]
             out.append(psi[:n].copy())
         return np.concatenate(out)
 
-    F = np.column_stack([project_traj(np.eye(3)[:, i], np.zeros((p, H)))
+    F = np.column_stack([project_traj(np.eye(3)[:, i], np.zeros((H, p)))
                          for i in range(3)])
-    G = np.column_stack([
-        project_traj(np.zeros(3),
-                     np.eye(p * H)[:, j].reshape(H, p).T)
-        for j in range(p * H)])
+    G = np.column_stack([project_traj(np.zeros(3), np.eye(p * H)[:, j]
+                                      .reshape(H, p))
+                         for j in range(p * H)])
     sqw = np.concatenate([np.sqrt((4.0 if i == H - 1 else 1.0)
                                   * np.diag(cfg.Qy)) for i in range(H)])
     Ru_half = np.linalg.cholesky(np.kron(np.eye(H), cfg.Ru)).T
     worst = 0.0
     for _ in range(5):
         psi0 = rng.standard_normal(3)
-        w = rng.standard_normal((3, H))
+        w = rng.standard_normal((H, 3))
         _, plan = CondensedMpc(model, cfg).solve(psi0, w)
         Astk = np.vstack([sqw[:, None] * G, Ru_half])
-        b = np.concatenate([sqw * (w.T.ravel() - F @ psi0), np.zeros(H * p)])
+        b = np.concatenate([sqw * (w.ravel() - F @ psi0), np.zeros(H * p)])
         U_star, *_ = np.linalg.lstsq(Astk, b, rcond=None)
-        worst = max(worst, np.max(np.abs(plan - U_star.reshape(H, p).T)))
+        worst = max(worst, np.max(np.abs(plan - U_star.reshape(H, p))))
     assert worst < 1e-8
 
     # (b) long-horizon gain vs scalar DARE fixed point

@@ -67,14 +67,24 @@ class TestExitCodes:
                                          "pg_tol = nan",
                                          "terminal_weight = nan",
                                          "u_min = inf\nu_max = inf",
-                                         "u_min = -inf\nu_max = -inf"])
+                                         "u_min = -inf\nu_max = -inf",
+                                         "ru = 1e308",
+                                         "terminal_weight = 1e308",
+                                         "qy = 1e307, 1\n"
+                                         "terminal_weight = 50"])
     def test_bad_solver_setting_is_a_config_error(self, tmp_path, capsys,
                                                   setting):
+        """Weights whose stacked, doubled form overflows are refused as
+        settings, not blamed on the model or warned of."""
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_TEXT.replace("horizon = 5",
                                           f"horizon = 5\n{setting}"))
-        assert cli_main(["simulate", str(path)]) == 1
-        assert "configuration error" in capsys.readouterr().err
+        for command in ("simulate", "compare"):
+            out = str(tmp_path / "out.csv")
+            with no_runtime_warnings():
+                assert cli_main([command, str(path), "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "[mpc]" in err
 
     @pytest.mark.parametrize("command, old, new", [
         ("simulate", "m_op = 5", "m_op = 5\nstate_scales = nan, 5.0"),

@@ -166,6 +166,21 @@ class TestRunBookkeeping:
         run_closed_loop(tiny_cfg, estimator=tiny_estimator)
         assert (tiny_estimator.theta == theta_before).all()
 
+    def test_a_write_through_a_window_raises(self, tiny_cfg, tiny_estimator,
+                                             monkeypatch):
+        """A solve's window is a view of the reference that twin cells and
+        later samples read, and that reference is read-only: a solve that
+        writes into its window raises instead of changing them."""
+        solve = harness.CondensedMpc.solve
+
+        def writing_solve(self, psi0, w_window, return_info=False):
+            w_window[0, 0] = 0.0
+            return solve(self, psi0, w_window, return_info)
+
+        monkeypatch.setattr(harness.CondensedMpc, "solve", writing_solve)
+        with pytest.raises(ValueError, match="read-only"):
+            run_closed_loop(tiny_cfg, estimator=tiny_estimator)
+
     def test_nonfinite_measurement_aborts_with_partial_trace(
             self, tiny_cfg, tiny_estimator, monkeypatch):
         """A NaN sample reaching the estimator ends the run as a
@@ -270,16 +285,16 @@ class TestModelMatchedClosedLoop:
         steps = round(cfg.run.t_sim / cfg.plant.dt)
         H = cfg.mpc.horizon
         # achievable reference: an actual trajectory of the plant
-        w = np.zeros((2, steps + H + 1))
+        w = np.zeros((steps + H + 1, 2))
         for k in range(1, steps + H + 1):
             u = np.array([1.2 * np.sin(2.0 * np.pi * 0.4 * (k - 1) * cfg.plant.dt)])
-            w[:, k] = linear_step(cfg.plant, w[:, k - 1], u)
+            w[k] = linear_step(cfg.plant, w[k - 1], u)
         # the run tracks it in place of the config's stroke
         monkeypatch.setattr(harness, "build_reference",
-                            lambda spec, num_samples, dt: w[:, :num_samples])
+                            lambda spec, num_samples, dt: w[:num_samples])
         result = run_closed_loop(cfg)
         assert not result.aborted
-        assert (result.records.w == w[:, :steps].T).all()
+        assert (result.records.w == w[:steps]).all()
         tail = result.records[steps // 2:]
         worst = max(float(np.linalg.norm(r.w - r.x)) for r in tail)
         assert worst < 1e-6
@@ -533,8 +548,8 @@ def plain_loop(cfg, estimator):
     est = copy.deepcopy(estimator)
     model = est.model
     solver = h.CondensedMpc(model, cfg.mpc)
-    kf = h.init_kalman(w[:, 0], cfg.observer, model=model)
-    records, x, e_cum = h.Trace.empty(steps, plant.n, plant.p), w[:, 0], 0.0
+    kf = h.init_kalman(w[0], cfg.observer, model=model)
+    records, x, e_cum = h.Trace.empty(steps, plant.n, plant.p), w[0], 0.0
     written = 0
     for k in range(steps):
         t = k * plant.dt
@@ -553,11 +568,11 @@ def plain_loop(cfg, estimator):
                 if variant in ("adaptive-obs", "adaptive-both"):
                     kf.K, kf.B = model.K, model.B
             h.kf_correct(kf, y_meas)
-            u, _ = solver.solve(kf.psi, w[:, k + 1: k + 1 + H])
-            err = w[:, k] - x
+            u, _ = solver.solve(kf.psi, w[k + 1: k + 1 + H])
+            err = w[k] - x
             e_cum += err @ err
             records[k] = (t, x, x_meas, h.kf_estimate_state(kf),
-                          u, w[:, k], report.lam, report.trace_gamma,
+                          u, w[k], report.lam, report.trace_gamma,
                           report.updated, report.e_post, report.window_error,
                           e_cum)
             written = k + 1
@@ -963,6 +978,42 @@ class TestComparison:
             for result, want in zip(got, alone):
                 assert result.aborted == want.aborted
                 assert_same_trace(result.records, want.records)
+
+    def test_every_window_is_a_view_of_its_cells_reference(self, sweep_spy,
+                                                           monkeypatch):
+        """The short sweep builds one read-only reference per speed, and
+        every solve's (H, n) window, raveled too, is a view of one of them:
+        at sample k its rows k + 1 on, once per live cell of that speed,
+        four before the fork and eight after."""
+        build, solve = harness.build_reference, harness.CondensedMpc.solve
+        refs, windows = {}, []
+
+        def recording_build(spec, num_samples, dt):
+            refs[spec.speed] = build(spec, num_samples, dt)
+            return refs[spec.speed]
+
+        def recording_solve(self, psi0, w_window, return_info=False):
+            windows.append(w_window)
+            return solve(self, psi0, w_window, return_info)
+
+        monkeypatch.setattr(harness, "build_reference", recording_build)
+        monkeypatch.setattr(harness.CondensedMpc, "solve", recording_solve)
+        cfg = short_changes_config(FORK_K * SHORT_DT)
+        assert all(c.ok for c in run_comparison(cfg).cells)
+        H, steps = cfg.mpc.horizon, round(SHORT_T_SIM / SHORT_DT)
+        assert sorted(refs) == sorted(cfg.run.speeds)
+        starts = {speed: [] for speed in refs}
+        for w in windows:
+            (speed, ref), = [(s, r) for s, r in refs.items() if w.base is r]
+            assert w.shape == (H, cfg.plant.n)
+            assert np.shares_memory(w.ravel(), ref)
+            starts[speed].append((w.ctypes.data - ref.ctypes.data)
+                                 // ref.strides[0])
+        for speed, ref in refs.items():
+            assert not ref.flags.writeable
+            np.testing.assert_array_equal(
+                np.bincount(starts[speed]),
+                [0] + [4] * FORK_K + [8] * (steps - FORK_K))
 
     def test_sweep_leaves_no_state_behind(self, sweep_spy, short_estimator):
         """The shared estimator is never mutated and a second sweep repeats

@@ -43,14 +43,14 @@ def stacked_map_by_simulation(model, horizon):
         psi = psi0.copy()
         out = []
         for k in range(horizon):
-            psi = model.K @ psi + model.B @ U[:, k]
+            psi = model.K @ psi + model.B @ U[k]
             out.append(psi[:n].copy())
         return np.concatenate(out)
     F = np.column_stack([
-        project_traj(np.eye(N)[:, i], np.zeros((p, horizon)))
+        project_traj(np.eye(N)[:, i], np.zeros((horizon, p)))
         for i in range(N)])
     G = np.column_stack([
-        project_traj(np.zeros(N), np.eye(p * horizon)[:, j].reshape(horizon, p).T)
+        project_traj(np.zeros(N), np.eye(p * horizon)[:, j].reshape(horizon, p))
         for j in range(p * horizon)])
     return F, G
 
@@ -69,10 +69,10 @@ def lstsq_mpc_oracle(model, cfg, psi0, w_window):
     sqw = np.concatenate(sq)
     Ru_half = np.linalg.cholesky(np.kron(np.eye(H), cfg.Ru)).T
     A = np.vstack([sqw[:, None] * G, Ru_half])
-    b = np.concatenate([sqw * (w_window.T.ravel() - F @ psi0),
+    b = np.concatenate([sqw * (w_window.ravel() - F @ psi0),
                         np.zeros(H * p)])
     U, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return U.reshape(H, p).T
+    return U.reshape(H, p)
 
 
 def build_prediction_matrices(model, horizon):
@@ -153,7 +153,7 @@ def column_loop_gain(model, cfg):
     """Reference feedback gain: one unconstrained solve per unit state."""
     solver = CondensedMpc(model, cfg)
     N = model.size
-    w_zero = np.zeros((model.dictionary.n, cfg.horizon))
+    w_zero = np.zeros((cfg.horizon, model.dictionary.n))
     gain = np.empty((model.p, N))
     for i in range(N):
         u0, _ = solver.solve(np.eye(N)[i], w_zero)
@@ -192,7 +192,7 @@ def bvls_plan(solver, psi0, w_window):
     bounded-variable least squares over the box the solver tiles (an
     unbounded side is infinite). Entries whose box is a point, which BVLS
     refuses, are held at it and the rest solved with them held."""
-    f0 = solver.F @ psi0 - w_window.T.ravel()
+    f0 = solver.F @ psi0 - w_window.ravel()
     grad0 = 2.0 * (solver.GtQ @ f0)
     H, p = solver.cfg.horizon, solver.model.p
     lo, hi = solver.cfg.lo, solver.cfg.hi
@@ -210,14 +210,14 @@ def bvls_plan(solver, psi0, w_window):
                          tol=1e-15, max_iter=1000)
         assert res.status > 0, res.message
         U[rest] = res.x
-    return U.reshape(H, p).T, grad0, lo, hi
+    return U.reshape(H, p), grad0, lo, hi
 
 
 def assert_box_optimum(solver, psi0, w_window, plan, info, scale):
     """A binding solve's plan is feasible, satisfies the KKT conditions and
     equals BVLS to within 1e-9 of scale."""
     ref, grad0, lo, hi = bvls_plan(solver, psi0, w_window)
-    U = plan.T.ravel()
+    U = plan.ravel()
     assert info["converged"] and info["pg_iterations"] >= 1
     assert (lo <= U).all() and (U <= hi).all()
     grad = solver.hessian @ U + grad0
@@ -435,8 +435,22 @@ class TestSolve:
         model = random_model(seed=2)
         cfg = MpcConfig(horizon=5, Qy=np.eye(3), Ru=0.1 * np.eye(2))
         u0, plan = CondensedMpc(model, cfg).solve(np.zeros(3),
-                                                  np.zeros((3, 5)))
-        np.testing.assert_allclose(plan, np.zeros((2, 5)), atol=1e-14)
+                                                  np.zeros((5, 3)))
+        np.testing.assert_allclose(plan, np.zeros((5, 2)), atol=1e-14)
+
+    def test_window_and_plan_are_time_major(self):
+        """The window holds one reference row per step and the plan one
+        input row per step, u0 its first; an (n, H) window is refused."""
+        model = random_model(seed=2)
+        cfg = MpcConfig(horizon=5, Qy=np.eye(3), Ru=0.1 * np.eye(2))
+        solver = CondensedMpc(model, cfg)
+        w = np.random.default_rng(1).standard_normal((5, 3))
+        u0, plan = solver.solve(np.ones(3), w)
+        assert plan.shape == (5, 2)
+        np.testing.assert_array_equal(u0, plan[0])
+        with pytest.raises(DimensionMismatch, match=r"must be \(5, 3\), "
+                           r"got \(3, 5\)"):
+            solver.solve(np.ones(3), w.T)
 
     def test_matches_lstsq_oracle(self):
         rng = np.random.default_rng(10)
@@ -445,7 +459,7 @@ class TestSolve:
                         Ru=np.diag([0.2, 0.3]), terminal_weight=4.0)
         for _ in range(5):
             psi0 = rng.standard_normal(3)
-            w = rng.standard_normal((3, 7))
+            w = rng.standard_normal((7, 3))
             _, plan = CondensedMpc(model, cfg).solve(psi0, w)
             oracle = lstsq_mpc_oracle(model, cfg, psi0, w)
             assert np.max(np.abs(plan - oracle)) < 1e-8
@@ -473,10 +487,10 @@ class TestSolve:
                         u_min=[-0.3, -0.2], u_max=[0.3, 0.2])
         for _ in range(5):
             psi0 = 3 * rng.standard_normal(3)
-            w = rng.standard_normal((3, 8))
+            w = rng.standard_normal((8, 3))
             _, plan = CondensedMpc(model, cfg).solve(psi0, w)
-            assert (plan >= cfg.u_min[:, None]).all()
-            assert (plan <= cfg.u_max[:, None]).all()
+            assert (plan >= cfg.u_min).all()
+            assert (plan <= cfg.u_max).all()
 
     def test_box_plan_beats_clipped_plan(self):
         """The box QP returns a feasible plan whose objective is no higher
@@ -489,15 +503,15 @@ class TestSolve:
                         max_pg_iters=300)
         solver = CondensedMpc(model, cfg)
         psi0 = rng.standard_normal(3)
-        w = rng.standard_normal((3, 6))
+        w = rng.standard_normal((6, 3))
         _, plan, info = solver.solve(psi0, w, return_info=True)
         hess = solver.hessian
-        grad = 2.0 * solver.GtQ @ (solver.F @ psi0 - w.T.ravel())
+        grad = 2.0 * solver.GtQ @ (solver.F @ psi0 - w.ravel())
 
         def objective(U):
             return 0.5 * U @ hess @ U + grad @ U
 
-        U = plan.T.ravel()
+        U = plan.ravel()
         lo, hi = cfg.lo, cfg.hi
         assert ((lo <= U) & (U <= hi)).all()
         clipped = np.linalg.solve(hess, -grad).clip(lo, hi)
@@ -518,7 +532,7 @@ class TestSolve:
         np.testing.assert_array_equal(free.u_min, box.u_min)
         np.testing.assert_array_equal(free.u_max, box.u_max)
         for _ in range(5):
-            psi0, w = 10 * rng.standard_normal(3), rng.standard_normal((3, 6))
+            psi0, w = 10 * rng.standard_normal(3), rng.standard_normal((6, 3))
             u0, plan, info = CondensedMpc(model, box).solve(
                 psi0, w, return_info=True)
             u0_free, plan_free = CondensedMpc(model, free).solve(psi0, w)
@@ -629,22 +643,21 @@ class TestBoxQp:
         model, cfg = random_problem(seed, n, extra, p, horizon)
         rng = np.random.default_rng([seed, 1])  # not the model's stream
         psi0 = rng.standard_normal(model.size)
-        w = rng.standard_normal((n, horizon))
+        w = rng.standard_normal((horizon, n))
         _, free_plan = CondensedMpc(model, cfg).solve(psi0, w)
-        reach = np.abs(free_plan).max(axis=1)
+        reach = np.abs(free_plan).max(axis=0)
         hypothesis.assume(reach.min() > 1e-6)
         sides = np.array(sides[:p])
         u_min = np.where(sides == "upper", -np.inf, -lo_frac * reach)
         u_max = np.where(sides == "lower", np.inf, hi_frac * reach)
         point = sides == "point"
         u_min[point] = u_max[point] = (hi_frac - lo_frac) / 2 * reach[point]
-        hypothesis.assume(((free_plan.T < u_min) | (free_plan.T > u_max))
-                          .any())
+        hypothesis.assume(((free_plan < u_min) | (free_plan > u_max)).any())
         cfg = dataclasses.replace(cfg, u_min=u_min, u_max=u_max)
         solver = CondensedMpc(model, cfg)
         _, plan, info = solver.solve(psi0, w, return_info=True)
         assert_box_optimum(solver, psi0, w, plan, info, reach.max())
-        assert (plan[point] == u_min[point, None]).all()
+        assert (plan[:, point] == u_min[point]).all()
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @given(**problems, frac=st.floats(0.05, 0.9))
@@ -657,20 +670,20 @@ class TestBoxQp:
         model, cfg = random_problem(seed, n, extra, p, horizon)
         rng = np.random.default_rng([seed, 1])  # not the model's stream
         psi0 = rng.standard_normal(model.size)
-        w = rng.standard_normal((n, horizon + 1))
-        _, free_plan = CondensedMpc(model, cfg).solve(psi0, w[:, :-1])
-        reach = np.abs(free_plan).max(axis=1)
+        w = rng.standard_normal((horizon + 1, n))
+        _, free_plan = CondensedMpc(model, cfg).solve(psi0, w[:-1])
+        reach = np.abs(free_plan).max(axis=0)
         hypothesis.assume(reach.min() > 1e-6)
         cfg = dataclasses.replace(cfg, u_min=-frac * reach,
                                   u_max=frac * reach)
         solver = CondensedMpc(model, cfg)
-        u0, plan, info = solver.solve(psi0, w[:, :-1], return_info=True)
-        assert_box_optimum(solver, psi0, w[:, :-1], plan, info, reach.max())
+        u0, plan, info = solver.solve(psi0, w[:-1], return_info=True)
+        assert_box_optimum(solver, psi0, w[:-1], plan, info, reach.max())
         assert solver._working is not None
         psi1 = model.K @ psi0 + model.B @ u0
-        _, plan, info = solver.solve(psi1, w[:, 1:], return_info=True)
+        _, plan, info = solver.solve(psi1, w[1:], return_info=True)
         hypothesis.assume(info["pg_iterations"] > 0)
-        assert_box_optimum(solver, psi1, w[:, 1:], plan, info, reach.max())
+        assert_box_optimum(solver, psi1, w[1:], plan, info, reach.max())
 
     def test_capped_solve_is_feasible_and_not_converged(self):
         """A binding solve that needs several active-set iterations, capped
@@ -679,9 +692,9 @@ class TestBoxQp:
         model, cfg = random_problem(2, 2, 2, 2, 10)
         rng = np.random.default_rng([2, 1])  # not the model's stream
         psi0 = rng.standard_normal(model.size)
-        w = rng.standard_normal((2, 10))
+        w = rng.standard_normal((10, 2))
         _, free_plan = CondensedMpc(model, cfg).solve(psi0, w)
-        reach = np.abs(free_plan).max(axis=1)
+        reach = np.abs(free_plan).max(axis=0)
         cfg = dataclasses.replace(cfg, u_min=-0.3 * reach, u_max=0.3 * reach)
         _, _, info = CondensedMpc(model, cfg).solve(psi0, w, return_info=True)
         assert info == {"pg_iterations": 12, "converged": True}
@@ -689,8 +702,8 @@ class TestBoxQp:
         _, plan, info = CondensedMpc(model, capped).solve(psi0, w,
                                                           return_info=True)
         assert info == {"pg_iterations": 1, "converged": False}
-        assert (-0.3 * reach[:, None] <= plan).all()
-        assert (plan <= 0.3 * reach[:, None]).all()
+        assert (-0.3 * reach <= plan).all()
+        assert (plan <= 0.3 * reach).all()
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @given(**problems)
@@ -701,9 +714,9 @@ class TestBoxQp:
         model, cfg = random_problem(seed, n, extra, p, horizon)
         rng = np.random.default_rng([seed, 1])  # not the model's stream
         psi0 = rng.standard_normal(model.size)
-        w = rng.standard_normal((n, horizon))
+        w = rng.standard_normal((horizon, n))
         u0, free_plan = CondensedMpc(model, cfg).solve(psi0, w)
-        reach = np.abs(free_plan).max(axis=1) + 1.0
+        reach = np.abs(free_plan).max(axis=0) + 1.0
         cfg = dataclasses.replace(cfg, u_min=-reach, u_max=reach)
         u0_box, plan, info = CondensedMpc(model, cfg).solve(
             psi0, w, return_info=True)
@@ -800,7 +813,7 @@ class TestGainLimit:
         model = random_model(seed=12)
         cfg = MpcConfig(horizon=5, Qy=np.eye(3), Ru=0.1 * np.eye(2))
         solver = CondensedMpc(model, cfg)
-        w = np.zeros((3, 5))
+        w = np.zeros((5, 3))
         e = np.zeros(3)
         e[1] = 1.0
         u_unit, _ = solver.solve(e, w)
@@ -822,7 +835,7 @@ class TestRecedingHorizonConsistency:
         cfg = MpcConfig(horizon=12, Qy=np.eye(2), Ru=0.2 * np.eye(1))
         solver = CondensedMpc(model, cfg)
         w_const = np.array([0.4, -0.1])
-        w_window = np.tile(w_const[:, None], (1, 12))
+        w_window = np.tile(w_const, (12, 1))
         G = mpc_gain_limit(model, cfg)
         u_ff, _ = solver.solve(np.zeros(2), w_window)
         rng = np.random.default_rng(3)

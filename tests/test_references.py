@@ -10,15 +10,34 @@ from koopman_adapt.references import ReferenceSpec, build_reference
 
 
 class TestRestToRest:
+    def test_samples_by_state_and_read_only(self):
+        """One row per sample, position then velocity: the quintic's
+        stroke samples in the columns, and no write reaches them."""
+        spec = ReferenceSpec(amplitude=0.5, speed=1.0, hold=0.2)
+        dt = 1e-3
+        w = build_reference(spec, 50, dt)
+        assert w.shape == (50, 2) and w.flags.c_contiguous
+        D = spec.stroke_duration()
+        tau = np.arange(50) * dt / D
+        np.testing.assert_allclose(
+            w[:, 0], 0.5 * (10 * tau ** 3 - 15 * tau ** 4 + 6 * tau ** 5),
+            rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            w[:, 1], 0.5 * (30 * tau ** 2 - 60 * tau ** 3 + 30 * tau ** 4) / D,
+            rtol=1e-12, atol=0)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[3:8].ravel()[0] = 1.0
+
     def test_peak_velocity_matches_speed(self):
         spec = ReferenceSpec(amplitude=0.7, speed=2.0, hold=0.1)
         w = build_reference(spec, 4000, 1e-3)
-        assert np.abs(w[1]).max() == pytest.approx(2.0, rel=1e-3)
+        assert np.abs(w[:, 1]).max() == pytest.approx(2.0, rel=1e-3)
 
     def test_starts_and_dwells_at_rest(self):
         spec = ReferenceSpec(amplitude=0.5, speed=1.0, hold=0.2)
         w = build_reference(spec, 10, 1e-3)
-        assert w[0, 0] == 0.0 and w[1, 0] == 0.0
+        assert w[0, 0] == 0.0 and w[0, 1] == 0.0
 
     def test_reaches_amplitude_during_hold(self):
         spec = ReferenceSpec(amplitude=0.5, speed=1.0, hold=0.2)
@@ -26,22 +45,22 @@ class TestRestToRest:
         dt = 1e-3
         k_hold = int((D + 0.1) / dt)
         w = build_reference(spec, k_hold + 1, dt)
-        assert w[0, k_hold] == pytest.approx(0.5)
-        assert w[1, k_hold] == 0.0
+        assert w[k_hold, 0] == pytest.approx(0.5)
+        assert w[k_hold, 1] == 0.0
 
     def test_velocity_consistent_with_position(self):
         spec = ReferenceSpec(amplitude=0.6, speed=1.5, hold=0.15)
         dt = 1e-4
         w = build_reference(spec, 20000, dt)
-        fd = np.gradient(w[0], dt)
-        np.testing.assert_allclose(fd[1:-1], w[1, 1:-1], atol=2e-2)
+        fd = np.gradient(w[:, 0], dt)
+        np.testing.assert_allclose(fd[1:-1], w[1:-1, 1], atol=2e-2)
 
     def test_cycles_repeat(self):
         spec = ReferenceSpec(amplitude=0.5, speed=1.0, hold=0.1)
         period = 2 * (spec.stroke_duration() + spec.hold)
         dt = period / 100
         w = build_reference(spec, 200, dt)
-        np.testing.assert_allclose(w[:, :100], w[:, 100:], atol=1e-12)
+        np.testing.assert_allclose(w[:100], w[100:], atol=1e-12)
 
 
 class TestOtherKinds:
